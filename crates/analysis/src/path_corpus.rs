@@ -16,6 +16,37 @@
 //! sequence, so every figure — and every new ordered analysis — is a
 //! cheap scan over small integer columns.
 //!
+//! ## Per-sequence summaries
+//!
+//! The ordered analyses ([`PathCorpus::transition_matrix`],
+//! [`PathCorpus::longest_run_ecdf`]) ask the same two things of every
+//! selected row: which hand-offs does its hop sequence contain, and how
+//! long is its longest single-vendor run? Both are functions of the
+//! *sequence*, and a corpus has far fewer sequences than rows. So as
+//! each sequence is interned the corpus derives, per sequence id, its
+//! longest identified run and a short list of `(matrix cell, weight)`
+//! transition entries. These are derived arenas exactly like the
+//! `router_hops` / `identified` columns: appended at intern time,
+//! rebuilt by [`PathCorpus::from_parts`], never serialised (the store
+//! format does not know they exist) and covered by `PartialEq`.
+//!
+//! A query then folds *sequence ids*: per selected row, one lookup and
+//! a few adds into a dense 16×16 matrix, or one bump of a run-length
+//! histogram — work proportional to the selection alone, never to the
+//! corpus. The results are byte-identical to the per-hop folds they
+//! replaced, by two arguments the tests pin down:
+//!
+//! * **Order.** A vendor's hop code is its enum discriminant, which is
+//!   both its index in `Vendor::ALL` and its rank under `Vendor: Ord`;
+//!   reading the dense matrix out in cell order therefore yields
+//!   `(from, to)` pairs in exactly the order the old
+//!   `BTreeMap<(Vendor, Vendor), _>` iterated.
+//! * **Exactness.** Transition counts are integers summed in `u64`.
+//!   Longest-run samples are small integers: a histogram read back in
+//!   ascending order *is* the sorted sample vector the old code obtained
+//!   by sorting, so the [`Ecdf`] (and its mean — a sum of
+//!   integer-valued `f64`s, exact in any order) is the same value.
+//!
 //! ## Construction and determinism
 //!
 //! Building ingests every RIPE snapshot plus ITDK-derivable paths
@@ -46,12 +77,11 @@ use std::num::NonZeroUsize;
 /// Hop code for a responsive router hop without a unique LFP verdict.
 pub const UNKNOWN_HOP: u8 = u8::MAX;
 
-/// Compact code of a vendor (its index in [`Vendor::ALL`]).
+/// Compact code of a vendor: its discriminant, which is also its index
+/// in [`Vendor::ALL`] and its rank under `Vendor: Ord` (pinned by
+/// `vendor_codes_are_discriminants_in_ord_order`).
 pub fn vendor_code(vendor: Vendor) -> u8 {
-    Vendor::ALL
-        .iter()
-        .position(|&v| v == vendor)
-        .expect("every vendor is in Vendor::ALL") as u8
+    vendor as u8
 }
 
 /// Vendor behind a hop code ([`UNKNOWN_HOP`] and out-of-range are `None`).
@@ -111,6 +141,86 @@ struct EncodedPath {
     as_segments: u16,
 }
 
+/// Side of the dense vendor×vendor transition matrix (one row and one
+/// column per vendor code); cell `from·MATRIX_SIDE + to` counts the
+/// hand-off `from → to`.
+const MATRIX_SIDE: usize = Vendor::ALL.len();
+const MATRIX_CELLS: usize = MATRIX_SIDE * MATRIX_SIDE;
+/// Entries per block of a sequence's transition-cell list.
+const CELL_BLOCK: usize = 4;
+
+/// Per-sequence summaries the ordered analyses fold over: what one
+/// interned hop sequence contributes to the longest-run ECDF and to the
+/// transition matrix. Pure functions of the run arena, derived as each
+/// sequence is interned (and again by [`PathCorpus::from_parts`]); never
+/// serialised.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct SequenceSummaries {
+    /// Longest identified run per sequence id; 0 = no identified hop
+    /// (arena runs are never empty, so 0 is free to mean "none").
+    longest_run: Vec<u16>,
+    /// Sparse transition cells `(cell, weight)`, each matrix cell at most
+    /// once per sequence, shared by all sequences. A sequence owns a
+    /// whole number (≥ 1) of [`CELL_BLOCK`]-entry blocks: the fold then
+    /// runs a fixed four adds per block with a loop exit that is almost
+    /// always "one block", where a variable-length list costs a
+    /// mispredicted exit per row (measured 2× slower). Unused slots hold
+    /// zero-weight entries aimed at spare accumulators *past* the matrix
+    /// (`MATRIX_CELLS + slot`), so padding never serialises on a real
+    /// cell's accumulator.
+    cells: Vec<(u16, u32)>,
+    /// (offset, len) into `cells` per sequence id; `len` is a positive
+    /// multiple of [`CELL_BLOCK`].
+    cell_spans: Vec<(u32, u32)>,
+}
+
+impl SequenceSummaries {
+    /// Append the summaries of the next sequence id.
+    fn push(&mut self, runs: &[(u8, u16)]) {
+        let offset = self.cells.len();
+        let mut longest = 0u16;
+        let mut previous: Option<u8> = None;
+        for &(code, len) in runs {
+            if code == UNKNOWN_HOP {
+                continue;
+            }
+            longest = longest.max(len);
+            if let Some(from) = previous {
+                self.add_cell(offset, from, code, 1);
+            }
+            if len > 1 {
+                self.add_cell(offset, code, code, u32::from(len) - 1);
+            }
+            previous = Some(code);
+        }
+        let used = self.cells.len() - offset;
+        let padded = used.max(1).next_multiple_of(CELL_BLOCK);
+        for slot in used..padded {
+            self.cells
+                .push(((MATRIX_CELLS + slot % CELL_BLOCK) as u16, 0));
+        }
+        self.longest_run.push(longest);
+        self.cell_spans
+            .push((offset as u32, (self.cells.len() - offset) as u32));
+    }
+
+    /// Add `weight` to the open sequence's `from → to` cell (the open
+    /// sequence owns `cells[offset..]`; a handful of entries, so a linear
+    /// probe beats any scratch table).
+    fn add_cell(&mut self, offset: usize, from: u8, to: u8, weight: u32) {
+        let cell = (from as usize * MATRIX_SIDE + to as usize) as u16;
+        match self.cells[offset..].iter_mut().find(|(c, _)| *c == cell) {
+            Some((_, total)) => *total += weight,
+            None => self.cells.push((cell, weight)),
+        }
+    }
+
+    fn cells_of(&self, seq: u32) -> &[(u16, u32)] {
+        let (offset, len) = self.cell_spans[seq as usize];
+        &self.cells[offset as usize..(offset + len) as usize]
+    }
+}
+
 /// The columnar path store. All per-path attributes are parallel columns
 /// indexed by row id; hop sequences live run-length encoded in a shared
 /// arena behind interned sequence ids.
@@ -149,6 +259,8 @@ pub struct PathCorpus {
     sets: Vec<Vec<Vendor>>,
     /// Pre-rendered ", "-joined labels, per set id.
     set_labels: Vec<String>,
+    /// What each sequence id contributes to the ordered analyses.
+    summaries: SequenceSummaries,
 
     // -- indexes ----------------------------------------------------
     by_source: Vec<Vec<u32>>,
@@ -225,40 +337,46 @@ impl PathCorpus {
         );
 
         // Phase 2 — serial interning fold over the ordered stream.
-        let mut corpus = PathCorpus {
-            by_source: sources.iter().map(|_| Vec::new()).collect(),
-            sources,
-            ripe_source_count,
-            latest_ripe: ripe_source_count - 1,
-            source: Vec::with_capacity(encoded.len()),
-            src_as: Vec::with_capacity(encoded.len()),
-            dst_as: Vec::with_capacity(encoded.len()),
-            effective_len: Vec::with_capacity(encoded.len()),
-            router_hops: Vec::with_capacity(encoded.len()),
-            identified: Vec::with_capacity(encoded.len()),
-            snmp_identified: Vec::with_capacity(encoded.len()),
-            slice: Vec::with_capacity(encoded.len()),
-            set_id: Vec::with_capacity(encoded.len()),
-            seq_id: Vec::with_capacity(encoded.len()),
-            edge_vendors: Vec::with_capacity(encoded.len()),
-            core_vendors: Vec::with_capacity(encoded.len()),
-            as_segments: Vec::with_capacity(encoded.len()),
-            runs: Vec::new(),
-            seq_spans: Vec::new(),
-            sets: Vec::new(),
-            set_labels: Vec::new(),
-            by_src_as: HashMap::new(),
-            by_dst_as: HashMap::new(),
-            by_length: HashMap::new(),
-            by_set: Vec::new(),
-            by_seq: Vec::new(),
-        };
+        let mut corpus = PathCorpus::with_capacity(sources, ripe_source_count, encoded.len());
         let mut seq_intern: HashMap<Vec<(u8, u16)>, u32> = HashMap::new();
         let mut set_intern: HashMap<Vec<Vendor>, u32> = HashMap::new();
         for path in encoded {
             corpus.intern(path, &mut seq_intern, &mut set_intern);
         }
         corpus
+    }
+
+    /// An empty corpus over the given sources, with room for `rows` paths.
+    fn with_capacity(sources: Vec<String>, ripe_source_count: usize, rows: usize) -> PathCorpus {
+        PathCorpus {
+            by_source: sources.iter().map(|_| Vec::new()).collect(),
+            sources,
+            ripe_source_count,
+            latest_ripe: ripe_source_count - 1,
+            source: Vec::with_capacity(rows),
+            src_as: Vec::with_capacity(rows),
+            dst_as: Vec::with_capacity(rows),
+            effective_len: Vec::with_capacity(rows),
+            router_hops: Vec::with_capacity(rows),
+            identified: Vec::with_capacity(rows),
+            snmp_identified: Vec::with_capacity(rows),
+            slice: Vec::with_capacity(rows),
+            set_id: Vec::with_capacity(rows),
+            seq_id: Vec::with_capacity(rows),
+            edge_vendors: Vec::with_capacity(rows),
+            core_vendors: Vec::with_capacity(rows),
+            as_segments: Vec::with_capacity(rows),
+            runs: Vec::new(),
+            seq_spans: Vec::new(),
+            sets: Vec::new(),
+            set_labels: Vec::new(),
+            summaries: SequenceSummaries::default(),
+            by_src_as: HashMap::new(),
+            by_dst_as: HashMap::new(),
+            by_length: HashMap::new(),
+            by_set: Vec::new(),
+            by_seq: Vec::new(),
+        }
     }
 
     fn intern(
@@ -281,6 +399,7 @@ impl PathCorpus {
             let offset = self.runs.len() as u32;
             self.runs.extend(runs.iter().copied());
             self.seq_spans.push((offset, runs.len() as u32));
+            self.summaries.push(&runs);
             self.by_seq.push(Vec::new());
             id
         });
@@ -605,42 +724,58 @@ impl PathCorpus {
     /// Consecutive same-vendor routers count as self-transitions, so the
     /// diagonal measures custody kept and the off-diagonal custody
     /// changed.
+    ///
+    /// Folds each row's per-sequence cell blocks into a dense matrix: no
+    /// work or memory proportional to the corpus, only to `rows`.
     pub fn transition_matrix(&self, rows: &[u32]) -> BTreeMap<(Vendor, Vendor), usize> {
-        let mut matrix: BTreeMap<(Vendor, Vendor), usize> = BTreeMap::new();
+        let mut dense = [0u64; MATRIX_CELLS + CELL_BLOCK];
         for &row in rows {
-            let mut previous: Option<Vendor> = None;
-            for &(code, len) in self.runs_of(row) {
-                let Some(vendor) = code_vendor(code) else {
-                    continue;
-                };
-                if let Some(from) = previous {
-                    *matrix.entry((from, vendor)).or_default() += 1;
+            let cells = self.summaries.cells_of(self.seq_id[row as usize]);
+            for block in cells.chunks_exact(CELL_BLOCK) {
+                for &(cell, weight) in block {
+                    dense[cell as usize] += u64::from(weight);
                 }
-                if len > 1 {
-                    *matrix.entry((vendor, vendor)).or_default() += len as usize - 1;
-                }
-                previous = Some(vendor);
             }
         }
-        matrix
+        // Cell order is (from, to) code order, which is `Vendor: Ord`
+        // order — the map is built from an already sorted stream.
+        dense[..MATRIX_CELLS]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(cell, &count)| {
+                let pair = (
+                    Vendor::ALL[cell / MATRIX_SIDE],
+                    Vendor::ALL[cell % MATRIX_SIDE],
+                );
+                (pair, count as usize)
+            })
+            .collect()
     }
 
     /// ECDF of the longest same-vendor run per path (strict hop
     /// adjacency: an unidentified hop breaks the run). Paths without an
     /// identified hop are excluded.
+    ///
+    /// Run lengths are small integers, so the samples are counted into a
+    /// value histogram (grown to the selection's own maximum) and read
+    /// back in ascending order — no sort.
     pub fn longest_run_ecdf(&self, rows: &[u32]) -> Ecdf {
-        Ecdf::new(
-            rows.iter()
-                .filter_map(|&row| {
-                    self.runs_of(row)
-                        .iter()
-                        .filter(|&&(code, _)| code != UNKNOWN_HOP)
-                        .map(|&(_, len)| len)
-                        .max()
-                        .map(f64::from)
-                })
-                .collect(),
-        )
+        let mut histogram: Vec<u32> = Vec::new();
+        for &row in rows {
+            let longest = self.summaries.longest_run[self.seq_id[row as usize] as usize] as usize;
+            if longest >= histogram.len() {
+                histogram.resize(longest + 1, 0);
+            }
+            histogram[longest] += 1;
+        }
+        // Slot 0 counts the paths without an identified hop: skipped.
+        let samples = histogram.iter().skip(1).map(|&n| n as usize).sum();
+        let mut sorted = Vec::with_capacity(samples);
+        for (value, &count) in histogram.iter().enumerate().skip(1) {
+            sorted.extend(std::iter::repeat_n(value as f64, count as usize));
+        }
+        Ecdf::from_sorted(sorted)
     }
 
     /// Edge-vs-transit vendor diversity over the selection (identified
@@ -682,8 +817,9 @@ impl PathCorpus {
     /// Dump everything a store needs to reconstruct this corpus exactly:
     /// the column vectors and interning arenas, with enums lowered to
     /// stable one-byte codes. Indexes, derived columns (`router_hops`,
-    /// `identified`) and rendered labels are *not* dumped — they are pure
-    /// functions of the rest and [`PathCorpus::from_parts`] rebuilds them.
+    /// `identified`), per-sequence summaries and rendered labels are *not*
+    /// dumped — they are pure functions of the rest and
+    /// [`PathCorpus::from_parts`] rebuilds them.
     pub fn to_parts(&self) -> CorpusParts {
         CorpusParts {
             sources: self.sources.clone(),
@@ -831,6 +967,7 @@ impl PathCorpus {
             seq_spans: parts.seq_spans,
             sets,
             set_labels,
+            summaries: SequenceSummaries::default(),
             by_src_as: HashMap::new(),
             by_dst_as: HashMap::new(),
             by_length: HashMap::new(),
@@ -838,6 +975,24 @@ impl PathCorpus {
             by_seq: Vec::new(),
         };
         corpus.by_seq = vec![Vec::new(); corpus.seq_spans.len()];
+
+        // Per-sequence pass: hop totals (which must fit the u16 columns
+        // and bound the summaries' weights) and the derived summaries.
+        let mut seq_hops: Vec<(u16, u16)> = Vec::with_capacity(corpus.seq_spans.len());
+        for (seq_id, &(offset, len)) in corpus.seq_spans.iter().enumerate() {
+            let runs = &corpus.runs[offset as usize..(offset + len) as usize];
+            let hops: usize = runs.iter().map(|&(_, count)| count as usize).sum();
+            if hops > u16::MAX as usize {
+                return Err(format!("sequence {seq_id} has {hops} hops (exceeds u16)"));
+            }
+            let identified: usize = runs
+                .iter()
+                .filter(|&&(code, _)| code != UNKNOWN_HOP)
+                .map(|&(_, count)| count as usize)
+                .sum();
+            seq_hops.push((hops as u16, identified as u16));
+            corpus.summaries.push(runs);
+        }
 
         // Per-row validation + derived columns + index rebuild, one pass
         // in row order (indexes come out sorted, exactly as built).
@@ -854,19 +1009,9 @@ impl PathCorpus {
             if set_id >= corpus.sets.len() {
                 return Err(format!("row {row} references unknown set {set_id}"));
             }
-            let (offset, len) = corpus.seq_spans[seq_id];
-            let runs = &corpus.runs[offset as usize..(offset + len) as usize];
-            let hops: usize = runs.iter().map(|&(_, count)| count as usize).sum();
-            if hops > u16::MAX as usize {
-                return Err(format!("row {row} has {hops} hops (exceeds u16)"));
-            }
-            let identified: usize = runs
-                .iter()
-                .filter(|&&(code, _)| code != UNKNOWN_HOP)
-                .map(|&(_, count)| count as usize)
-                .sum();
-            corpus.router_hops.push(hops as u16);
-            corpus.identified.push(identified as u16);
+            let (hops, identified) = seq_hops[seq_id];
+            corpus.router_hops.push(hops);
+            corpus.identified.push(identified);
 
             let row = row as u32;
             corpus.by_source[source].push(row);
@@ -880,7 +1025,7 @@ impl PathCorpus {
                 .entry(corpus.dst_as[row as usize])
                 .or_default()
                 .push(row);
-            corpus.by_length.entry(hops as u16).or_default().push(row);
+            corpus.by_length.entry(hops).or_default().push(row);
             corpus.by_set[set_id].push(row);
             corpus.by_seq[seq_id].push(row);
         }
@@ -1118,6 +1263,225 @@ fn segment_diversity(codes: &[u8], hop_as: &[u32]) -> (u8, u8, u16) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Oracle for [`PathCorpus::transition_matrix`]: the per-row,
+    /// per-run `BTreeMap` fold the sequence summaries replaced.
+    fn transition_matrix_by_row(
+        corpus: &PathCorpus,
+        rows: &[u32],
+    ) -> BTreeMap<(Vendor, Vendor), usize> {
+        let mut matrix: BTreeMap<(Vendor, Vendor), usize> = BTreeMap::new();
+        for &row in rows {
+            let mut previous: Option<Vendor> = None;
+            for &(code, len) in corpus.runs_of(row) {
+                let Some(vendor) = code_vendor(code) else {
+                    continue;
+                };
+                if let Some(from) = previous {
+                    *matrix.entry((from, vendor)).or_default() += 1;
+                }
+                if len > 1 {
+                    *matrix.entry((vendor, vendor)).or_default() += len as usize - 1;
+                }
+                previous = Some(vendor);
+            }
+        }
+        matrix
+    }
+
+    /// Oracle for [`PathCorpus::longest_run_ecdf`]: one `f64` per row
+    /// through the sorting constructor.
+    fn longest_run_ecdf_by_row(corpus: &PathCorpus, rows: &[u32]) -> Ecdf {
+        Ecdf::new(
+            rows.iter()
+                .filter_map(|&row| {
+                    corpus
+                        .runs_of(row)
+                        .iter()
+                        .filter(|&&(code, _)| code != UNKNOWN_HOP)
+                        .map(|&(_, len)| len)
+                        .max()
+                        .map(f64::from)
+                })
+                .collect(),
+        )
+    }
+
+    /// A corpus interned from hand-made hop-code sequences: the edge
+    /// cases a simulated world never produces (no hops at all, no
+    /// identified hop, a `u16::MAX`-hop single-vendor run) beside a few
+    /// hundred pseudo-random paths that share sequences.
+    fn synthetic_corpus() -> PathCorpus {
+        let mut paths: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            vec![UNKNOWN_HOP; 5],
+            vec![3; u16::MAX as usize],
+            [vec![7], vec![2; u16::MAX as usize - 1]].concat(),
+            vec![0, UNKNOWN_HOP, 0, 0, UNKNOWN_HOP, 1, 1, 1, 0],
+        ];
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            state = splitmix64(state);
+            state % bound
+        };
+        for _ in 0..400 {
+            // A small alphabet and short paths, so sequences repeat.
+            let path = (0..next(9))
+                .map(|_| match next(6) {
+                    5 => UNKNOWN_HOP,
+                    code => (code * 3) as u8,
+                })
+                .collect();
+            paths.push(path);
+        }
+        let sources = vec!["S-1".to_string(), "S-derived".to_string()];
+        let mut corpus = PathCorpus::with_capacity(sources, 1, paths.len());
+        let (mut seq_intern, mut set_intern) = (HashMap::new(), HashMap::new());
+        for (index, codes) in paths.into_iter().enumerate() {
+            let path = EncodedPath {
+                source: (index % 2) as u16,
+                src_as: (index % 7) as u32,
+                dst_as: (index % 5) as u32,
+                effective_len: codes.len() as u16,
+                snmp_identified: 0,
+                slice: UsSlice::ALL[index % 3],
+                codes,
+                edge_vendors: 0,
+                core_vendors: 0,
+                as_segments: 0,
+            };
+            corpus.intern(path, &mut seq_intern, &mut set_intern);
+        }
+        assert!(corpus.distinct_sequences() < corpus.len());
+        corpus
+    }
+
+    /// `percent`% of the corpus's rows, ascending, chosen by `seed`.
+    fn row_subset(corpus: &PathCorpus, percent: u64, seed: u64) -> Vec<u32> {
+        corpus
+            .all_rows()
+            .into_iter()
+            .filter(|&row| splitmix64(seed ^ u64::from(row)) % 100 < percent)
+            .collect()
+    }
+
+    fn assert_ordered_folds_match_oracles(corpus: &PathCorpus, rows: &[u32]) {
+        assert_eq!(
+            corpus.transition_matrix(rows),
+            transition_matrix_by_row(corpus, rows)
+        );
+        let (fast, oracle) = (
+            corpus.longest_run_ecdf(rows),
+            longest_run_ecdf_by_row(corpus, rows),
+        );
+        // Same sorted samples, so everything derived from them agrees —
+        // spelled out for the values the engine renders.
+        assert_eq!(fast, oracle);
+        assert_eq!(fast.len(), oracle.len());
+        assert_eq!(
+            fast.mean().map(f64::to_bits),
+            oracle.mean().map(f64::to_bits)
+        );
+        for step in 0..=20 {
+            let q = f64::from(step) / 20.0;
+            assert_eq!(fast.quantile(q), oracle.quantile(q), "quantile {q}");
+        }
+        assert_eq!(fast.series(16), oracle.series(16));
+    }
+
+    proptest! {
+        /// The sequence-domain folds equal the per-row oracles over any
+        /// ascending row subset (0% is the empty selection, 100% every
+        /// row; the synthetic corpus carries the edge-case paths).
+        #[test]
+        fn ordered_folds_match_per_row_oracles(percent in 0u64..=100, seed in any::<u64>()) {
+            static CORPUS: std::sync::OnceLock<PathCorpus> = std::sync::OnceLock::new();
+            let corpus = CORPUS.get_or_init(synthetic_corpus);
+            assert_ordered_folds_match_oracles(corpus, &row_subset(corpus, percent, seed));
+        }
+    }
+
+    #[test]
+    fn ordered_folds_match_oracles_on_edge_selections() {
+        let synthetic = synthetic_corpus();
+        let world = crate::world::World::build(lfp_topo::Scale::tiny());
+        for corpus in [&synthetic, world.path_corpus()] {
+            assert_ordered_folds_match_oracles(corpus, &[]);
+            assert_ordered_folds_match_oracles(corpus, &corpus.all_rows());
+            for row in corpus.all_rows().into_iter().take(8) {
+                assert_ordered_folds_match_oracles(corpus, &[row]);
+            }
+            assert_ordered_folds_match_oracles(corpus, &row_subset(corpus, 30, 1));
+        }
+        // Rows 0–1 have no identified hop: excluded from the ECDF, and
+        // an empty ECDF keeps answering `None` (rendered as NaN).
+        let empty = synthetic.longest_run_ecdf(&[0, 1]);
+        assert!(empty.is_empty());
+        assert_eq!((empty.mean(), empty.quantile(0.5)), (None, None));
+        assert!(synthetic.transition_matrix(&[0, 1]).is_empty());
+        // Row 2 is one u16::MAX-hop run: u16::MAX - 1 self-transitions.
+        assert_eq!(
+            synthetic.longest_run_ecdf(&[2]).quantile(1.0),
+            Some(f64::from(u16::MAX))
+        );
+        let vendor = Vendor::ALL[3];
+        assert_eq!(
+            synthetic.transition_matrix(&[2]),
+            BTreeMap::from([((vendor, vendor), u16::MAX as usize - 1)])
+        );
+    }
+
+    #[test]
+    fn parts_round_trip_rebuilds_the_sequence_summaries() {
+        let world = crate::world::World::build(lfp_topo::Scale::tiny());
+        for corpus in [&synthetic_corpus(), world.path_corpus()] {
+            let rebuilt = PathCorpus::from_parts(corpus.to_parts()).expect("valid parts");
+            assert!(!rebuilt.summaries.cells.is_empty());
+            // `PartialEq` covers the derived arenas.
+            assert_eq!(&rebuilt, corpus);
+        }
+    }
+
+    #[test]
+    fn chained_extension_equals_batch_extension() {
+        let world = crate::world::World::build(lfp_topo::Scale::tiny());
+        let corpus = world.path_corpus();
+        let maps: Vec<_> = world
+            .ripe_scans
+            .iter()
+            .map(|scan| (world.lfp_vendor_map(scan), world.snmp_vendor_map(scan)))
+            .collect();
+        let additions: Vec<NewPathSource> = world
+            .ripe
+            .iter()
+            .zip(&maps)
+            .enumerate()
+            .map(|(index, (snapshot, (lfp, snmp)))| NewPathSource {
+                name: format!("again-{index}"),
+                traces: &snapshot.traces,
+                lfp,
+                snmp,
+                is_ripe_snapshot: true,
+            })
+            .collect();
+        assert!(additions.len() >= 2);
+        let shards = NonZeroUsize::new(2).unwrap();
+        let batch = corpus
+            .extended_with(&world.internet, &additions, shards)
+            .unwrap();
+        let mut chained = corpus.clone();
+        for addition in &additions {
+            chained = chained
+                .extended_with(&world.internet, std::slice::from_ref(addition), shards)
+                .unwrap();
+        }
+        assert_eq!(chained, batch);
+        assert_eq!(
+            batch.summaries.longest_run.len(),
+            batch.distinct_sequences()
+        );
+    }
 
     #[test]
     fn vendor_codes_round_trip() {
@@ -1125,6 +1489,20 @@ mod tests {
             assert_eq!(code_vendor(vendor_code(vendor)), Some(vendor));
         }
         assert_eq!(code_vendor(UNKNOWN_HOP), None);
+    }
+
+    /// The dense transition matrix is read out in cell order and must
+    /// come out in `(Vendor, Vendor)` `Ord` order, byte-identical to the
+    /// `BTreeMap` it replaced: that holds only while a vendor's code is
+    /// its discriminant, its `ALL` index and its `Ord` rank at once.
+    #[test]
+    fn vendor_codes_are_discriminants_in_ord_order() {
+        for (index, &vendor) in Vendor::ALL.iter().enumerate() {
+            assert_eq!(vendor as u8 as usize, index);
+            assert_eq!(vendor_code(vendor) as usize, index);
+        }
+        assert!(Vendor::ALL.windows(2).all(|pair| pair[0] < pair[1]));
+        assert!(MATRIX_CELLS + CELL_BLOCK <= usize::from(u16::MAX));
     }
 
     #[test]

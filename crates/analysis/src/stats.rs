@@ -5,7 +5,7 @@
 //! experiment harness can print them and EXPERIMENTS.md can quote them.
 
 /// An empirical CDF over f64 samples.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -16,6 +16,16 @@ impl Ecdf {
         samples.retain(|v| !v.is_nan());
         samples.sort_by(|a, b| a.total_cmp(b));
         Ecdf { sorted: samples }
+    }
+
+    /// Wrap samples that are already ascending and NaN-free (e.g. a
+    /// value histogram read back in order) without re-sorting them.
+    pub fn from_sorted(sorted: Vec<f64>) -> Self {
+        debug_assert!(
+            sorted.windows(2).all(|pair| pair[0] <= pair[1]),
+            "Ecdf::from_sorted needs ascending, NaN-free samples"
+        );
+        Ecdf { sorted }
     }
 
     /// Number of samples.
@@ -198,6 +208,23 @@ mod tests {
         assert_eq!(ecdf.quantile(0.5), None);
         assert_eq!(ecdf.mean(), None);
         assert!(Ecdf::new(vec![]).series(5).is_empty());
+    }
+
+    #[test]
+    fn from_sorted_equals_the_sorting_constructor() {
+        let sorted = vec![1.0, 1.0, 2.0, 5.0, 5.0, 9.0];
+        let shuffled = vec![5.0, 1.0, 9.0, 2.0, 5.0, 1.0];
+        assert_eq!(Ecdf::from_sorted(sorted), Ecdf::new(shuffled));
+        let empty = Ecdf::from_sorted(Vec::new());
+        assert!(empty.is_empty());
+        assert_eq!((empty.mean(), empty.quantile(0.5)), (None, None));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ascending")]
+    fn from_sorted_rejects_unsorted_samples_in_debug_builds() {
+        let _ = Ecdf::from_sorted(vec![2.0, 1.0]);
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //!
 //! `cache_hit` is the path a warm daemon serves almost every request
 //! from (hash + shard lock + `Arc` clone); the `cold_*` benches time a
-//! full plan → execute → render for each query family; `batch_*`
-//! measures the fan-out executor against the same queries run serially.
+//! full plan → execute → render for each query family, over the whole
+//! corpus and over the filtered selections (dataset + hop range + slice,
+//! one AS pair) the repo benchmark's `serve-cold` workload sends;
+//! `batch_*` measures the fan-out executor against the same queries run
+//! serially.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lfp_bench::shared_tiny_world;
@@ -55,6 +58,31 @@ fn bench_engine_paths(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    let corpus = engine.corpus();
+    let filtered = Selection {
+        source: Some(corpus.sources()[corpus.latest_ripe_source()].clone()),
+        min_hops: Some(2),
+        max_hops: Some(8),
+        slice: Some(lfp_analysis::us_study::UsSlice::Other),
+        ..Selection::default()
+    };
+    let as_pair = Selection {
+        src_as: Some(corpus.src_as_ids()[0]),
+        dst_as: Some(corpus.dst_as_ids()[0]),
+        ..Selection::default()
+    };
+    for (name, selection) in [("source_hops_slice", filtered), ("as_pair", as_pair)] {
+        let transitions = Query::Transitions {
+            selection: selection.clone(),
+        };
+        group.bench_function(&format!("cold_transitions_{name}"), |b| {
+            b.iter(|| engine.execute_uncached(&transitions).unwrap())
+        });
+        let longest_runs = Query::LongestRuns { selection };
+        group.bench_function(&format!("cold_longest_runs_{name}"), |b| {
+            b.iter(|| engine.execute_uncached(&longest_runs).unwrap())
+        });
+    }
     // Warm the cache, then time the hit path.
     engine.execute(&pair).unwrap();
     group.bench_function("cache_hit", |b| b.iter(|| engine.execute(&pair).unwrap()));

@@ -25,6 +25,7 @@ use crate::query::{method_name, slice_name, Query};
 use lfp_analysis::homogeneity::per_as_vendor_counts;
 use lfp_analysis::json::{escape, number, JsonBuilder};
 use lfp_analysis::path_corpus::{LabelSource, PathCorpus};
+use lfp_analysis::stats::Ecdf;
 use lfp_analysis::World;
 use lfp_obs::Clock;
 use lfp_stack::vendor::Vendor;
@@ -199,7 +200,7 @@ impl QueryEngine {
                 cached: true,
             });
         }
-        let payload: Arc<str> = Arc::from(self.compute(query)?);
+        let payload: Arc<str> = Arc::from(self.compute(query, None)?.0);
         self.cache.insert_lane(&key, Arc::clone(&payload), lane);
         Ok(Response {
             payload,
@@ -210,7 +211,7 @@ impl QueryEngine {
     /// Cold execution, bypassing the cache entirely (reference path for
     /// the determinism tests and benches).
     pub fn execute_uncached(&self, query: &Query) -> Result<String, String> {
-        self.compute(query)
+        Ok(self.compute(query, None)?.0)
     }
 
     /// [`execute_lane`](QueryEngine::execute_lane) with per-sub-stage
@@ -240,7 +241,7 @@ impl QueryEngine {
             ));
         }
         let compute_start = clock.now_ns();
-        let (body, plan_ns, explain) = self.compute_obs(query, clock)?;
+        let (body, plan_ns, explain) = self.compute(query, Some(clock))?;
         let compute_end = clock.now_ns();
         let payload: Arc<str> = Arc::from(body);
         self.cache.insert_lane(&key, Arc::clone(&payload), lane);
@@ -263,58 +264,42 @@ impl QueryEngine {
         ))
     }
 
-    /// [`compute`](QueryEngine::compute) with the planner timed
-    /// separately: returns the rendered payload, the nanoseconds spent in
-    /// `select_rows`, and the plan's explain trace.
-    fn compute_obs(
+    /// Compute one payload; returns it with the nanoseconds `select_rows`
+    /// took and the plan's explain trace (0 and empty when planless).
+    /// Without a clock it is the same path minus the clock reads.
+    fn compute(
         &self,
         query: &Query,
-        clock: &dyn Clock,
+        clock: Option<&dyn Clock>,
     ) -> Result<(String, u64, String), String> {
-        let selection = match query {
-            Query::PathDiversity { selection }
-            | Query::Transitions { selection }
-            | Query::LongestRuns { selection } => selection,
-            planless => return Ok((self.compute(planless)?, 0, String::new())),
+        let planless = |payload: String| Ok((payload, 0, String::new()));
+        type Render = fn(&QueryEngine, &[u32], &str) -> String;
+        let (selection, render): (_, Render) = match query {
+            Query::VendorMixAs { as_id, method } => {
+                return planless(
+                    self.vendor_mix(&format!("as:{as_id}"), *method, |candidate| {
+                        candidate == *as_id
+                    }),
+                )
+            }
+            Query::VendorMixRegion { region, method } => {
+                return planless(self.vendor_mix(
+                    &format!("region:{}", region.abbrev()),
+                    *method,
+                    |candidate| self.world.internet.continent_of(candidate) == *region,
+                ))
+            }
+            Query::Catalog => return planless(self.catalog()),
+            Query::PathDiversity { selection } => (selection, Self::path_diversity),
+            Query::Transitions { selection } => (selection, Self::transitions),
+            Query::LongestRuns { selection } => (selection, Self::longest_runs),
         };
-        let plan_start = clock.now_ns();
+        let now = || clock.map_or(0, Clock::now_ns);
+        let plan_start = now();
         let plan = select_rows(&self.corpus, selection)?;
-        let plan_ns = clock.now_ns().saturating_sub(plan_start);
-        let payload = match query {
-            Query::PathDiversity { .. } => self.path_diversity(&plan.rows, &plan.explain),
-            Query::Transitions { .. } => self.transitions(&plan.rows, &plan.explain),
-            Query::LongestRuns { .. } => self.longest_runs(&plan.rows, &plan.explain),
-            _ => unreachable!("selection queries are matched above"),
-        };
+        let plan_ns = now().saturating_sub(plan_start);
+        let payload = render(self, &plan.rows, &plan.explain);
         Ok((payload, plan_ns, plan.explain))
-    }
-
-    fn compute(&self, query: &Query) -> Result<String, String> {
-        match query {
-            Query::VendorMixAs { as_id, method } => Ok(self.vendor_mix(
-                &format!("as:{as_id}"),
-                *method,
-                |candidate| candidate == *as_id,
-            )),
-            Query::VendorMixRegion { region, method } => Ok(self.vendor_mix(
-                &format!("region:{}", region.abbrev()),
-                *method,
-                |candidate| self.world.internet.continent_of(candidate) == *region,
-            )),
-            Query::PathDiversity { selection } => {
-                let plan = select_rows(&self.corpus, selection)?;
-                Ok(self.path_diversity(&plan.rows, &plan.explain))
-            }
-            Query::Transitions { selection } => {
-                let plan = select_rows(&self.corpus, selection)?;
-                Ok(self.transitions(&plan.rows, &plan.explain))
-            }
-            Query::LongestRuns { selection } => {
-                let plan = select_rows(&self.corpus, selection)?;
-                Ok(self.longest_runs(&plan.rows, &plan.explain))
-            }
-            Query::Catalog => Ok(self.catalog()),
-        }
     }
 
     fn counts_for(&self, method: LabelSource) -> &BTreeMap<u32, BTreeMap<Vendor, usize>> {
@@ -400,45 +385,11 @@ impl QueryEngine {
     }
 
     fn transitions(&self, rows: &[u32], explain: &str) -> String {
-        let matrix = self.corpus.transition_matrix(rows);
-        let handoffs: usize = matrix.values().sum();
-        let kept: usize = matrix
-            .iter()
-            .filter(|((from, to), _)| from == to)
-            .map(|(_, &count)| count)
-            .sum();
-        let mut json = JsonBuilder::object();
-        json.integer("paths", rows.len() as u64);
-        json.integer("handoffs", handoffs as u64);
-        json.number(
-            "custody_kept_percent",
-            kept as f64 * 100.0 / handoffs.max(1) as f64,
-        );
-        json.raw_array(
-            "transitions",
-            matrix.into_iter().map(|((from, to), count)| {
-                format!(
-                    "[\"{}\", \"{}\", {count}]",
-                    escape(from.name()),
-                    escape(to.name())
-                )
-            }),
-        );
-        json.string("plan", explain);
-        json.finish()
+        render_transitions(rows.len(), self.corpus.transition_matrix(rows), explain)
     }
 
     fn longest_runs(&self, rows: &[u32], explain: &str) -> String {
-        let ecdf = self.corpus.longest_run_ecdf(rows);
-        let quantile = |q: f64| ecdf.quantile(q).unwrap_or(f64::NAN);
-        let mut json = JsonBuilder::object();
-        json.integer("paths", ecdf.len() as u64);
-        json.number("mean", ecdf.mean().unwrap_or(f64::NAN));
-        json.number("p50", quantile(0.5));
-        json.number("p90", quantile(0.9));
-        json.number("max", quantile(1.0));
-        json.string("plan", explain);
-        json.finish()
+        render_longest_runs(&self.corpus.longest_run_ecdf(rows), explain)
     }
 
     fn catalog(&self) -> String {
@@ -479,12 +430,57 @@ impl QueryEngine {
     }
 }
 
+fn render_transitions(
+    paths: usize,
+    matrix: BTreeMap<(Vendor, Vendor), usize>,
+    explain: &str,
+) -> String {
+    let handoffs: usize = matrix.values().sum();
+    let kept: usize = matrix
+        .iter()
+        .filter(|((from, to), _)| from == to)
+        .map(|(_, &count)| count)
+        .sum();
+    let mut json = JsonBuilder::object();
+    json.integer("paths", paths as u64);
+    json.integer("handoffs", handoffs as u64);
+    json.number(
+        "custody_kept_percent",
+        kept as f64 * 100.0 / handoffs.max(1) as f64,
+    );
+    json.raw_array(
+        "transitions",
+        matrix.into_iter().map(|((from, to), count)| {
+            format!(
+                "[\"{}\", \"{}\", {count}]",
+                escape(from.name()),
+                escape(to.name())
+            )
+        }),
+    );
+    json.string("plan", explain);
+    json.finish()
+}
+
+fn render_longest_runs(ecdf: &Ecdf, explain: &str) -> String {
+    let quantile = |q: f64| ecdf.quantile(q).unwrap_or(f64::NAN);
+    let mut json = JsonBuilder::object();
+    json.integer("paths", ecdf.len() as u64);
+    json.number("mean", ecdf.mean().unwrap_or(f64::NAN));
+    json.number("p50", quantile(0.5));
+    json.number("p90", quantile(0.9));
+    json.number("max", quantile(1.0));
+    json.string("plan", explain);
+    json.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::Selection;
-    use crate::testutil::shared_world;
+    use crate::testutil::{select_rows_staged, selection_grid, shared_world};
     use lfp_analysis::json::parse;
+    use lfp_analysis::path_corpus::{code_vendor, UNKNOWN_HOP};
 
     fn engine() -> QueryEngine {
         QueryEngine::new(shared_world())
@@ -593,6 +589,89 @@ mod tests {
             value.get("transitions").unwrap().as_array().unwrap().len(),
             matrix.len()
         );
+    }
+
+    /// The pre-summary execution path: staged plan, then the per-row,
+    /// per-run folds (`BTreeMap` entry per run; one sorted `f64` per
+    /// row), rendered by the same functions.
+    fn oracle_payload(engine: &QueryEngine, query: &Query) -> String {
+        let corpus = engine.corpus();
+        match query {
+            Query::PathDiversity { selection } => {
+                let plan = select_rows_staged(corpus, selection).unwrap();
+                engine.path_diversity(&plan.rows, &plan.explain)
+            }
+            Query::Transitions { selection } => {
+                let plan = select_rows_staged(corpus, selection).unwrap();
+                let mut matrix: BTreeMap<(Vendor, Vendor), usize> = BTreeMap::new();
+                for &row in &plan.rows {
+                    let mut previous: Option<Vendor> = None;
+                    for &(code, len) in corpus.runs_of(row) {
+                        let Some(vendor) = code_vendor(code) else {
+                            continue;
+                        };
+                        if let Some(from) = previous {
+                            *matrix.entry((from, vendor)).or_default() += 1;
+                        }
+                        if len > 1 {
+                            *matrix.entry((vendor, vendor)).or_default() += len as usize - 1;
+                        }
+                        previous = Some(vendor);
+                    }
+                }
+                render_transitions(plan.rows.len(), matrix, &plan.explain)
+            }
+            Query::LongestRuns { selection } => {
+                let plan = select_rows_staged(corpus, selection).unwrap();
+                let longest = |row: &u32| {
+                    corpus
+                        .runs_of(*row)
+                        .iter()
+                        .filter(|&&(code, _)| code != UNKNOWN_HOP)
+                        .map(|&(_, len)| f64::from(len))
+                        .reduce(f64::max)
+                };
+                let ecdf = Ecdf::new(plan.rows.iter().filter_map(longest).collect());
+                render_longest_runs(&ecdf, &plan.explain)
+            }
+            planless => engine.execute_uncached(planless).unwrap(),
+        }
+    }
+
+    #[test]
+    fn cold_mix_shaped_pool_renders_byte_identical_to_the_oracle_path() {
+        let engine = engine();
+        let mut empty_selections = 0usize;
+        let grid = selection_grid(engine.corpus());
+        for (index, selection) in grid.iter().enumerate() {
+            // The cold mix's shape: both scan-heavy kinds over every
+            // filter combination, path_diversity on the AS-pair ones.
+            let mut queries = vec![
+                Query::Transitions {
+                    selection: selection.clone(),
+                },
+                Query::LongestRuns {
+                    selection: selection.clone(),
+                },
+            ];
+            if selection.src_as.is_some() && selection.dst_as.is_some() {
+                queries.push(Query::PathDiversity {
+                    selection: selection.clone(),
+                });
+            }
+            for query in &queries {
+                let payload = engine.execute_uncached(query).unwrap();
+                assert_eq!(payload, oracle_payload(&engine, query), "query #{index}");
+                if let Query::LongestRuns { .. } = query {
+                    let empty = payload.starts_with("{\"paths\": 0,");
+                    // An empty selection still renders its NaN fields
+                    // (the JSON writer spells NaN `null`).
+                    assert_eq!(empty, payload.contains("\"mean\": null"), "{payload}");
+                    empty_selections += usize::from(empty);
+                }
+            }
+        }
+        assert!(empty_selections > 0 && empty_selections < grid.len());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`plan`] — the planner: lowers a [`Selection`] onto the path
 //!   corpus's columnar indexes (`rows_between` / `rows_of_source` /
 //!   `rows_with_length`), intersecting sorted row-id slices and applying
-//!   residual predicates, with an `explain` trace per query,
+//!   residual predicates in one fused pass, with an `explain` trace,
 //! * [`cache`] — a sharded LRU keyed by the canonical query, storing the
 //!   rendered result bytes so a hit is a hash, a lock and an `Arc` clone,
 //! * [`engine`] — [`QueryEngine`]: plan → execute → render → cache,
@@ -58,6 +58,9 @@ pub use wire::{FrameDecoder, FrameError};
 
 #[cfg(test)]
 pub(crate) mod testutil {
+    use crate::plan::RowPlan;
+    use crate::query::{slice_name, Selection};
+    use lfp_analysis::path_corpus::{intersect_sorted, PathCorpus};
     use lfp_analysis::World;
     use lfp_topo::Scale;
     use std::sync::{Arc, OnceLock};
@@ -67,5 +70,124 @@ pub(crate) mod testutil {
     pub fn shared_world() -> Arc<World> {
         static WORLD: OnceLock<Arc<World>> = OnceLock::new();
         Arc::clone(WORLD.get_or_init(|| Arc::new(World::build(Scale::tiny()))))
+    }
+
+    /// Oracle for [`select_rows`](crate::select_rows): the staged plan
+    /// the fused pass replaced — copy the smallest index contribution,
+    /// intersect the rest into it, then `retain` once per residual
+    /// predicate, appending to the trace after every stage.
+    pub fn select_rows_staged(
+        corpus: &PathCorpus,
+        selection: &Selection,
+    ) -> Result<RowPlan, String> {
+        let mut parts: Vec<(String, Vec<u32>)> = Vec::new();
+        match (selection.src_as, selection.dst_as) {
+            (Some(src), Some(dst)) => parts.push((
+                format!("between({src},{dst})"),
+                corpus.rows_between(src, dst),
+            )),
+            (Some(src), None) => {
+                parts.push((format!("src_as({src})"), corpus.rows_from_as(src).to_vec()))
+            }
+            (None, Some(dst)) => {
+                parts.push((format!("dst_as({dst})"), corpus.rows_to_as(dst).to_vec()))
+            }
+            (None, None) => {}
+        }
+        if let Some(name) = &selection.source {
+            let source = corpus.source_id(name).ok_or_else(|| {
+                format!(
+                    "unknown source dataset '{name}' (have: {})",
+                    corpus.sources().join(", ")
+                )
+            })?;
+            parts.push((
+                format!("source({name})"),
+                corpus.rows_of_source(source).to_vec(),
+            ));
+        }
+        let exact_hops = match (selection.min_hops, selection.max_hops) {
+            (Some(min), Some(max)) if min == max => Some(min),
+            _ => None,
+        };
+        if let Some(hops) = exact_hops {
+            parts.push((
+                format!("length({hops})"),
+                corpus.rows_with_length(hops).to_vec(),
+            ));
+        }
+        parts.sort_by_key(|(_, rows)| rows.len());
+
+        let mut explain;
+        let mut rows = match parts.split_first() {
+            None => {
+                explain = format!("base=all({})", corpus.len());
+                corpus.all_rows()
+            }
+            Some(((label, base), rest)) => {
+                explain = format!("base={label}[{}]", base.len());
+                let mut rows = base.clone();
+                for (label, part) in rest {
+                    rows = intersect_sorted(&rows, part);
+                    explain.push_str(&format!(" ∩ {label}[{}] → {}", part.len(), rows.len()));
+                }
+                rows
+            }
+        };
+        if exact_hops.is_none() && (selection.min_hops.is_some() || selection.max_hops.is_some()) {
+            let min = selection.min_hops.unwrap_or(0);
+            let max = selection.max_hops.unwrap_or(u16::MAX);
+            rows.retain(|&row| (min..=max).contains(&corpus.hops_of(row)));
+            explain.push_str(&format!(" ▸ hops {min}..={max} → {}", rows.len()));
+        }
+        if let Some(slice) = selection.slice {
+            rows.retain(|&row| corpus.us_slice_of(row) == slice);
+            explain.push_str(&format!(" ▸ slice {} → {}", slice_name(slice), rows.len()));
+        }
+        Ok(RowPlan { rows, explain })
+    }
+
+    /// Every filter shape the planner distinguishes, crossed: endpoints
+    /// {none, src, dst, pair} × source {none, each dataset} × hops {none,
+    /// exact, min only, max only, range, empty range} × slice {none,
+    /// each}.
+    pub fn selection_grid(corpus: &PathCorpus) -> Vec<Selection> {
+        let (src, dst) = (corpus.src_as_ids()[0], corpus.dst_as_ids()[0]);
+        let endpoints = [
+            (None, None),
+            (Some(src), None),
+            (None, Some(dst)),
+            (Some(src), Some(dst)),
+        ];
+        let mut sources: Vec<Option<String>> = vec![None];
+        sources.extend(corpus.sources().iter().cloned().map(Some));
+        let hops = [
+            (None, None),
+            (Some(4), Some(4)),
+            (Some(3), None),
+            (None, Some(6)),
+            (Some(2), Some(7)),
+            (Some(9), Some(3)),
+        ];
+        let mut slices = vec![None];
+        slices.extend(lfp_analysis::us_study::UsSlice::ALL.map(Some));
+        let mut grid = Vec::new();
+        for &(src_as, dst_as) in &endpoints {
+            for source in &sources {
+                for &(min_hops, max_hops) in &hops {
+                    for &slice in &slices {
+                        grid.push(Selection {
+                            src_as,
+                            dst_as,
+                            source: source.clone(),
+                            min_hops,
+                            max_hops,
+                            slice,
+                        });
+                    }
+                }
+            }
+        }
+        grid
     }
 }

@@ -6,16 +6,22 @@
 //! (itself a sorted intersection of the per-endpoint indexes), single
 //! endpoint → `rows_from_as`/`rows_to_as`, dataset → `rows_of_source`,
 //! exact hop count → `rows_with_length`. The planner picks the smallest
-//! contribution as the scan base, intersects the rest pairwise (linear
-//! two-pointer merges via
-//! [`intersect_sorted`](lfp_analysis::path_corpus::intersect_sorted)),
-//! then applies the residual predicates an index cannot answer (hop
-//! *ranges*, US slice) as per-row filters. The result is the row set a
-//! query's aggregation runs over, plus an `explain` trace recording the
-//! chosen base and the selectivity of each step.
+//! contribution as the scan base and intersects the rest pairwise (linear
+//! two-pointer merges via [`intersect_sorted`]).
+//!
+//! The predicates an index cannot answer (hop *ranges*, US slice) are
+//! then applied by **one fused pass** over the base — the row range
+//! `0..len` when nothing was indexable, a borrowed index slice, or the
+//! computed intersection — so no base is copied before it is filtered
+//! and no row is visited twice. The pass counts the survivors of each
+//! stage as it goes, which is all the `explain` trace (chosen base,
+//! selectivity of each step) needs.
 
 use crate::query::{slice_name, Selection};
 use lfp_analysis::path_corpus::{intersect_sorted, PathCorpus};
+use lfp_analysis::us_study::UsSlice;
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// A planned (and executed) row selection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,22 +36,7 @@ pub struct RowPlan {
 /// One index-backed contribution to the selection.
 struct IndexPart<'a> {
     label: String,
-    rows: RowSet<'a>,
-}
-
-/// Borrowed index slices and computed intersections, unified.
-enum RowSet<'a> {
-    Borrowed(&'a [u32]),
-    Owned(Vec<u32>),
-}
-
-impl RowSet<'_> {
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            RowSet::Borrowed(rows) => rows,
-            RowSet::Owned(rows) => rows,
-        }
-    }
+    rows: Cow<'a, [u32]>,
 }
 
 /// Plan and execute a selection against the corpus.
@@ -55,24 +46,20 @@ impl RowSet<'_> {
 pub fn select_rows(corpus: &PathCorpus, selection: &Selection) -> Result<RowPlan, String> {
     let mut parts: Vec<IndexPart> = Vec::new();
 
-    // AS endpoints: the pair index when both are present (the satellite
-    // `rows_between` helper), the single-endpoint index otherwise.
-    let pair;
+    // AS endpoints: the pair index when both are present, the
+    // single-endpoint index otherwise.
     match (selection.src_as, selection.dst_as) {
-        (Some(src_as), Some(dst_as)) => {
-            pair = corpus.rows_between(src_as, dst_as);
-            parts.push(IndexPart {
-                label: format!("between({src_as},{dst_as})"),
-                rows: RowSet::Owned(pair),
-            });
-        }
+        (Some(src_as), Some(dst_as)) => parts.push(IndexPart {
+            label: format!("between({src_as},{dst_as})"),
+            rows: Cow::Owned(corpus.rows_between(src_as, dst_as)),
+        }),
         (Some(src_as), None) => parts.push(IndexPart {
             label: format!("src_as({src_as})"),
-            rows: RowSet::Borrowed(corpus.rows_from_as(src_as)),
+            rows: Cow::Borrowed(corpus.rows_from_as(src_as)),
         }),
         (None, Some(dst_as)) => parts.push(IndexPart {
             label: format!("dst_as({dst_as})"),
-            rows: RowSet::Borrowed(corpus.rows_to_as(dst_as)),
+            rows: Cow::Borrowed(corpus.rows_to_as(dst_as)),
         }),
         (None, None) => {}
     }
@@ -86,74 +73,91 @@ pub fn select_rows(corpus: &PathCorpus, selection: &Selection) -> Result<RowPlan
         })?;
         parts.push(IndexPart {
             label: format!("source({name})"),
-            rows: RowSet::Borrowed(corpus.rows_of_source(source)),
+            rows: Cow::Borrowed(corpus.rows_of_source(source)),
         });
     }
 
-    // An exact hop count lowers onto the length index; a range stays a
-    // residual filter.
-    let exact_hops = match (selection.min_hops, selection.max_hops) {
-        (Some(min), Some(max)) if min == max => Some(min),
-        _ => None,
+    // An exact hop count lowers onto the length index; any other hop
+    // bound stays a residual range for the fused pass below.
+    let hop_range = match (selection.min_hops, selection.max_hops) {
+        (None, None) => None,
+        (Some(min), Some(max)) if min == max => {
+            parts.push(IndexPart {
+                label: format!("length({min})"),
+                rows: Cow::Borrowed(corpus.rows_with_length(min)),
+            });
+            None
+        }
+        (min, max) => Some((min.unwrap_or(0), max.unwrap_or(u16::MAX))),
     };
-    if let Some(hops) = exact_hops {
-        parts.push(IndexPart {
-            label: format!("length({hops})"),
-            rows: RowSet::Borrowed(corpus.rows_with_length(hops)),
-        });
-    }
+    let (min, max) = hop_range.unwrap_or((0, u16::MAX));
 
     // Smallest contribution first: every later intersection is bounded
     // by the base's cardinality.
-    parts.sort_by_key(|part| part.rows.as_slice().len());
+    parts.sort_by_key(|part| part.rows.len());
 
     let mut explain = String::new();
-    let mut rows: Vec<u32> = match parts.split_first() {
+    let (rows, in_range) = match parts.split_first() {
         None => {
-            explain.push_str(&format!("base=all({})", corpus.len()));
-            corpus.all_rows()
+            let _ = write!(explain, "base=all({})", corpus.len());
+            filter_rows(corpus, 0..corpus.len() as u32, min, max, selection.slice)
         }
         Some((base, rest)) => {
-            explain.push_str(&format!(
-                "base={}[{}]",
-                base.label,
-                base.rows.as_slice().len()
-            ));
-            let mut rows = base.rows.as_slice().to_vec();
+            let _ = write!(explain, "base={}[{}]", base.label, base.rows.len());
+            let mut rows = Cow::Borrowed(&*base.rows);
             for part in rest {
-                rows = intersect_sorted(&rows, part.rows.as_slice());
-                explain.push_str(&format!(
+                rows = Cow::Owned(intersect_sorted(&rows, &part.rows));
+                let _ = write!(
+                    explain,
                     " ∩ {}[{}] → {}",
                     part.label,
-                    part.rows.as_slice().len(),
+                    part.rows.len(),
                     rows.len()
-                ));
+                );
             }
-            rows
+            filter_rows(corpus, rows.iter().copied(), min, max, selection.slice)
         }
     };
-
-    // Residual predicates: hop range (when not consumed by the length
-    // index) and US slice.
-    if exact_hops.is_none() && (selection.min_hops.is_some() || selection.max_hops.is_some()) {
-        let min = selection.min_hops.unwrap_or(0);
-        let max = selection.max_hops.unwrap_or(u16::MAX);
-        rows.retain(|&row| (min..=max).contains(&corpus.hops_of(row)));
-        explain.push_str(&format!(" ▸ hops {min}..={max} → {}", rows.len()));
+    if hop_range.is_some() {
+        let _ = write!(explain, " ▸ hops {min}..={max} → {in_range}");
     }
     if let Some(slice) = selection.slice {
-        rows.retain(|&row| corpus.us_slice_of(row) == slice);
-        explain.push_str(&format!(" ▸ slice {} → {}", slice_name(slice), rows.len()));
+        let _ = write!(explain, " ▸ slice {} → {}", slice_name(slice), rows.len());
     }
-
     Ok(RowPlan { rows, explain })
+}
+
+/// The fused residual pass: keep the rows of `base` with `min..=max`
+/// router hops in `slice` (when given), and count the rows passing the
+/// hop test alone — the explain trace reports each stage's survivors.
+/// Every row is written to the output and the cursor advances only for
+/// keepers, so the loop has no data-dependent branch to mispredict.
+fn filter_rows(
+    corpus: &PathCorpus,
+    base: impl ExactSizeIterator<Item = u32>,
+    min: u16,
+    max: u16,
+    slice: Option<UsSlice>,
+) -> (Vec<u32>, usize) {
+    // Bit `code` set ⇔ rows of that slice pass.
+    let slices: u8 = slice.map_or(u8::MAX, |slice| 1 << slice.code());
+    let mut rows = vec![0u32; base.len()];
+    let (mut kept, mut in_range) = (0usize, 0usize);
+    for row in base {
+        let hops_ok = (min..=max).contains(&corpus.hops_of(row));
+        let slice_ok = (slices >> corpus.us_slice_of(row).code()) & 1 == 1;
+        rows[kept] = row;
+        in_range += usize::from(hops_ok);
+        kept += usize::from(hops_ok & slice_ok);
+    }
+    rows.truncate(kept);
+    (rows, in_range)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::shared_world;
-    use lfp_analysis::us_study::UsSlice;
+    use crate::testutil::{select_rows_staged, selection_grid, shared_world};
 
     /// Reference implementation: scan every row, apply every predicate.
     fn naive_rows(corpus: &PathCorpus, selection: &Selection) -> Vec<u32> {
@@ -247,6 +251,22 @@ mod tests {
             // Planned rows always come back sorted (index order).
             assert!(plan.rows.windows(2).all(|pair| pair[0] < pair[1]));
         }
+    }
+
+    #[test]
+    fn fused_plan_equals_the_staged_oracle_in_rows_and_explain() {
+        let world = shared_world();
+        let corpus = world.path_corpus();
+        let grid = selection_grid(corpus);
+        assert!(grid.len() >= 4 * 3 * 6 * 4);
+        let mut nonempty = 0usize;
+        for selection in &grid {
+            let fused = select_rows(corpus, selection).unwrap();
+            let staged = select_rows_staged(corpus, selection).unwrap();
+            assert_eq!(fused, staged, "selection {selection:?}");
+            nonempty += usize::from(!fused.rows.is_empty());
+        }
+        assert!(nonempty > grid.len() / 8, "grid selects almost nothing");
     }
 
     #[test]
