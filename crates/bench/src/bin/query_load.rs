@@ -1,4 +1,4 @@
-//! query-load — open-loop pipelined load generator for `vendor-queryd`.
+//! query-load — the load generator and scenario driver for `vendor-queryd`.
 //!
 //! ```text
 //! query-load [--addr 127.0.0.1:7377] [--connections 512] [--pipeline 16]
@@ -8,23 +8,27 @@
 //!            [--bench-json BENCH_campaign.json] [--shutdown]
 //! ```
 //!
-//! Where `query-bench` is a *closed-loop* client (one request per round
-//! trip — it measures latency under polite load), this generator drives
-//! the hostile schedule the event-loop daemon exists for: hundreds of
-//! concurrent connections, each keeping `--pipeline` requests in flight
-//! without waiting for answers, optionally tearing the connection down
-//! and reconnecting every `--churn-every` responses. Connections are
-//! multiplexed over the same `poll(2)` layer the server uses
-//! (`lfp_serve::sys`) from `--threads N` driver threads (default one —
-//! cheap at 512+ sockets; raise it when one generator core cannot
-//! saturate a multi-loop daemon).
+//! Connects to a running daemon (retrying until `--wait-secs`, so it
+//! can start in parallel with the daemon's world build), bootstraps a
+//! deterministic query mix from the daemon's `catalog` answer, warms
+//! the result cache with one pass over the distinct queries, then runs
+//! one fleet of `--connections` nonblocking connections through the
+//! single client state machine in [`lfp_bench::mix`] — each keeping
+//! `--pipeline` requests in flight without waiting for answers,
+//! optionally tearing the connection down and reconnecting every
+//! `--churn-every` responses. `--pipeline 1` is the closed-loop client
+//! (one request per round trip — latency under polite load); the
+//! default is the hostile schedule the event-loop daemon exists for.
+//! Connections are multiplexed over the same `poll(2)` layer the server
+//! uses (`lfp_serve::sys`) from `--threads N` driver threads (default
+//! one — cheap at 512+ sockets; raise it when one generator core
+//! cannot saturate a multi-loop daemon).
 //!
 //! Results land in `BENCH_campaign.json` under `--phase` (default
-//! `serve`). When writing the `serve` phase and a `serve_baseline`
-//! phase (the thread-per-connection daemon measured by an earlier run
-//! with `--phase serve_baseline`) is present, the phase also records
-//! the baseline throughput and the event-loop/baseline ratio CI
-//! asserts on.
+//! `serve`; CI's smoke steps write `query_engine`): `queries`,
+//! `errors`, `reconnects`, `qps`, client-side `latency_us` quantiles,
+//! and `phases_seconds.<phase>` when the artefact already carries
+//! campaign timings.
 //!
 //! `--scaling-loops N` tags the run as one cell of the **serve scaling
 //! sweep** (the daemon is expected to be running with `--loops N`): the
@@ -61,34 +65,31 @@
 //! query errors observed while segments were being folded (CI asserts
 //! zero).
 //!
-//! `--chaos` switches to the resilient-client scenario: the daemon is
-//! expected to be running under a fault-injecting I/O policy and/or an
-//! admission-control watermark (`vendor-queryd --fault-profile
-//! aggressive --queue-watermark N`), and every connection retries
-//! `overloaded` sheds and connection resets with seeded, jittered
-//! exponential backoff ([`lfp_bench::mix::Backoff`]) from a global
-//! `--retry-budget`. The run records a `chaos` phase whose
-//! `lost_acknowledged` field CI asserts is **zero**: every request
-//! slot ends in an acknowledged success, no received reply goes
-//! unattributed, and the retry budget is not exhausted — the
-//! client-observable statement of "graceful degradation". Churn is
-//! ignored under `--chaos` (the injected resets *are* the churn).
+//! `--chaos` runs the same fleet as a **resilient client**: the daemon
+//! is expected to be running under a fault-injecting I/O policy and/or
+//! an admission-control watermark (`vendor-queryd --fault-profile
+//! aggressive --queue-watermark N`), and the fleet gets a shared
+//! `--retry-budget` — every connection retries `overloaded` sheds and
+//! connection resets with seeded, jittered exponential backoff
+//! ([`lfp_bench::mix::Backoff`]) instead of counting them as errors.
+//! The run records a `chaos` phase whose `lost_acknowledged` field CI
+//! asserts is **zero**: every request slot ends in an acknowledged
+//! success, no received reply goes unattributed, and the retry budget
+//! is not exhausted — the client-observable statement of "graceful
+//! degradation". `--churn-every` and `--threads` apply here too
+//! (planned churn spends no budget).
 
 use lfp_analysis::json::{parse, JsonBuilder, JsonValue};
 use lfp_analysis::World;
-use lfp_bench::mix::{build_mix, connect_with_retry, request, Backoff};
+use lfp_bench::mix::{
+    build_mix, connect, connect_with_retry, request, run_fleet, Connection, FleetPlan, FleetRun,
+};
 use lfp_bench::{measure_deltas, merge_bench_phase, read_bench_phase};
-use lfp_net::link::splitmix64;
 use lfp_obs::Histogram;
-use lfp_query::{wire, FrameDecoder};
+use lfp_query::wire;
 use lfp_serve::answer_line;
-use lfp_serve::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
 use lfp_store::{CompactionPolicy, Compactor, Store};
 use lfp_topo::Scale;
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -170,7 +171,7 @@ fn main() {
     let connections = connections.max(1);
     let pipeline = pipeline.max(1);
     let requests_per_conn = requests_per_conn.max(1);
-    let threads = threads.clamp(1, connections);
+    let threads = threads.max(1);
     let phase_name = phase_name.unwrap_or_else(|| {
         if cluster {
             "replication".to_string()
@@ -258,18 +259,20 @@ fn main() {
     );
 
     let total = (connections * requests_per_conn) as u64;
+    let run = run_fleet(&FleetPlan {
+        addr: &addr,
+        mix: &mix,
+        connections,
+        pipeline,
+        requests_per_conn,
+        churn_every,
+        retry_budget: if chaos { retry_budget } else { 0 },
+        seed,
+        threads,
+        deadline: Duration::from_secs(deadline_secs),
+    });
+    let qps = run.qps();
     let exit_code = if chaos {
-        let run = chaos_drive(
-            &addr,
-            &mix,
-            connections,
-            pipeline,
-            requests_per_conn,
-            Duration::from_secs(deadline_secs),
-            seed,
-            retry_budget,
-        );
-        let qps = run.ok as f64 / run.seconds.max(1e-9);
         println!(
             "{phase_name}: {}/{total} acknowledged in {:.2}s → {qps:.0} q/s \
              ({} sheds retried, {} reconnects, {} retries used of {retry_budget}, \
@@ -291,18 +294,6 @@ fn main() {
         );
         (run.lost > 0 || run.retry_budget_remaining == 0) as i32
     } else {
-        // -- timed open-loop run --------------------------------------
-        let run = drive_multi(
-            &addr,
-            &mix,
-            connections,
-            pipeline,
-            requests_per_conn,
-            churn_every,
-            Duration::from_secs(deadline_secs),
-            threads,
-        );
-        let qps = run.ok as f64 / run.seconds.max(1e-9);
         let (p50, p90, p99, p999, max) = (
             run.latency_us.quantile(0.50),
             run.latency_us.quantile(0.90),
@@ -314,69 +305,51 @@ fn main() {
             "{phase_name}: {}/{total} pipelined queries acknowledged in {:.2}s → {qps:.0} q/s \
              (p50 {p50}µs, p90 {p90}µs, p99 {p99}µs, p999 {p999}µs, max {max}µs, \
              {} reconnects, {} errors)",
-            run.ok, run.seconds, run.churn_events, run.errors
+            run.ok, run.seconds, run.reconnects, run.lost
         );
-
         write_phase(
             &bench_json,
             &phase_name,
             connections,
             pipeline,
-            run.ok,
-            run.errors,
-            run.churn_events,
-            run.seconds,
-            qps,
-            &run.latency_us,
+            &run,
             bootstrap_acked,
         );
         if let Some(loops) = scaling_loops {
-            write_scaling_cell(
-                &bench_json,
-                loops,
-                connections,
-                run.ok,
-                run.errors,
-                run.seconds,
-                qps,
-            );
+            write_scaling_cell(&bench_json, loops, connections, &run);
         }
-        (run.errors > 0) as i32
+        (run.lost > 0) as i32
     };
 
     if shutdown {
-        send_shutdown(&addr, chaos, &mut probe);
+        send_shutdown(&addr);
     }
     if exit_code != 0 {
         std::process::exit(exit_code);
     }
 }
 
+/// A fresh blocking connection whose reads give up after five seconds,
+/// so a reply an injected reset killed cannot hang the run.
+fn connect_bounded(addr: &str) -> std::io::Result<Connection> {
+    let connection = connect(addr)?;
+    connection
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(5)))?;
+    Ok(connection)
+}
+
 /// Ask the daemon for its `stats` control answer, tolerating injected
-/// resets on the probe connection itself (bounded retries, read
-/// timeout so a killed reply can't hang the run).
+/// resets on the probe connection itself (bounded retries).
 fn probe_stats(addr: &str) -> Option<JsonValue> {
     for _attempt in 0..20 {
-        let Ok(stream) = TcpStream::connect(addr) else {
-            std::thread::sleep(Duration::from_millis(50));
-            continue;
-        };
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => continue,
-        });
-        let mut stream = stream;
-        if writeln!(stream, "{{\"query\":\"stats\"}}").is_err() {
-            continue;
-        }
-        let mut reply = String::new();
-        if matches!(reader.read_line(&mut reply), Ok(n) if n > 0) {
-            if let Ok(value) = parse(reply.trim_end()) {
-                if value.get("ok").and_then(JsonValue::as_bool) == Some(true) {
-                    return value.get("result").cloned();
-                }
+        let reply = connect_bounded(addr)
+            .map_err(|error| error.to_string())
+            .and_then(|mut connection| request(&mut connection, "{\"query\":\"stats\"}"));
+        if let Some(value) = reply.ok().and_then(|reply| parse(&reply).ok()) {
+            if value.get("ok").and_then(JsonValue::as_bool) == Some(true) {
+                return value.get("result").cloned();
             }
         }
         std::thread::sleep(Duration::from_millis(50));
@@ -385,34 +358,19 @@ fn probe_stats(addr: &str) -> Option<JsonValue> {
     None
 }
 
-/// Send the shutdown control query. In chaos mode the bootstrap probe
-/// may long since have been reset, so retry over fresh connections
+/// Send the shutdown control query. A chaos daemon may reset any
+/// connection, this one included, so retry over fresh connections
 /// until the acknowledgement (or the drain refusing new connections)
 /// confirms the daemon got it.
-fn send_shutdown(addr: &str, chaos: bool, probe: &mut lfp_bench::mix::Connection) {
-    if !chaos {
-        let _ = request(probe, "{\"query\":\"shutdown\"}");
-        eprintln!("sent shutdown");
-        return;
-    }
+fn send_shutdown(addr: &str) {
     for _attempt in 0..20 {
-        let Ok(stream) = TcpStream::connect(addr) else {
+        let Ok(mut connection) = connect_bounded(addr) else {
             // Refusing connections: the daemon is already draining.
             eprintln!("sent shutdown");
             return;
         };
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => continue,
-        });
-        let mut stream = stream;
-        if writeln!(stream, "{{\"query\":\"shutdown\"}}").is_err() {
-            continue;
-        }
-        let mut reply = String::new();
-        if matches!(reader.read_line(&mut reply), Ok(n) if n > 0) && reply.contains("shutting down")
+        if request(&mut connection, "{\"query\":\"shutdown\"}")
+            .is_ok_and(|reply| reply.contains("shutting down"))
         {
             eprintln!("sent shutdown");
             return;
@@ -686,7 +644,7 @@ fn splice_min_epoch(line: &str, floor: u64) -> String {
 /// The epoch a node is serving at, read from the canonical echo of a
 /// trivial query (works on primaries and followers alike — no
 /// replication queries involved).
-fn node_epoch(conn: &mut lfp_bench::mix::Connection) -> Result<u64, String> {
+fn node_epoch(conn: &mut Connection) -> Result<u64, String> {
     let reply = request(conn, "{\"query\":\"catalog\"}")?;
     let value = parse(&reply).map_err(|error| format!("bad reply JSON: {error:?}"))?;
     value
@@ -719,7 +677,7 @@ fn cluster_drive(
     let mut names: Vec<String> = Vec::with_capacity(1 + followers.len());
     names.push(primary.to_string());
     names.extend(followers.iter().cloned());
-    let mut nodes: Vec<lfp_bench::mix::Connection> = names
+    let mut nodes: Vec<Connection> = names
         .iter()
         .map(|addr| connect_with_retry(addr, wait).unwrap_or_else(|error| fail(&error)))
         .collect();
@@ -958,709 +916,6 @@ fn write_replication_phase(path: &str, phase_name: &str, followers: usize, run: 
     eprintln!("wrote {phase_name} phase to {path}");
 }
 
-/// One load connection's life: a budget of requests pushed through a
-/// bounded pipeline, with optional teardown-and-reconnect churn.
-struct LoadConn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Requests committed to the output buffer (not necessarily sent).
-    queued: usize,
-    /// Responses fully received.
-    answered: usize,
-    budget: usize,
-    send_times: VecDeque<Instant>,
-    mix_cursor: usize,
-    /// Positive: reconnect after this many more responses.
-    churn_every: usize,
-    until_churn: usize,
-    want_churn: bool,
-    done: bool,
-    failed: bool,
-}
-
-impl LoadConn {
-    fn open(addr: &str, budget: usize, churn_every: usize, cursor: usize) -> Option<LoadConn> {
-        let stream = TcpStream::connect(addr).ok()?;
-        stream.set_nodelay(true).ok();
-        stream.set_nonblocking(true).ok()?;
-        Some(LoadConn {
-            stream,
-            decoder: FrameDecoder::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            queued: 0,
-            answered: 0,
-            budget,
-            send_times: VecDeque::new(),
-            mix_cursor: cursor,
-            churn_every,
-            until_churn: churn_every.max(1),
-            want_churn: false,
-            done: false,
-            failed: false,
-        })
-    }
-
-    fn live(&self) -> bool {
-        !self.done && !self.failed
-    }
-
-    /// Keep the pipeline topped up, with half-depth hysteresis: refill
-    /// only once the window has drained to `depth/2`, then burst back
-    /// to `depth`. One-request-per-reply refills would degenerate the
-    /// whole path into 40-byte segments (a packet per query, each with
-    /// its own softirq and wakeup); bursting keeps requests, reads,
-    /// executions and replies batched end to end.
-    fn fill(&mut self, mix: &[String], depth: usize) {
-        let outstanding = self.queued - self.answered;
-        if outstanding > depth / 2 {
-            return;
-        }
-        while !self.want_churn && self.queued < self.budget && self.queued - self.answered < depth {
-            let line = &mix[self.mix_cursor % mix.len()];
-            self.mix_cursor += 1;
-            self.out.extend_from_slice(line.as_bytes());
-            self.out.push(b'\n');
-            self.send_times.push_back(Instant::now());
-            self.queued += 1;
-        }
-    }
-
-    fn wants_write(&self) -> bool {
-        self.out_pos < self.out.len()
-    }
-
-    fn try_write(&mut self) {
-        while self.wants_write() {
-            match (&self.stream).write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    self.failed = true;
-                    return;
-                }
-                Ok(n) => self.out_pos += n,
-                Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.failed = true;
-                    return;
-                }
-            }
-        }
-        self.out.clear();
-        self.out_pos = 0;
-    }
-
-    /// Read whatever arrived and account completed responses.
-    fn try_read(&mut self, ok: &mut u64, errors: &mut u64, latency_us: &mut Histogram) {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match (&self.stream).read(&mut chunk) {
-                Ok(0) => {
-                    if self.answered < self.budget {
-                        self.failed = true;
-                    }
-                    return;
-                }
-                Ok(n) => {
-                    self.decoder.feed(&chunk[..n]);
-                    while let Some(frame) = self.decoder.next_frame() {
-                        let reply = match frame {
-                            Ok(line) => line,
-                            Err(_) => {
-                                self.failed = true;
-                                return;
-                            }
-                        };
-                        if let Some(start) = self.send_times.pop_front() {
-                            latency_us.record(start.elapsed().as_micros() as u64);
-                        }
-                        if reply.contains("\"ok\": true") {
-                            *ok += 1;
-                        } else {
-                            *errors += 1;
-                        }
-                        self.answered += 1;
-                        if self.churn_every > 0 && self.answered < self.budget {
-                            self.until_churn -= 1;
-                            if self.until_churn == 0 {
-                                self.until_churn = self.churn_every;
-                                self.want_churn = true;
-                            }
-                        }
-                        if self.answered >= self.budget {
-                            self.done = true;
-                            return;
-                        }
-                    }
-                }
-                Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.failed = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// At a churn point with an empty pipeline: tear down and reconnect.
-    ///
-    /// A connection that finished (or failed) while its churn was still
-    /// pending must never reconnect: replacing `self` resets `done`,
-    /// which would resurrect a budget-complete connection as a zombie
-    /// that can neither fill nor finish — pinning the drive loop until
-    /// its hard deadline. The collision is easy to hit when a churn
-    /// point lands inside the final pipelined batch.
-    fn churn_if_due(&mut self, addr: &str) -> bool {
-        if !self.live()
-            || self.answered >= self.budget
-            || !self.want_churn
-            || self.queued != self.answered
-            || !self.out.is_empty()
-        {
-            return false;
-        }
-        let Some(fresh) = LoadConn::open(addr, self.budget, self.churn_every, self.mix_cursor)
-        else {
-            self.failed = true;
-            return false;
-        };
-        let (queued, answered, until) = (self.queued, self.answered, self.churn_every);
-        *self = fresh;
-        self.queued = queued;
-        self.answered = answered;
-        self.until_churn = until;
-        true
-    }
-}
-
-struct RunResult {
-    ok: u64,
-    errors: u64,
-    churn_events: u64,
-    seconds: f64,
-    /// Client-observed send-to-reply latency, µs — the same log-linear
-    /// grid the daemon's own histograms use, so per-thread results merge
-    /// exactly and quantiles on both sides are comparable.
-    latency_us: Histogram,
-}
-
-/// Split the fleet across `threads` driver threads (each running the
-/// single-threaded [`drive`] over its own slice of connections) and
-/// merge the results. One thread is the historical layout and skips
-/// the scaffolding; more are for sweeps where a single generator core
-/// would be the bottleneck before a multi-loop daemon is.
-#[allow(clippy::too_many_arguments)]
-fn drive_multi(
-    addr: &str,
-    mix: &[String],
-    connections: usize,
-    pipeline: usize,
-    requests_per_conn: usize,
-    churn_every: usize,
-    deadline: Duration,
-    threads: usize,
-) -> RunResult {
-    if threads <= 1 {
-        return drive(
-            addr,
-            mix,
-            connections,
-            pipeline,
-            requests_per_conn,
-            churn_every,
-            deadline,
-        );
-    }
-    let started = Instant::now();
-    let results: Vec<RunResult> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for index in 0..threads {
-            // Spread the remainder over the first few threads so every
-            // connection is driven by exactly one thread.
-            let share = connections / threads + usize::from(index < connections % threads);
-            if share == 0 {
-                continue;
-            }
-            handles.push(scope.spawn(move || {
-                drive(
-                    addr,
-                    mix,
-                    share,
-                    pipeline,
-                    requests_per_conn,
-                    churn_every,
-                    deadline,
-                )
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("driver thread panicked"))
-            .collect()
-    });
-    let mut merged = RunResult {
-        ok: 0,
-        errors: 0,
-        churn_events: 0,
-        seconds: started.elapsed().as_secs_f64(),
-        latency_us: Histogram::new(),
-    };
-    for result in results {
-        merged.ok += result.ok;
-        merged.errors += result.errors;
-        merged.churn_events += result.churn_events;
-        merged.latency_us.merge(&result.latency_us);
-    }
-    merged
-}
-
-/// Multiplex every connection from this one thread until all budgets
-/// are spent (or the deadline expires, counting the shortfall as
-/// errors).
-fn drive(
-    addr: &str,
-    mix: &[String],
-    connections: usize,
-    pipeline: usize,
-    requests_per_conn: usize,
-    churn_every: usize,
-    deadline: Duration,
-) -> RunResult {
-    let started = Instant::now();
-    let hard_deadline = started + deadline;
-    let mut conns: Vec<LoadConn> = Vec::with_capacity(connections);
-    for index in 0..connections {
-        // Phase-shift each connection's cursor so the fleet interleaves
-        // different queries, like real fan-in would.
-        match LoadConn::open(addr, requests_per_conn, churn_every, index * 7) {
-            Some(conn) => conns.push(conn),
-            None => fail(&format!("cannot open load connection {index} to {addr}")),
-        }
-        if churn_every > 0 {
-            // Stagger the first churn point per connection: the whole
-            // fleet reconnecting on the same response index would melt
-            // the listener backlog into SYN-retransmit stalls and
-            // measure TCP retry timers instead of the server.
-            let conn = conns.last_mut().expect("just pushed");
-            conn.until_churn = 1 + (index % churn_every.max(1));
-        }
-    }
-
-    let mut ok = 0u64;
-    let mut errors = 0u64;
-    let mut churn_events = 0u64;
-    let mut iterations = 0u64;
-    let mut latency_us = Histogram::new();
-    let mut fds: Vec<PollFd> = Vec::new();
-    let mut order: Vec<usize> = Vec::new();
-
-    loop {
-        iterations += 1;
-        let mut live = 0usize;
-        fds.clear();
-        order.clear();
-        for (index, conn) in conns.iter_mut().enumerate() {
-            if conn.churn_if_due(addr) {
-                churn_events += 1;
-            }
-            if !conn.live() {
-                continue;
-            }
-            live += 1;
-            conn.fill(mix, pipeline);
-            let mut events = POLLIN;
-            if conn.wants_write() {
-                events |= POLLOUT;
-            }
-            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-            order.push(index);
-        }
-        if live == 0 {
-            break;
-        }
-        if Instant::now() >= hard_deadline {
-            for conn in &conns {
-                if conn.live() {
-                    errors += (conn.budget - conn.answered) as u64;
-                }
-            }
-            eprintln!("warning: deadline expired with {live} connections unfinished");
-            break;
-        }
-        if poll_fds(&mut fds, 200).is_err() {
-            fail("poll failed in the load loop");
-        }
-        for (slot, &index) in order.iter().enumerate() {
-            let conn = &mut conns[index];
-            if fds[slot].writable() && conn.wants_write() {
-                conn.try_write();
-            }
-            if fds[slot].readable() && conn.live() {
-                conn.try_read(&mut ok, &mut errors, &mut latency_us);
-            }
-        }
-    }
-
-    for conn in &conns {
-        if conn.failed {
-            errors += (conn.budget - conn.answered) as u64;
-        }
-    }
-    eprintln!(
-        "load loop: {iterations} iterations, {:.1} replies/iteration",
-        ok as f64 / iterations.max(1) as f64
-    );
-    RunResult {
-        ok,
-        errors,
-        churn_events,
-        seconds: started.elapsed().as_secs_f64(),
-        latency_us,
-    }
-}
-
-/// What the chaos scenario observed, client-side.
-struct ChaosRun {
-    /// Request slots resolved by an acknowledged success.
-    ok: u64,
-    /// Replies received for sheds the client then retried.
-    sheds: u64,
-    /// Connection re-opens after injected resets/EOFs.
-    reconnects: u64,
-    /// Retries consumed from the global budget.
-    retries_used: u64,
-    /// Budget left at the end (must be > 0 for a passing run).
-    retry_budget_remaining: u64,
-    /// The invariant: slots that ended without an acknowledged
-    /// success, plus replies that matched no outstanding request.
-    lost: u64,
-    seconds: f64,
-    /// Client-observed send-to-reply latency, µs (shared bucket grid
-    /// with the daemon's histograms).
-    latency_us: Histogram,
-}
-
-/// One resilient connection: request slots move `pending` →
-/// `outstanding` → resolved, and failures move them *back* — an
-/// injected reset requeues everything unanswered (spending retries), a
-/// typed `overloaded` reply requeues one slot and pauses sending for
-/// the backed-off window. The connection only ever gives a slot up
-/// when the global retry budget is gone.
-struct ChaosConn {
-    /// `None` between a failure and the backed-off reconnect.
-    stream: Option<TcpStream>,
-    decoder: FrameDecoder,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Mix cursors not yet committed to the wire.
-    pending: VecDeque<usize>,
-    /// Mix cursors on the wire awaiting their (in-order) reply.
-    outstanding: VecDeque<usize>,
-    send_times: VecDeque<Instant>,
-    backoff: Backoff,
-    /// When to attempt the next reconnect (stream is `None`).
-    reopen_at: Instant,
-    /// Overload shed: no new sends before this instant.
-    pause_until: Option<Instant>,
-    resolved_ok: u64,
-    /// Slots abandoned (budget exhausted / terminal errors) — each one
-    /// is a lost response.
-    abandoned: u64,
-}
-
-impl ChaosConn {
-    fn new(index: usize, slots: usize, seed: u64) -> ChaosConn {
-        ChaosConn {
-            stream: None,
-            decoder: FrameDecoder::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            // Phase-shifted cursors, like the plain generator.
-            pending: (0..slots).map(|slot| index * 7 + slot).collect(),
-            outstanding: VecDeque::new(),
-            send_times: VecDeque::new(),
-            backoff: Backoff::new(splitmix64(seed ^ index as u64), 5, 2_000),
-            reopen_at: Instant::now(),
-            pause_until: None,
-            resolved_ok: 0,
-            abandoned: 0,
-        }
-    }
-
-    /// Every slot resolved (acknowledged or — budget gone — abandoned).
-    fn finished(&self) -> bool {
-        self.pending.is_empty() && self.outstanding.is_empty()
-    }
-
-    /// Drop the stream, requeue everything unanswered, and schedule the
-    /// backed-off reconnect. Each requeued slot spends one retry; slots
-    /// the exhausted budget cannot cover are abandoned (= lost).
-    fn disconnect(&mut self, run: &mut ChaosRun, budget_left: &mut u64) {
-        self.stream = None;
-        self.decoder = FrameDecoder::new();
-        self.out.clear();
-        self.out_pos = 0;
-        self.send_times.clear();
-        while let Some(cursor) = self.outstanding.pop_front() {
-            if *budget_left > 0 {
-                *budget_left -= 1;
-                run.retries_used += 1;
-                self.pending.push_back(cursor);
-            } else {
-                self.abandoned += 1;
-            }
-        }
-        if *budget_left == 0 {
-            // No budget to resend with: the pending slots can never be
-            // acknowledged either.
-            self.abandoned += self.pending.len() as u64;
-            self.pending.clear();
-        }
-        self.reopen_at = Instant::now() + self.backoff.next_delay(None);
-        self.pause_until = None;
-    }
-
-    /// Reconnect if the backoff window has passed. Returns whether a
-    /// (re)connection was established this call.
-    fn try_reopen(&mut self, addr: &str, now: Instant) -> bool {
-        if self.stream.is_some() || self.finished() || now < self.reopen_at {
-            return false;
-        }
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                stream.set_nodelay(true).ok();
-                if stream.set_nonblocking(true).is_err() {
-                    self.reopen_at = now + self.backoff.next_delay(None);
-                    return false;
-                }
-                self.stream = Some(stream);
-                true
-            }
-            Err(_) => {
-                self.reopen_at = now + self.backoff.next_delay(None);
-                false
-            }
-        }
-    }
-
-    /// Top up the pipeline from `pending` (same half-depth hysteresis
-    /// as the plain generator), unless paused by an overload shed.
-    fn fill(&mut self, mix: &[String], depth: usize, now: Instant) {
-        if self.stream.is_none() {
-            return;
-        }
-        if let Some(until) = self.pause_until {
-            if now < until {
-                return;
-            }
-            self.pause_until = None;
-        }
-        if self.outstanding.len() > depth / 2 {
-            return;
-        }
-        while self.outstanding.len() < depth {
-            let Some(cursor) = self.pending.pop_front() else {
-                break;
-            };
-            let line = &mix[cursor % mix.len()];
-            self.out.extend_from_slice(line.as_bytes());
-            self.out.push(b'\n');
-            self.send_times.push_back(Instant::now());
-            self.outstanding.push_back(cursor);
-        }
-    }
-
-    fn wants_write(&self) -> bool {
-        self.out_pos < self.out.len()
-    }
-
-    fn try_write(&mut self, run: &mut ChaosRun, budget_left: &mut u64) {
-        let Some(stream) = &self.stream else { return };
-        while self.out_pos < self.out.len() {
-            match (&*stream).write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    run.reconnects += 1;
-                    self.disconnect(run, budget_left);
-                    return;
-                }
-                Ok(n) => self.out_pos += n,
-                Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    run.reconnects += 1;
-                    self.disconnect(run, budget_left);
-                    return;
-                }
-            }
-        }
-        self.out.clear();
-        self.out_pos = 0;
-    }
-
-    /// Read and resolve replies. Sheds are retried (with the server's
-    /// hint flooring the backoff), resets requeue via
-    /// [`disconnect`](ChaosConn::disconnect), and a reply with no
-    /// outstanding request — which a correct server can never produce —
-    /// counts directly as lost.
-    fn try_read(&mut self, run: &mut ChaosRun, budget_left: &mut u64, now: Instant) {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            let Some(stream) = &self.stream else { return };
-            match (&*stream).read(&mut chunk) {
-                Ok(0) => {
-                    if !self.finished() {
-                        run.reconnects += 1;
-                        self.disconnect(run, budget_left);
-                    } else {
-                        self.stream = None;
-                    }
-                    return;
-                }
-                Ok(n) => {
-                    self.decoder.feed(&chunk[..n]);
-                    while let Some(frame) = self.decoder.next_frame() {
-                        let reply = match frame {
-                            Ok(line) => line,
-                            Err(_) => {
-                                run.reconnects += 1;
-                                self.disconnect(run, budget_left);
-                                return;
-                            }
-                        };
-                        if let Some(start) = self.send_times.pop_front() {
-                            run.latency_us.record(start.elapsed().as_micros() as u64);
-                        }
-                        let Some(cursor) = self.outstanding.pop_front() else {
-                            run.lost += 1;
-                            continue;
-                        };
-                        if let Some(hint) = wire::overload_retry_ms(&reply) {
-                            run.sheds += 1;
-                            if *budget_left > 0 {
-                                *budget_left -= 1;
-                                run.retries_used += 1;
-                                self.pending.push_back(cursor);
-                                self.pause_until = Some(now + self.backoff.next_delay(Some(hint)));
-                            } else {
-                                self.abandoned += 1;
-                            }
-                        } else if reply.contains("\"ok\": true") {
-                            self.resolved_ok += 1;
-                            run.ok += 1;
-                            self.backoff.reset();
-                        } else {
-                            // A non-overload error under chaos means a
-                            // request the warm-up proved valid failed:
-                            // that response is lost, not retryable.
-                            self.abandoned += 1;
-                        }
-                    }
-                }
-                Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    run.reconnects += 1;
-                    self.disconnect(run, budget_left);
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Multiplex the resilient fleet until every slot is resolved, the
-/// retry budget dies, or the deadline expires.
-#[allow(clippy::too_many_arguments)]
-fn chaos_drive(
-    addr: &str,
-    mix: &[String],
-    connections: usize,
-    pipeline: usize,
-    requests_per_conn: usize,
-    deadline: Duration,
-    seed: u64,
-    retry_budget: u64,
-) -> ChaosRun {
-    let started = Instant::now();
-    let hard_deadline = started + deadline;
-    let mut budget_left = retry_budget;
-    let mut run = ChaosRun {
-        ok: 0,
-        sheds: 0,
-        reconnects: 0,
-        retries_used: 0,
-        retry_budget_remaining: 0,
-        lost: 0,
-        seconds: 0.0,
-        latency_us: Histogram::new(),
-    };
-    let mut conns: Vec<ChaosConn> = (0..connections)
-        .map(|index| ChaosConn::new(index, requests_per_conn, seed))
-        .collect();
-    let mut fds: Vec<PollFd> = Vec::new();
-    let mut order: Vec<usize> = Vec::new();
-
-    loop {
-        let now = Instant::now();
-        fds.clear();
-        order.clear();
-        let mut unfinished = 0usize;
-        for (index, conn) in conns.iter_mut().enumerate() {
-            if conn.finished() {
-                continue;
-            }
-            unfinished += 1;
-            conn.try_reopen(addr, now);
-            conn.fill(mix, pipeline, now);
-            if let Some(stream) = &conn.stream {
-                let mut events = POLLIN;
-                if conn.wants_write() {
-                    events |= POLLOUT;
-                }
-                fds.push(PollFd::new(stream.as_raw_fd(), events));
-                order.push(index);
-            }
-        }
-        if unfinished == 0 {
-            break;
-        }
-        if now >= hard_deadline {
-            eprintln!("warning: chaos deadline expired with {unfinished} connections unfinished");
-            for conn in &mut conns {
-                run.lost += (conn.pending.len() + conn.outstanding.len()) as u64;
-                conn.pending.clear();
-                conn.outstanding.clear();
-            }
-            break;
-        }
-        // Even with every socket down (all in backoff), tick at 20ms so
-        // reconnects and pause expiries are observed promptly.
-        if !fds.is_empty() && poll_fds(&mut fds, 20).is_err() {
-            fail("poll failed in the chaos loop");
-        }
-        if fds.is_empty() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        for (slot, &index) in order.iter().enumerate() {
-            let conn = &mut conns[index];
-            if fds[slot].writable() && conn.wants_write() {
-                conn.try_write(&mut run, &mut budget_left);
-            }
-            if fds[slot].readable() {
-                conn.try_read(&mut run, &mut budget_left, Instant::now());
-            }
-        }
-    }
-
-    run.lost += conns.iter().map(|conn| conn.abandoned).sum::<u64>();
-    run.retry_budget_remaining = budget_left;
-    run.seconds = started.elapsed().as_secs_f64();
-    run
-}
-
 /// Render the client-side latency quantiles for a bench phase.
 fn latency_json(latency_us: &Histogram) -> String {
     let mut latency = JsonBuilder::object();
@@ -1679,7 +934,7 @@ fn write_chaos_phase(
     phase_name: &str,
     connections: usize,
     pipeline: usize,
-    run: &ChaosRun,
+    run: &FleetRun,
     retry_budget: u64,
     stats: Option<&JsonValue>,
 ) {
@@ -1704,7 +959,7 @@ fn write_chaos_phase(
     phase.integer("shed", stat("shed"));
     phase.integer("deadline_expired", stat("deadline_expired"));
     phase.number("seconds", run.seconds);
-    phase.number("qps", run.ok as f64 / run.seconds.max(1e-9));
+    phase.number("qps", run.qps());
     phase.raw("latency_us", latency);
     let phase = parse(&phase.finish()).expect("phase JSON is valid");
     merge_bench_phase(path, phase_name, phase, Some(run.seconds));
@@ -1716,23 +971,15 @@ fn write_chaos_phase(
 /// and once the 1-loop and 4-loop cells at 512 connections are both
 /// present the phase records `speedup_4loops_512` — the scaling ratio
 /// CI asserts on.
-fn write_scaling_cell(
-    path: &str,
-    loops: u64,
-    connections: usize,
-    ok: u64,
-    errors: u64,
-    seconds: f64,
-    qps: f64,
-) {
+fn write_scaling_cell(path: &str, loops: u64, connections: usize, run: &FleetRun) {
     let key = format!("loops{loops}_conns{connections}");
     let mut cell = JsonBuilder::object();
     cell.integer("loops", loops);
     cell.integer("connections", connections as u64);
-    cell.integer("queries", ok);
-    cell.integer("errors", errors);
-    cell.number("seconds", seconds);
-    cell.number("qps", qps);
+    cell.integer("queries", run.ok);
+    cell.integer("errors", run.lost);
+    cell.number("seconds", run.seconds);
+    cell.number("qps", run.qps());
 
     // Carry every other cell of the grid over from earlier runs.
     let mut grid: Vec<(String, String)> = Vec::new();
@@ -1765,54 +1012,32 @@ fn write_scaling_cell(
         phase.number("speedup_4loops_512", speedup);
     }
     let phase = parse(&phase.finish()).expect("phase JSON is valid");
-    merge_bench_phase(path, "serve_scaling", phase, Some(seconds));
+    merge_bench_phase(path, "serve_scaling", phase, Some(run.seconds));
     eprintln!("merged serve_scaling cell loops{loops}_conns{connections} into {path}");
 }
 
-/// Insert/replace the phase in the bench artefact. The `serve` phase
-/// additionally records the thread-per-connection baseline (written by
-/// an earlier `--phase serve_baseline` run) and the ratio against it.
-#[allow(clippy::too_many_arguments)]
+/// Insert/replace the plain generator's phase in the bench artefact.
 fn write_phase(
     path: &str,
     phase_name: &str,
     connections: usize,
     pipeline: usize,
-    ok: u64,
-    errors: u64,
-    churn_events: u64,
-    seconds: f64,
-    qps: f64,
-    latency_us: &Histogram,
+    run: &FleetRun,
     bootstrap_acked: u64,
 ) {
-    let latency = latency_json(latency_us);
     let mut phase = JsonBuilder::object();
     phase.integer("connections", connections as u64);
     phase.integer("pipeline", pipeline as u64);
-    phase.integer("queries", ok);
+    phase.integer("queries", run.ok);
     // Every successful data reply this process read, bootstrap
     // included — the exact number `lfp_responses_total` must show.
-    phase.integer("acknowledged_total", ok + bootstrap_acked);
-    phase.integer("errors", errors);
-    phase.integer("reconnects", churn_events);
-    phase.number("seconds", seconds);
-    phase.number("qps", qps);
-    phase.raw("latency_us", latency);
-    if phase_name == "serve" {
-        if let Some(baseline) = read_bench_phase(path, "serve_baseline") {
-            if let Some(baseline_qps) = baseline.get("qps").and_then(JsonValue::as_f64) {
-                phase.number("baseline_qps", baseline_qps);
-                if let Some(baseline_conns) =
-                    baseline.get("connections").and_then(JsonValue::as_u64)
-                {
-                    phase.integer("baseline_connections", baseline_conns);
-                }
-                phase.number("qps_vs_threaded", qps / baseline_qps.max(1e-9));
-            }
-        }
-    }
+    phase.integer("acknowledged_total", run.ok + bootstrap_acked);
+    phase.integer("errors", run.lost);
+    phase.integer("reconnects", run.reconnects);
+    phase.number("seconds", run.seconds);
+    phase.number("qps", run.qps());
+    phase.raw("latency_us", latency_json(&run.latency_us));
     let phase = parse(&phase.finish()).expect("phase JSON is valid");
-    merge_bench_phase(path, phase_name, phase, Some(seconds));
+    merge_bench_phase(path, phase_name, phase, Some(run.seconds));
     eprintln!("wrote {phase_name} phase to {path}");
 }

@@ -13,7 +13,6 @@
 //!               [--store PATH] [--ingest DIR] [--bench-json FILE]
 //!               [--compact-after N]
 //!               [--follow ADDR] [--serve-replicas]
-//!               [--threaded]
 //! ```
 //!
 //! ## Replication
@@ -43,29 +42,27 @@
 //! [`FaultPolicy`](lfp_serve::FaultPolicy) between the event loop and
 //! the kernel — the daemon then injects short reads/writes, `EINTR`,
 //! spurious wakeups, resets and write stalls against itself, which is
-//! what `query-load --chaos` drives in CI. With multiple loops each
-//! shard runs an **independent lane** of the seeded schedule
-//! (`seed ⊕ shard_id` — see the determinism contract in
-//! `lfp_serve::policy`), so multi-loop chaos runs stay replayable.
-//! Event loop only.
+//! what `query-load --chaos` drives in CI. Each shard runs an
+//! **independent lane** of the seeded schedule (`seed ⊕ shard_id`) and
+//! the acceptor runs one more for `accept` (see the determinism
+//! contract in `lfp_serve::policy`), so multi-loop chaos runs stay
+//! replayable.
 //!
 //! Serves the line protocol (see `lfp_query::wire`): one JSON query per
-//! line in, one JSON result per line out. By default the daemon runs on
-//! the **sharded readiness-driven core** from `lfp-serve` — an
-//! acceptor distributing connections round-robin across `--loops N`
-//! independent event loops (default 1; `0` sizes from the machine),
-//! each multiplexing its connections over `poll(2)` with its own
-//! worker pool, pipelining and per-connection backpressure,
-//! slow-reader eviction, and a graceful drain on shutdown. `--threaded`
-//! selects the legacy thread-per-connection core instead (kept as the
-//! baseline the `serve` bench phase compares against). `--port 0` binds
-//! an ephemeral port; the `listening on` line printed to stdout carries
+//! line in, one JSON result per line out. The daemon runs on the
+//! **sharded readiness-driven core** from `lfp-serve` — an acceptor
+//! distributing connections round-robin across `--loops N` independent
+//! event loops (default 1; `0` sizes from the machine), each
+//! multiplexing its connections over `poll(2)` with its own worker
+//! pool, pipelining and per-connection backpressure, slow-reader
+//! eviction, and a graceful drain on shutdown. `--port 0` binds an
+//! ephemeral port; the `listening on` line printed to stdout carries
 //! the actual address.
 //!
 //! ## Control queries and observability
 //!
-//! Beyond the query grammar: `{"query": "stats"}` (event loop only)
-//! reports connections, queue depths and the serving epoch;
+//! Beyond the query grammar: `{"query": "stats"}` reports connections,
+//! queue depths and the serving epoch;
 //! `{"query": "metrics"}` returns the Prometheus text exposition
 //! (JSON-escaped in the reply envelope); `{"query": "slowlog"}` dumps
 //! the top-K-by-latency slow-query log (`--slowlog-size N` sets K,
@@ -74,7 +71,7 @@
 //! an EOF or `quit` line ends one connection (after its pipelined
 //! responses flush). `--metrics-dump` prints the final exposition to
 //! stdout after the drain — the scrape CI archives next to the bench
-//! artefact. Event loop only.
+//! artefact.
 //!
 //! ## Persistence and ingestion
 //!
@@ -115,21 +112,15 @@
 use lfp_analysis::json::{parse, JsonBuilder, JsonValue};
 use lfp_analysis::World;
 use lfp_bench::{merge_bench_phase, read_bench_phase};
-use lfp_query::wire;
-use lfp_serve::{
-    answer_line, is_shutdown_line, DirectIo, EngineSource, FaultPlan, FaultPolicy, IoPolicy,
-    ServeConfig, Server, SHUTDOWN_ACK,
-};
+use lfp_serve::{DirectIo, EngineSource, FaultPlan, FaultPolicy, IoPolicy, ServeConfig, Server};
 use lfp_store::{
     follow_once, follow_once_persistent, CompactionPolicy, Compactor, ReplClient, ReplSource,
     SnapshotDelta, Store,
 };
 use lfp_topo::Scale;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -143,12 +134,10 @@ fn main() {
     let mut store_path: Option<String> = None;
     let mut ingest_dir: Option<String> = None;
     let mut bench_json: Option<String> = None;
-    let mut threaded = false;
     let mut follow_addr: Option<String> = None;
     let mut serve_replicas = false;
     let mut compact_after: Option<usize> = None;
     let mut config = ServeConfig::default();
-    let mut tuned_event_loop = false;
     let mut fault_seed = 0u64;
     let mut fault_profile: Option<String> = None;
     let mut metrics_dump = false;
@@ -168,63 +157,40 @@ fn main() {
             }
             "--addr" => addr = args.next().unwrap_or_else(|| usage("--addr needs a host")),
             "--port" => port = parse_number(args.next(), "--port"),
-            "--loops" => {
-                config.loops = parse_number(args.next(), "--loops");
-                tuned_event_loop = true;
-            }
-            "--workers" => {
-                config.workers = parse_number(args.next(), "--workers");
-                tuned_event_loop = true;
-            }
+            "--loops" => config.loops = parse_number(args.next(), "--loops"),
+            "--workers" => config.workers = parse_number(args.next(), "--workers"),
             "--max-connections" => {
-                config.max_connections = parse_number(args.next(), "--max-connections");
-                tuned_event_loop = true;
+                config.max_connections = parse_number(args.next(), "--max-connections")
             }
-            "--max-inflight" => {
-                config.max_inflight = parse_number(args.next(), "--max-inflight");
-                tuned_event_loop = true;
-            }
+            "--max-inflight" => config.max_inflight = parse_number(args.next(), "--max-inflight"),
             "--write-buffer-cap" => {
-                config.write_buffer_cap = parse_number(args.next(), "--write-buffer-cap");
-                tuned_event_loop = true;
+                config.write_buffer_cap = parse_number(args.next(), "--write-buffer-cap")
             }
             "--drain-timeout-ms" => {
                 config.drain_timeout =
                     Duration::from_millis(parse_number(args.next(), "--drain-timeout-ms"));
-                tuned_event_loop = true;
             }
             "--queue-watermark" => {
-                config.queue_watermark = parse_number(args.next(), "--queue-watermark");
-                tuned_event_loop = true;
+                config.queue_watermark = parse_number(args.next(), "--queue-watermark")
             }
             "--request-deadline-ms" => {
                 config.request_deadline =
                     Duration::from_millis(parse_number(args.next(), "--request-deadline-ms"));
-                tuned_event_loop = true;
             }
             "--retry-hint-ms" => {
-                config.retry_hint_ms = parse_number(args.next(), "--retry-hint-ms");
-                tuned_event_loop = true;
+                config.retry_hint_ms = parse_number(args.next(), "--retry-hint-ms")
             }
-            "--fault-seed" => {
-                fault_seed = parse_number(args.next(), "--fault-seed");
-                tuned_event_loop = true;
-            }
+            "--fault-seed" => fault_seed = parse_number(args.next(), "--fault-seed"),
             "--fault-profile" => {
                 fault_profile = Some(
                     args.next()
                         .unwrap_or_else(|| usage("--fault-profile needs a name")),
                 );
-                tuned_event_loop = true;
             }
             "--slowlog-size" => {
-                config.slowlog_capacity = parse_number(args.next(), "--slowlog-size");
-                tuned_event_loop = true;
+                config.slowlog_capacity = parse_number(args.next(), "--slowlog-size")
             }
-            "--metrics-dump" => {
-                metrics_dump = true;
-                tuned_event_loop = true;
-            }
+            "--metrics-dump" => metrics_dump = true,
             "--cache-shards" => cache_shards = parse_number(args.next(), "--cache-shards"),
             "--cache-capacity" => cache_capacity = parse_number(args.next(), "--cache-capacity"),
             "--store" => {
@@ -250,7 +216,6 @@ fn main() {
             }
             "--compact-after" => compact_after = Some(parse_number(args.next(), "--compact-after")),
             "--serve-replicas" => serve_replicas = true,
-            "--threaded" => threaded = true,
             other => usage(&format!("unknown argument '{other}'")),
         }
     }
@@ -318,36 +283,26 @@ fn main() {
     }
     let repl = serve_replicas.then(|| Arc::new(ReplSource::new(Arc::clone(&store))));
 
-    if threaded {
-        if tuned_event_loop {
-            eprintln!(
-                "warning: --workers/--max-connections/--max-inflight/--write-buffer-cap/\
-                 --drain-timeout-ms tune the event loop and are ignored with --threaded"
-            );
-        }
-        serve_threaded(&addr, port, &scale_name, &store, repl.as_deref());
-    } else {
-        let fault_plan = fault_profile.as_deref().map(|name| {
-            let plan = FaultPlan::by_name(name, fault_seed)
-                .unwrap_or_else(|| usage("--fault-profile must be quiet, light or aggressive"));
-            eprintln!(
-                "fault injection armed: profile {name}, seed {fault_seed} \
-                 (lane seed ⊕ shard per loop)"
-            );
-            plan
-        });
-        serve_event_loop(
-            &addr,
-            port,
-            &scale_name,
-            config,
-            store,
-            fault_plan,
-            metrics_dump,
-            repl,
-            compactor,
+    let fault_plan = fault_profile.as_deref().map(|name| {
+        let plan = FaultPlan::by_name(name, fault_seed)
+            .unwrap_or_else(|| usage("--fault-profile must be quiet, light or aggressive"));
+        eprintln!(
+            "fault injection armed: profile {name}, seed {fault_seed} \
+             (lane seed ⊕ shard per loop, plus the acceptor's lane)"
         );
-    }
+        plan
+    });
+    serve_event_loop(
+        &addr,
+        port,
+        &scale_name,
+        config,
+        store,
+        fault_plan,
+        metrics_dump,
+        repl,
+        compactor,
+    );
 }
 
 /// Persist `store` to `path` in its configured format: segmented log
@@ -401,10 +356,10 @@ impl lfp_serve::LineExtension for ReplExtension {
     }
 }
 
-/// The default serving core: the sharded `lfp-serve` readiness loops.
-/// Each shard gets its own fault lane (`seed ⊕ shard_id`) when a plan
-/// is armed, so a multi-loop chaos run is exactly as replayable as a
-/// single-loop one.
+/// The serving core: the sharded `lfp-serve` readiness loops. Every
+/// slot gets its own fault lane when a plan is armed (`seed ⊕ shard_id`
+/// per shard, the acceptor's lane for `accept`), so a multi-loop chaos
+/// run is exactly as replayable as a single-loop one.
 #[allow(clippy::too_many_arguments)]
 fn serve_event_loop(
     addr: &str,
@@ -420,8 +375,8 @@ fn serve_event_loop(
     let engine_store = Arc::clone(&store);
     let source: Arc<dyn EngineSource> = Arc::new(move || engine_store.engine());
     let mut server =
-        Server::bind_with_policy_factory((addr, port), config, source, |shard| match fault_plan {
-            Some(plan) => Box::new(FaultPolicy::new(plan.lane(shard as u64))),
+        Server::bind_with_policy_factory((addr, port), config, source, |slot| match fault_plan {
+            Some(plan) => Box::new(FaultPolicy::new(plan.for_slot(slot))),
             None => Box::new(DirectIo) as Box<dyn IoPolicy>,
         })
         .unwrap_or_else(|error| {
@@ -794,7 +749,7 @@ fn usage(message: &str) -> ! {
          [--slowlog-size N] [--metrics-dump] \
          [--store PATH] [--ingest DIR] [--compact-after N] \
          [--bench-json FILE] \
-         [--follow ADDR] [--serve-replicas] [--threaded]"
+         [--follow ADDR] [--serve-replicas]"
     );
     std::process::exit(2);
 }
@@ -803,242 +758,4 @@ fn parse_number<T: std::str::FromStr>(value: Option<String>, flag: &str) -> T {
     value
         .and_then(|text| text.parse().ok())
         .unwrap_or_else(|| usage(&format!("{flag} needs a number")))
-}
-
-// ---------------------------------------------------------------------
-// The legacy thread-per-connection core (`--threaded`): retained as the
-// baseline the `serve` bench phase measures the event loop against.
-// ---------------------------------------------------------------------
-
-/// Longest request line a threaded connection may send (the event loop
-/// gets this from `ServeConfig::max_frame_bytes` instead).
-const MAX_LINE_BYTES: usize = 64 * 1024;
-
-/// How long a threaded shutdown waits for other connections' in-flight
-/// responses before exiting anyway.
-const THREADED_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Requests currently being answered across all connection threads —
-/// the gauge the `shutdown` handler drains before exiting, so another
-/// connection's already-read request is not cut off mid-write (the old
-/// daemon acked and called `exit(0)`, dropping them).
-struct Inflight {
-    count: Mutex<u64>,
-    idle: Condvar,
-}
-
-impl Inflight {
-    fn new() -> Inflight {
-        Inflight {
-            count: Mutex::new(0),
-            idle: Condvar::new(),
-        }
-    }
-
-    fn enter(&self) {
-        *self.count.lock().expect("inflight lock") += 1;
-    }
-
-    fn exit(&self) {
-        let mut count = self.count.lock().expect("inflight lock");
-        *count -= 1;
-        if *count == 0 {
-            self.idle.notify_all();
-        }
-    }
-
-    /// Wait until no request is mid-flight (or the timeout passes).
-    fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut count = self.count.lock().expect("inflight lock");
-        while *count > 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            let (next, _) = self.idle.wait_timeout(count, left).expect("inflight lock");
-            count = next;
-        }
-        true
-    }
-}
-
-fn serve_threaded(
-    addr: &str,
-    port: u16,
-    scale_name: &str,
-    store: &Arc<Store>,
-    repl: Option<&ReplSource>,
-) {
-    let listener = TcpListener::bind((addr, port)).unwrap_or_else(|error| {
-        eprintln!("cannot bind {addr}:{port}: {error}");
-        std::process::exit(1);
-    });
-    let local = listener.local_addr().expect("bound socket has an address");
-    println!(
-        "vendor-queryd listening on {local} (scale {scale_name}, {} paths, epoch {}, \
-         thread per connection)",
-        store.engine().corpus().len(),
-        store.epoch(),
-    );
-    std::io::stdout().flush().ok();
-
-    let inflight = Arc::new(Inflight::new());
-    let draining = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|scope| {
-        for connection in listener.incoming() {
-            match connection {
-                Ok(stream) => {
-                    let store = Arc::clone(store);
-                    let inflight = Arc::clone(&inflight);
-                    let draining = Arc::clone(&draining);
-                    scope.spawn(move || {
-                        serve_connection(stream, &store, &inflight, &draining, repl)
-                    });
-                }
-                Err(error) => eprintln!("accept failed: {error}"),
-            }
-        }
-    });
-}
-
-/// One bounded protocol line: `Line` (newline stripped), `TooLong`
-/// (the oversized line was consumed and discarded), or `Eof`.
-enum LineRead {
-    Line(String),
-    TooLong,
-    Eof,
-}
-
-/// Read one `\n`-terminated line without ever holding more than
-/// `MAX_LINE_BYTES` of it (`BufReader::lines` would buffer the whole
-/// line first).
-fn read_bounded_line<R: BufRead>(reader: &mut R) -> std::io::Result<LineRead> {
-    let mut line: Vec<u8> = Vec::new();
-    let mut overflow = false;
-    loop {
-        let buffer = reader.fill_buf()?;
-        if buffer.is_empty() {
-            // EOF: a partial unterminated line is not a request.
-            return Ok(if overflow {
-                LineRead::TooLong
-            } else if line.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(String::from_utf8_lossy(&line).into_owned())
-            });
-        }
-        match buffer.iter().position(|&byte| byte == b'\n') {
-            Some(newline) => {
-                if !overflow {
-                    line.extend_from_slice(&buffer[..newline]);
-                }
-                reader.consume(newline + 1);
-                return Ok(if overflow || line.len() > MAX_LINE_BYTES {
-                    LineRead::TooLong
-                } else {
-                    LineRead::Line(String::from_utf8_lossy(&line).into_owned())
-                });
-            }
-            None => {
-                if !overflow {
-                    line.extend_from_slice(buffer);
-                    if line.len() > MAX_LINE_BYTES {
-                        overflow = true;
-                        line = Vec::new();
-                    }
-                }
-                let consumed = buffer.len();
-                reader.consume(consumed);
-            }
-        }
-    }
-}
-
-/// One connection: read a line, answer a line, until EOF/`quit`. The
-/// serving engine is fetched from the store **per request**, so a
-/// long-lived connection observes an epoch swap on its very next query.
-fn serve_connection(
-    stream: TcpStream,
-    store: &Store,
-    inflight: &Inflight,
-    draining: &AtomicBool,
-    repl: Option<&ReplSource>,
-) {
-    // One request per round trip: Nagle would add 40ms to every answer.
-    stream.set_nodelay(true).ok();
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let line = match read_bounded_line(&mut reader) {
-            Ok(LineRead::Line(line)) => line,
-            Ok(LineRead::TooLong) => {
-                // Oversized input is hostile or broken either way; answer
-                // once and drop the connection rather than resynchronise.
-                let reply =
-                    wire::error_envelope(&format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-                let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
-                break;
-            }
-            Ok(LineRead::Eof) | Err(_) => break,
-        };
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "quit" {
-            break;
-        }
-        // Count the request in-flight *before* checking the drain flag:
-        // a request that got past the check is guaranteed to be waited
-        // for by the shutting-down thread.
-        inflight.enter();
-        if draining.load(Ordering::SeqCst) {
-            inflight.exit();
-            break;
-        }
-        let (reply, shutdown) = respond(line, store, repl);
-        let delivered = writeln!(writer, "{reply}")
-            .and_then(|()| writer.flush())
-            .is_ok();
-        inflight.exit();
-        if !delivered {
-            break;
-        }
-        if shutdown {
-            // Drain: let every other connection's in-flight response
-            // reach its socket before the process goes away.
-            draining.store(true, Ordering::SeqCst);
-            let clean = inflight.drain(THREADED_DRAIN_TIMEOUT);
-            let stats = store.engine().cache_stats();
-            eprintln!(
-                "shutdown requested at epoch {} (drained={clean}, {} cache entries, \
-                 {} hits / {} misses)",
-                store.epoch(),
-                stats.entries,
-                stats.hits,
-                stats.misses
-            );
-            std::process::exit(0);
-        }
-    }
-}
-
-/// Answer one protocol line. The bool asks the caller to exit the
-/// process (the `shutdown` control query) after the reply is flushed.
-/// Detection and ack come from `lfp-serve`, so the two serving cores
-/// answer shutdown byte-identically by construction.
-fn respond(line: &str, store: &Store, repl: Option<&ReplSource>) -> (String, bool) {
-    if is_shutdown_line(line) {
-        return (SHUTDOWN_ACK.to_string(), true);
-    }
-    // The replication extension gets first refusal, exactly as the
-    // event-loop workers give it — the two cores answer identically.
-    if let Some(reply) = repl.and_then(|repl| repl.answer(line)) {
-        return (reply, false);
-    }
-    (answer_line(line, &store.engine()), false)
 }

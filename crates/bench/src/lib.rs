@@ -5,9 +5,9 @@
 //! * the `experiments` binary (`cargo run -p lfp-bench --release --bin
 //!   experiments -- all`) regenerates every paper table and figure from a
 //!   freshly measured [`lfp_analysis::World`],
-//! * the serving binaries — `vendor-queryd` plus the `query-bench`
-//!   (closed-loop) and `query-load` (open-loop pipelined) generators,
-//!   which share the catalog-bootstrapped request [`mix`] — and
+//! * the serving binaries — `vendor-queryd` plus its load generator
+//!   and scenario driver `query-load`, whose catalog-bootstrapped
+//!   request mix and one client state machine live in [`mix`] — and
 //! * the Criterion benches (`cargo bench`) time the packet codecs, the
 //!   fingerprinting hot paths, the simulator, and each experiment.
 
@@ -63,7 +63,7 @@ pub fn measure_deltas(world: &World, count: usize) -> Vec<SnapshotDelta> {
 
 /// Insert/replace one named phase object in `BENCH_campaign.json`,
 /// preserving every other top-level field (the `experiments`,
-/// `query-bench` and `vendor-queryd` binaries all write into the same
+/// `query-load` and `vendor-queryd` binaries all write into the same
 /// artefact). When `seconds` is given, `phases_seconds.<name>` is
 /// mirrored so the phase lines up with the campaign timings.
 pub fn merge_bench_phase(path: &str, name: &str, phase: JsonValue, seconds: Option<f64>) {

@@ -51,7 +51,8 @@ pub(crate) struct Acceptor {
 
 impl Acceptor {
     /// Run until the control plane stops the server. Returns the number
-    /// of connections accepted over the acceptor's lifetime.
+    /// of faults the acceptor's own policy injected (the accepted count
+    /// lives in the shared `accepted` counter).
     pub(crate) fn run(mut self) -> u64 {
         let mut next_shard = 0usize;
         let mut fds: Vec<PollFd> = Vec::with_capacity(2);
@@ -107,6 +108,6 @@ impl Acceptor {
                 }
             }
         }
-        self.accepted.load(Ordering::Relaxed)
+        self.policy.counters().total()
     }
 }

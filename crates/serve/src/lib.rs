@@ -16,7 +16,8 @@
 //!   [`FaultPolicy`] injects a seeded, schedule-driven stream of
 //!   short I/O, `EINTR`/`EAGAIN`, spurious wakeups, resets and write
 //!   stalls for reproducible chaos testing — with an independent,
-//!   replayable **lane** per shard ([`FaultPlan::lane`]),
+//!   replayable **lane** per shard and one for the acceptor
+//!   ([`FaultPlan::for_slot`]); every party owns its policy outright,
 //! * `conn` *(internal)* — per-connection state machines: an
 //!   incremental [`FrameDecoder`](lfp_query::FrameDecoder) accumulating
 //!   partial frames, sequence-numbered pipelining, in-order response
@@ -71,8 +72,8 @@ pub mod server;
 pub(crate) mod shard;
 pub mod sys;
 
-pub use policy::{DirectIo, FaultCounters, FaultPlan, FaultPolicy, IoPolicy};
+pub use policy::{DirectIo, FaultCounters, FaultPlan, FaultPolicy, IoPolicy, PolicySlot};
 pub use server::{
-    answer_line, is_shutdown_line, EngineSource, LineExtension, ObsHandle, ServeConfig,
-    ServeReport, Server, ServerHandle, StatsSource, SHUTDOWN_ACK,
+    answer_line, EngineSource, LineExtension, ObsHandle, ServeConfig, ServeReport, Server,
+    ServerHandle, StatsSource,
 };

@@ -36,6 +36,14 @@
 //! connection lands on is its accept index mod N, so chaos runs stay
 //! replayable at any loop count. Lane 0 keeps the historical
 //! single-loop schedule: `lane(0)` returns the plan unchanged.
+//!
+//! The **acceptor** is one more party with a policy of its own
+//! ([`PolicySlot::Acceptor`]): its `poll` and `accept` calls run on
+//! lane [`ACCEPTOR_LANE`] (`seed ⊕ u64::MAX`, which no shard id can
+//! equal), clocked by the acceptor's own call sequence. Every slot owns
+//! its policy outright — no policy object is shared between threads, so
+//! no lock is ever held across a syscall — and [`FaultPlan::for_slot`]
+//! is the one mapping from slot to lane.
 
 use crate::sys::{poll_fds, writev_fd, PollFd};
 use std::collections::HashMap;
@@ -135,6 +143,16 @@ impl FaultPlan {
         self
     }
 
+    /// This plan re-seeded for the party in `slot`: shard *k* runs
+    /// [`lane`](FaultPlan::lane)`(k)`, the acceptor runs
+    /// `lane(`[`ACCEPTOR_LANE`]`)`.
+    pub fn for_slot(self, slot: PolicySlot) -> FaultPlan {
+        match slot {
+            PolicySlot::Acceptor => self.lane(ACCEPTOR_LANE),
+            PolicySlot::Shard(id) => self.lane(id as u64),
+        }
+    }
+
     /// A plan by profile name (the `--fault-profile` flag).
     pub fn by_name(name: &str, seed: u64) -> Option<FaultPlan> {
         match name {
@@ -145,6 +163,21 @@ impl FaultPlan {
         }
     }
 }
+
+/// Which party of the serving core a policy is built for: the factory
+/// handed to `Server::bind_with_policy_factory` is called once per slot
+/// and each slot owns what it gets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicySlot {
+    /// The acceptor thread: `poll` on the listener, then `accept`.
+    Acceptor,
+    /// Shard loop `id`: `poll`, `read` and `write` on its connections.
+    Shard(usize),
+}
+
+/// The acceptor's fault lane. All ones, so `seed ⊕ ACCEPTOR_LANE` can
+/// never coincide with a shard lane `seed ⊕ shard_id`.
+pub const ACCEPTOR_LANE: u64 = u64::MAX;
 
 /// What a [`FaultPolicy`] injected, by category.
 #[derive(Debug, Clone, Copy, Default)]
@@ -517,9 +550,13 @@ mod tests {
                 "lane {shard} must replay"
             );
         }
-        let lanes: Vec<Vec<bool>> = (0..4).map(|shard| schedule(base.lane(shard))).collect();
-        for a in 0..4 {
-            for b in (a + 1)..4 {
+        // The acceptor's lane is one more independent schedule, and
+        // `for_slot` maps shards onto the historical `seed ⊕ shard_id`.
+        assert_eq!(base.for_slot(PolicySlot::Shard(3)).seed, base.lane(3).seed);
+        let mut lanes: Vec<Vec<bool>> = (0..4).map(|shard| schedule(base.lane(shard))).collect();
+        lanes.push(schedule(base.for_slot(PolicySlot::Acceptor)));
+        for a in 0..5 {
+            for b in (a + 1)..5 {
                 assert_ne!(lanes[a], lanes[b], "lanes {a} and {b} coincide");
             }
         }

@@ -47,14 +47,13 @@
 
 use crate::accept::{Acceptor, ShardLink};
 use crate::obs::ShardObs;
-use crate::policy::{DirectIo, FaultCounters, IoPolicy};
+use crate::policy::{DirectIo, IoPolicy, PolicySlot};
 use crate::shard::{ShardPublic, ShardSeed, ShardSnapshot, Shared};
-use crate::sys::PollFd;
 use lfp_analysis::json::{parse, JsonBuilder, JsonValue};
 use lfp_obs::{Clock, Histogram, MonotonicClock, PromText, SlowLog, Stage};
 use lfp_query::{wire, QueryEngine, LANE_SLOTS};
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -169,7 +168,8 @@ pub struct ServeReport {
     /// Jobs answered `overloaded` because their deadline expired
     /// before a worker reached them.
     pub deadline_expired: u64,
-    /// Faults the I/O policies injected (0 under [`DirectIo`]).
+    /// Faults the I/O policies injected, every shard's plus the
+    /// acceptor's (0 under [`DirectIo`]).
     pub injected_faults: u64,
     /// Event-loop shards the server ran.
     pub loops: u64,
@@ -256,12 +256,13 @@ impl ServerHandle {
     }
 }
 
-/// Answer one already-framed protocol line against an engine. This is
-/// the whole per-request data path the workers run; the threaded
-/// baseline daemon reuses it verbatim, which is what makes the two
-/// serving cores byte-identical per request. (The shard workers use
-/// the segmented equivalent, `shard::answer_line_payload`, whose
-/// rendering is property-tested identical.)
+/// Answer one already-framed protocol line against an engine: the
+/// whole per-request data path, as one owned string. Callers that need
+/// the serving core's answer without a socket use it (the repo
+/// benchmark's byte-identity oracle, `query-load`'s in-process
+/// compaction soak); the shard workers run the segmented equivalent,
+/// `shard::answer_line_payload`, whose rendering is property-tested
+/// identical.
 pub fn answer_line(line: &str, engine: &QueryEngine) -> String {
     let value = match parse(line) {
         Ok(value) => value,
@@ -336,17 +337,8 @@ pub(crate) fn control_of(line: &str) -> Option<Control> {
     }
 }
 
-/// The wire acknowledgement for `shutdown` (kept byte-identical to the
-/// thread-per-connection daemon's historical reply; the threaded
-/// baseline reuses it so the two serving cores can never drift).
-pub const SHUTDOWN_ACK: &str = "{\"ok\": true, \"result\": \"shutting down\"}";
-
-/// Whether a protocol line is the `shutdown` control query. Shares the
-/// shard loops' detection (substring pre-filter, then an exact check of
-/// the parsed `query` field) with the threaded baseline daemon.
-pub fn is_shutdown_line(line: &str) -> bool {
-    matches!(control_of(line), Some(Control::Shutdown))
-}
+/// The wire acknowledgement for `shutdown`.
+pub(crate) const SHUTDOWN_ACK: &str = "{\"ok\": true, \"result\": \"shutting down\"}";
 
 /// Extra integer stats the embedding daemon contributes to `stats` and
 /// `metrics` renders — counters the serving core cannot see, like
@@ -784,57 +776,6 @@ impl ObsHandle {
     }
 }
 
-/// One boxed policy shared (behind a mutex) by the acceptor and a
-/// single shard — the compatibility shim that keeps the historical
-/// [`Server::bind_with_policy`] signature meaningful: one policy
-/// object observes every accept, poll, read and write, exactly as it
-/// did when one loop made all those calls. Only valid at `loops == 1`
-/// (several shards sharing one schedule clock would destroy the
-/// per-lane determinism contract; multi-loop chaos uses
-/// [`Server::bind_with_policy_factory`]).
-struct SharedPolicy(Arc<Mutex<Box<dyn IoPolicy>>>);
-
-impl SharedPolicy {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Box<dyn IoPolicy>> {
-        self.0.lock().expect("shared policy poisoned")
-    }
-}
-
-impl IoPolicy for SharedPolicy {
-    fn read(&mut self, conn: u64, stream: &TcpStream, buf: &mut [u8]) -> io::Result<usize> {
-        self.lock().read(conn, stream, buf)
-    }
-
-    fn write(&mut self, conn: u64, stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
-        self.lock().write(conn, stream, buf)
-    }
-
-    fn write_vectored(
-        &mut self,
-        conn: u64,
-        stream: &TcpStream,
-        bufs: &[IoSlice<'_>],
-    ) -> io::Result<usize> {
-        self.lock().write_vectored(conn, stream, bufs)
-    }
-
-    fn accept(&mut self, listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
-        self.lock().accept(listener)
-    }
-
-    fn poll(&mut self, fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        self.lock().poll(fds, timeout_ms)
-    }
-
-    fn closed(&mut self, conn: u64) {
-        self.lock().closed(conn)
-    }
-
-    fn counters(&self) -> FaultCounters {
-        self.lock().counters()
-    }
-}
-
 /// A readiness-driven query server bound to a TCP address: one
 /// acceptor, `loops` shard event loops, a worker pool per shard.
 pub struct Server {
@@ -861,65 +802,24 @@ impl Server {
         Server::bind_with_policy_factory(addr, config, source, |_| Box::new(DirectIo))
     }
 
-    /// [`bind`](Server::bind), but serving through one explicit
-    /// [`IoPolicy`] shared by the acceptor and the (single) shard — the
-    /// historical single-loop chaos entry point. Errors with
-    /// `InvalidInput` when the config resolves to more than one loop:
-    /// one schedule clock across shards would not be replayable; use
-    /// [`bind_with_policy_factory`](Server::bind_with_policy_factory)
-    /// with [`FaultPlan::lane`](crate::policy::FaultPlan::lane) there.
-    pub fn bind_with_policy<A: ToSocketAddrs>(
-        addr: A,
-        config: ServeConfig,
-        source: Arc<dyn EngineSource>,
-        policy: Box<dyn IoPolicy>,
-    ) -> io::Result<Server> {
-        if resolve_loops(&config) != 1 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "bind_with_policy serves one loop; use bind_with_policy_factory for loops > 1",
-            ));
-        }
-        let shared = Arc::new(Mutex::new(policy));
-        let acceptor_policy = Box::new(SharedPolicy(Arc::clone(&shared)));
-        Server::bind_inner(
-            addr,
-            config,
-            source,
-            vec![Box::new(SharedPolicy(shared))],
-            acceptor_policy,
-        )
-    }
-
-    /// [`bind`](Server::bind), but with an explicit I/O policy **per
-    /// shard**: `factory(shard_id)` is called once for each of the
-    /// resolved loops. This is the multi-loop chaos entry point — pair
-    /// it with [`FaultPlan::lane`](crate::policy::FaultPlan::lane) so
-    /// each shard runs an independent, replayable fault schedule. The
-    /// acceptor itself runs the passthrough policy.
+    /// [`bind`](Server::bind), but with an explicit I/O policy for
+    /// **every party that touches a socket**: `factory(slot)` is called
+    /// once for [`PolicySlot::Acceptor`] and once for each of the
+    /// resolved loops' [`PolicySlot::Shard`]s, and each party owns the
+    /// policy it was handed — nothing is shared, so no lock is ever
+    /// held across a syscall. This is the chaos entry point — pair it
+    /// with [`FaultPlan::for_slot`](crate::policy::FaultPlan::for_slot)
+    /// so every slot runs an independent, replayable fault schedule.
     pub fn bind_with_policy_factory<A: ToSocketAddrs, F>(
         addr: A,
-        config: ServeConfig,
+        mut config: ServeConfig,
         source: Arc<dyn EngineSource>,
         mut factory: F,
     ) -> io::Result<Server>
     where
-        F: FnMut(usize) -> Box<dyn IoPolicy>,
+        F: FnMut(PolicySlot) -> Box<dyn IoPolicy>,
     {
         let loops = resolve_loops(&config);
-        let policies = (0..loops).map(&mut factory).collect();
-        Server::bind_inner(addr, config, source, policies, Box::new(DirectIo))
-    }
-
-    fn bind_inner<A: ToSocketAddrs>(
-        addr: A,
-        mut config: ServeConfig,
-        source: Arc<dyn EngineSource>,
-        policies: Vec<Box<dyn IoPolicy>>,
-        acceptor_policy: Box<dyn IoPolicy>,
-    ) -> io::Result<Server> {
-        let loops = resolve_loops(&config);
-        debug_assert_eq!(policies.len(), loops);
         config.loops = loops;
         let workers_per_shard = resolve_workers(&config, loops);
 
@@ -972,7 +872,7 @@ impl Server {
             .collect();
 
         let mut shards = Vec::with_capacity(loops);
-        for (id, policy) in policies.into_iter().enumerate() {
+        for id in 0..loops {
             shards.push(ShardSeed {
                 id,
                 config: config.clone(),
@@ -984,7 +884,7 @@ impl Server {
                 control: Arc::clone(&control),
                 hub: Arc::clone(&hub),
                 conn_gauge: Arc::clone(&conn_gauge),
-                policy,
+                policy: factory(PolicySlot::Shard(id)),
                 workers: workers_per_shard,
                 clock: Arc::clone(&clock),
                 obs: Arc::clone(&obs[id]),
@@ -1006,7 +906,7 @@ impl Server {
             conn_gauge,
             max_connections: config.max_connections,
             accepted: Arc::clone(&accepted),
-            policy: acceptor_policy,
+            policy: factory(PolicySlot::Acceptor),
         };
 
         Ok(Server {
@@ -1084,11 +984,12 @@ impl Server {
             threads.push(thread);
         }
 
-        self.acceptor.run();
+        let acceptor_faults = self.acceptor.run();
 
         let mut merged = ServeReport {
             drained_cleanly: true,
             loops: loops as u64,
+            injected_faults: acceptor_faults,
             ..ServeReport::default()
         };
         for thread in threads {
@@ -1218,20 +1119,5 @@ mod tests {
         while (&tx).write(&[1u8; 4096]).is_ok() {}
         nudge_wake_pipe(&tx);
         drop(rx);
-    }
-
-    #[test]
-    fn bind_with_policy_refuses_multiple_loops() {
-        let source: Arc<dyn EngineSource> = Arc::new(|| -> Arc<QueryEngine> {
-            unreachable!("never serves");
-        });
-        let config = ServeConfig {
-            loops: 4,
-            ..ServeConfig::default()
-        };
-        let error = Server::bind_with_policy("127.0.0.1:0", config, source, Box::new(DirectIo))
-            .err()
-            .expect("must refuse loops > 1");
-        assert_eq!(error.kind(), io::ErrorKind::InvalidInput);
     }
 }

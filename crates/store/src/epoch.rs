@@ -28,8 +28,8 @@
 use crate::codec::{decode_campaign, encode_campaign, CampaignRefs, SnapshotDelta, StoredCampaign};
 use crate::error::StoreError;
 use crate::segment::{
-    base_file_name, decode_segment, encode_segment, segment_file_name, DurableLog, EpochLog,
-    LogFaults, Manifest, SegmentMeta,
+    base_file_name, decode_segment, encode_segment, segment_file_name, write_sealed, DurableLog,
+    EpochLog, LogFaults, Manifest, SegmentMeta,
 };
 use lfp_analysis::path_corpus::NewPathSource;
 use lfp_analysis::World;
@@ -66,36 +66,6 @@ pub struct LoadReport {
     /// Epoch the store resumed at.
     pub epoch: u64,
 }
-
-/// Write granularity for [`Store::save`]: every boundary between
-/// chunks is a spot a crash can land, and the crash-injection tests
-/// enumerate exactly these boundaries. Small enough that even the
-/// tiny-scale test stores cross several boundaries.
-pub const SAVE_CHUNK: usize = 64 * 1024;
-
-/// The crash seam inside [`Store::save_with`]: called before every
-/// chunk write and once before the rename publish. Returning an error
-/// simulates the process dying at precisely that point — the write
-/// sequence stops, leaving the temp file truncated at a recorded
-/// boundary (or, at publish, complete but unrenamed).
-pub trait SaveFaults {
-    /// About to write `len` bytes at `offset` into the temp file.
-    fn on_chunk(&mut self, _offset: usize, _len: usize) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    /// Temp file complete and fsynced; about to rename it over the
-    /// store path.
-    fn on_publish(&mut self) -> Result<(), StoreError> {
-        Ok(())
-    }
-}
-
-/// The production shim: never interferes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Durable;
-
-impl SaveFaults for Durable {}
 
 /// What a save cost.
 #[derive(Debug, Clone, Copy)]
@@ -389,54 +359,30 @@ impl Store {
         encode_campaign(&campaign)
     }
 
-    /// Persist to a file, crash-durably: write-to-temp, `fsync` the
-    /// temp file, rename over `path`, then `fsync` the parent
-    /// directory. The rename is the atomic publish point — before it,
-    /// `path` still holds the previous epoch; after it (and the
-    /// directory fsync), the new bytes survive power loss. A crash at
-    /// *any* step leaves `path` as the last successfully published
-    /// store, which [`Store::load`] reopens untouched — the property
-    /// the crash-injection tests drive through [`SaveFaults`].
+    /// Persist to a file, crash-durably, through the one sealed-write
+    /// sequence every durable file uses ([`crate::segment`]):
+    /// write-to-temp, `fsync` the temp file, rename over `path`, then
+    /// `fsync` the parent directory. The rename is the atomic publish
+    /// point — before it, `path` still holds the previous epoch; after
+    /// it (and the directory fsync), the new bytes survive power loss.
+    /// A crash at *any* step leaves `path` as the last successfully
+    /// published store, which [`Store::load`] reopens untouched — the
+    /// property the crash-injection tests drive through [`LogFaults`].
     pub fn save(&self, path: &Path) -> Result<SaveReport, StoreError> {
-        self.save_with(path, &mut Durable)
+        self.save_with(path, &mut DurableLog)
     }
 
-    /// [`save`](Store::save) through an explicit [`SaveFaults`] shim.
-    /// Production passes [`Durable`] (a no-op); crash tests pass
+    /// [`save`](Store::save) through an explicit [`LogFaults`] shim.
+    /// Production passes [`DurableLog`] (a no-op); crash tests pass
     /// recorders and boundary-triggered failers.
     pub fn save_with(
         &self,
         path: &Path,
-        faults: &mut dyn SaveFaults,
+        faults: &mut dyn LogFaults,
     ) -> Result<SaveReport, StoreError> {
         let start = Instant::now();
         let bytes = self.to_bytes();
-        let temporary = path.with_extension("tmp");
-        {
-            let mut file = std::fs::File::create(&temporary)?;
-            let mut offset = 0usize;
-            for chunk in bytes.chunks(SAVE_CHUNK) {
-                faults.on_chunk(offset, chunk.len())?;
-                std::io::Write::write_all(&mut file, chunk)?;
-                offset += chunk.len();
-            }
-            // Contents must be on stable storage *before* the rename
-            // can publish them: rename-then-crash with dirty pages is
-            // exactly the torn-store case the old implementation
-            // allowed.
-            file.sync_all()?;
-        }
-        faults.on_publish()?;
-        std::fs::rename(&temporary, path)?;
-        // The rename itself lives in the directory; fsync it so the
-        // publish survives power loss too (otherwise the directory
-        // entry may still point at the old inode after recovery —
-        // consistent, but silently stale).
-        let parent = match path.parent() {
-            Some(parent) if !parent.as_os_str().is_empty() => parent,
-            _ => Path::new("."),
-        };
-        std::fs::File::open(parent)?.sync_all()?;
+        write_sealed(path, &bytes, faults)?;
         Ok(SaveReport {
             seconds: start.elapsed().as_secs_f64(),
             bytes: bytes.len() as u64,

@@ -62,12 +62,13 @@ pub mod segment;
 pub use codec::{SnapshotDelta, StoredCampaign};
 pub use compact::{compact_if_due, CompactionPolicy, Compactor, CompactorStats};
 pub use epoch::{
-    CompactReport, Durable, IngestReport, LoadReport, LogStatus, SaveFaults, SaveReport,
-    SegmentedSaveReport, Store, SAVE_CHUNK,
+    CompactReport, IngestReport, LoadReport, LogStatus, SaveReport, SegmentedSaveReport, Store,
 };
 pub use error::StoreError;
 pub use repl::{
     follow_once, follow_once_persistent, ingest_path, PrimaryStatus, ReplClient, ReplSource,
     DELTA_CACHE_CAP, REPL_CHUNK,
 };
-pub use segment::{DurableLog, EpochLog, LogFaults, Manifest, SegmentMeta, MANIFEST_FILE};
+pub use segment::{
+    DurableLog, EpochLog, LogFaults, Manifest, SegmentMeta, MANIFEST_FILE, SAVE_CHUNK,
+};

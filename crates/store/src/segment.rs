@@ -10,9 +10,10 @@
 //! <dir>/epoch-00000005.seg  …one per epoch past the base
 //! ```
 //!
-//! Every file is written with the same crash discipline as
-//! [`Store::save`](crate::Store::save): chunked writes into a `.tmp`
-//! sibling, `fsync`, rename into place, `fsync` the directory. Nothing
+//! Every file — and the monolithic [`Store::save`](crate::Store::save)
+//! image, which is sealed by the same `write_sealed` — is written
+//! with one crash discipline: chunked writes into a `.tmp` sibling,
+//! `fsync`, rename into place, `fsync` the directory. Nothing
 //! a reader trusts is ever updated in place, and nothing becomes
 //! *reachable* until the manifest rename lands: a crash at any write
 //! boundary leaves the previous manifest — and therefore the previous
@@ -38,16 +39,22 @@ const MANIFEST_TAG: [u8; 4] = *b"MNFS";
 /// Section tag of a segment payload.
 const SEGMENT_TAG: [u8; 4] = *b"SEGM";
 
-// Write granularity for log files is shared with the monolithic save
-// so the crash matrices enumerate the same boundaries.
-use crate::epoch::SAVE_CHUNK;
+/// Write granularity of every sealed file: each boundary between
+/// chunks is a spot a crash can land, and the crash-injection tests
+/// enumerate exactly these boundaries. Small enough that even the
+/// tiny-scale test stores cross several boundaries.
+pub const SAVE_CHUNK: usize = 64 * 1024;
 
-/// The crash seam for every log-file write: called before each chunk
-/// and once before each rename. The file name disambiguates which
-/// write is in flight — segment files, base snapshots and the
-/// `MANIFEST` itself all pass through here, so a crash test can aim at
-/// any boundary of any file (the manifest's `on_seal` is the atomic
-/// publish point; everything before it is invisible to readers).
+/// The crash seam for every durable write: called before each chunk
+/// and once before each rename. Returning an error simulates the
+/// process dying at precisely that point — the write sequence stops,
+/// leaving the temp file truncated at a recorded boundary (or, at the
+/// seal, complete but unrenamed). The file name disambiguates which
+/// write is in flight — segment files, base snapshots, the `MANIFEST`
+/// and a monolithic store image all pass through here, so a crash test
+/// can aim at any boundary of any file (a log's `MANIFEST` seal and a
+/// monolithic image's own seal are the atomic publish points;
+/// everything before them is invisible to readers).
 pub trait LogFaults {
     /// About to write `len` bytes at `offset` into `file`'s temp.
     fn on_chunk(&mut self, _file: &str, _offset: usize, _len: usize) -> Result<(), StoreError> {
@@ -207,6 +214,51 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(u64, Vec<u8>), StoreError> {
     Ok((epoch, delta))
 }
 
+/// Seal `bytes` as the file `target`: chunked writes into
+/// `<target>.tmp` through the fault seam, fsync, rename, fsync the
+/// parent directory. On return the file is durable under its final
+/// name; on an error `target` still holds whatever it held before.
+pub(crate) fn write_sealed(
+    target: &Path,
+    bytes: &[u8],
+    faults: &mut dyn LogFaults,
+) -> Result<(), StoreError> {
+    let name = target
+        .file_name()
+        .map(|name| name.to_string_lossy())
+        .unwrap_or_default();
+    let mut temporary = target.as_os_str().to_owned();
+    temporary.push(".tmp");
+    {
+        let mut file = std::fs::File::create(&temporary)?;
+        let mut offset = 0usize;
+        for chunk in bytes.chunks(SAVE_CHUNK) {
+            faults.on_chunk(&name, offset, chunk.len())?;
+            std::io::Write::write_all(&mut file, chunk)?;
+            offset += chunk.len();
+        }
+        if bytes.is_empty() {
+            faults.on_chunk(&name, 0, 0)?;
+        }
+        // Contents must be on stable storage *before* the rename can
+        // publish them: rename-then-crash with dirty pages is exactly
+        // the torn-file case.
+        file.sync_all()?;
+    }
+    faults.on_seal(&name)?;
+    std::fs::rename(&temporary, target)?;
+    // The rename itself lives in the directory; fsync it so the
+    // publish survives power loss too (otherwise the directory entry
+    // may still point at the old inode after recovery — consistent,
+    // but silently stale). A bare file name's parent is empty: ".".
+    let parent = match target.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(parent)?.sync_all()?;
+    Ok(())
+}
+
 /// A segmented log directory: sealed-file writes, verified reads, the
 /// manifest publish point, and orphan sweeping. Pure I/O — epoch
 /// semantics (what to write, when to fold) live on
@@ -275,34 +327,15 @@ impl EpochLog {
         Ok(bytes)
     }
 
-    /// Seal `bytes` as `<dir>/<name>`: chunked writes into
-    /// `<name>.tmp` through the fault seam, fsync, rename, fsync the
-    /// directory. On return the file is durable under its final name.
+    /// Seal `bytes` as `<dir>/<name>`, durably, through the module's
+    /// one sealed-write sequence.
     pub fn write_sealed(
         &self,
         name: &str,
         bytes: &[u8],
         faults: &mut dyn LogFaults,
     ) -> Result<(), StoreError> {
-        let target = self.dir.join(name);
-        let temporary = self.dir.join(format!("{name}.tmp"));
-        {
-            let mut file = std::fs::File::create(&temporary)?;
-            let mut offset = 0usize;
-            for chunk in bytes.chunks(SAVE_CHUNK) {
-                faults.on_chunk(name, offset, chunk.len())?;
-                std::io::Write::write_all(&mut file, chunk)?;
-                offset += chunk.len();
-            }
-            if bytes.is_empty() {
-                faults.on_chunk(name, 0, 0)?;
-            }
-            file.sync_all()?;
-        }
-        faults.on_seal(name)?;
-        std::fs::rename(&temporary, &target)?;
-        std::fs::File::open(&self.dir)?.sync_all()?;
-        Ok(())
+        write_sealed(&self.dir.join(name), bytes, faults)
     }
 
     /// Atomically publish `manifest`: seal it as `MANIFEST`. Readers
@@ -346,6 +379,7 @@ impl EpochLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::VERSION;
 
     fn scratch(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -404,9 +438,16 @@ mod tests {
             Err(StoreError::Log(_))
         ));
 
+        // A valid header whose body stops short is a truncation…
+        let short = [&MANIFEST_MAGIC[..], &VERSION.to_le_bytes(), b"MNFS\x05"].concat();
+        assert!(matches!(
+            Manifest::from_bytes(&short),
+            Err(StoreError::Truncated { .. })
+        ));
+        // …while junk after the magic is read as the version first.
         assert!(matches!(
             Manifest::from_bytes(b"LFPM junk"),
-            Err(StoreError::Truncated { .. })
+            Err(StoreError::UnsupportedVersion(_))
         ));
     }
 

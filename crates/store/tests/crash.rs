@@ -1,16 +1,20 @@
 //! Crash-injection battery for durable saves.
 //!
-//! The [`SaveFaults`] seam lets a test kill a save at precisely the
+//! The [`LogFaults`] seam lets a test kill a save at precisely the
 //! points a real crash can land: before any chunk write (leaving the
-//! temp file truncated at a recorded boundary) or just before the
-//! rename publish (temp complete, store path untouched). The property
-//! under test is the store's durability contract: **after a crash at
-//! any boundary, `Store::load` reopens the last successfully published
-//! epoch, byte-identically** — never a torn file, never an error.
+//! temp file truncated at a recorded boundary) or just before a
+//! rename seals the file (temp complete, target untouched). One seam
+//! covers both persistence disciplines — the monolithic
+//! [`Store::save`] image is a single sealed file whose own seal is the
+//! publish point; a segmented log seals several files and publishes at
+//! the `MANIFEST` seal. The property under test is the store's
+//! durability contract: **after a crash at any boundary, `Store::load`
+//! reopens the last successfully published epoch, byte-identically** —
+//! never a torn file, never an error.
 
 mod util;
 
-use lfp_store::{LogFaults, SaveFaults, Store, StoreError, MANIFEST_FILE, SAVE_CHUNK};
+use lfp_store::{LogFaults, Store, StoreError, MANIFEST_FILE, SAVE_CHUNK};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,246 +44,7 @@ impl Drop for Scratch {
     }
 }
 
-/// Records every write boundary a save crosses without interfering —
-/// the map of crash points the injection loop then enumerates.
-#[derive(Default)]
-struct Recorder {
-    /// (offset, len) of every chunk write, in order.
-    chunks: Vec<(usize, usize)>,
-    publishes: usize,
-}
-
-impl SaveFaults for Recorder {
-    fn on_chunk(&mut self, offset: usize, len: usize) -> Result<(), StoreError> {
-        self.chunks.push((offset, len));
-        Ok(())
-    }
-
-    fn on_publish(&mut self) -> Result<(), StoreError> {
-        self.publishes += 1;
-        Ok(())
-    }
-}
-
-/// Kills the save just before chunk number `at` is written (or, with
-/// `at_publish`, just before the rename).
-struct CrashAt {
-    at: usize,
-    at_publish: bool,
-    seen: usize,
-}
-
-impl CrashAt {
-    fn chunk(at: usize) -> CrashAt {
-        CrashAt {
-            at,
-            at_publish: false,
-            seen: 0,
-        }
-    }
-
-    fn publish() -> CrashAt {
-        CrashAt {
-            at: usize::MAX,
-            at_publish: true,
-            seen: 0,
-        }
-    }
-}
-
-impl SaveFaults for CrashAt {
-    fn on_chunk(&mut self, _offset: usize, _len: usize) -> Result<(), StoreError> {
-        if self.seen == self.at {
-            return Err(StoreError::Io("injected crash before chunk".to_string()));
-        }
-        self.seen += 1;
-        Ok(())
-    }
-
-    fn on_publish(&mut self) -> Result<(), StoreError> {
-        if self.at_publish {
-            return Err(StoreError::Io("injected crash before publish".to_string()));
-        }
-        Ok(())
-    }
-}
-
-/// Load the store at `path` and return (epoch, full catalog responses).
-fn loaded_state(path: &Path) -> (u64, Vec<(String, String)>) {
-    let (store, _report) = Store::load(path).expect("store loads after crash");
-    (store.epoch(), util::mix_responses(&store))
-}
-
-#[test]
-fn save_records_stable_chunk_boundaries() {
-    let store = Store::from_world(util::shared_tiny_world());
-    let scratch = Scratch::new("boundaries");
-    let path = scratch.path("world.lfps");
-
-    let mut recorder = Recorder::default();
-    let report = store.save_with(&path, &mut recorder).expect("clean save");
-
-    // The boundaries tile the byte stream exactly: contiguous, starting
-    // at 0, summing to the store size, every chunk ≤ SAVE_CHUNK.
-    assert!(!recorder.chunks.is_empty());
-    assert_eq!(recorder.publishes, 1);
-    let mut expected_offset = 0usize;
-    for &(offset, len) in &recorder.chunks {
-        assert_eq!(offset, expected_offset, "chunk boundaries not contiguous");
-        assert!(len > 0 && len <= SAVE_CHUNK);
-        expected_offset += len;
-    }
-    assert_eq!(expected_offset as u64, report.bytes);
-    assert!(
-        recorder.chunks.len() >= 2,
-        "store too small to cross a chunk boundary — the crash matrix \
-         would only test the empty-file case"
-    );
-
-    // Recording perturbed nothing: the published file is the store.
-    let (epoch, _) = loaded_state(&path);
-    assert_eq!(epoch, 0);
-}
-
-#[test]
-fn crash_at_every_write_boundary_recovers_last_good_epoch() {
-    let world = util::shared_tiny_world();
-    let store = Store::from_world(world.clone());
-    let scratch = Scratch::new("matrix");
-    let path = scratch.path("world.lfps");
-
-    // Publish epoch 0 — the "last good" state every crash must preserve.
-    store.save(&path).expect("baseline save");
-    let baseline = loaded_state(&path);
-    assert_eq!(baseline.0, 0);
-
-    // Advance to epoch 1, so the crashing saves carry genuinely new
-    // bytes the crash must *not* publish partially.
-    let deltas = util::measure_deltas(&world, 1);
-    store
-        .ingest(deltas.into_iter().next().unwrap())
-        .expect("ingest");
-    assert_eq!(store.epoch(), 1);
-
-    // Map the crash points of the epoch-1 image (against a scratch
-    // path, so the real one still holds epoch 0).
-    let mut recorder = Recorder::default();
-    store
-        .save_with(&scratch.path("probe.lfps"), &mut recorder)
-        .expect("probe save");
-    let boundaries = recorder.chunks.len();
-
-    // Crash before every chunk write, including chunk 0 (empty temp).
-    for at in 0..boundaries {
-        let error = store
-            .save_with(&path, &mut CrashAt::chunk(at))
-            .expect_err("injected crash must surface");
-        assert!(matches!(error, StoreError::Io(_)));
-
-        // The temp file is truncated at exactly the recorded boundary…
-        let tmp_len = std::fs::metadata(path.with_extension("tmp"))
-            .expect("crashed save leaves its temp file")
-            .len() as usize;
-        assert_eq!(tmp_len, recorder.chunks[at].0, "crash point {at}");
-
-        // …and the published path still loads as epoch 0, responding
-        // byte-identically to the pre-crash baseline.
-        assert_eq!(loaded_state(&path), baseline, "crash point {at}");
-    }
-
-    // Crash after the temp file is complete but before the rename: the
-    // new epoch is on disk yet *unpublished* — load must still see 0.
-    let error = store
-        .save_with(&path, &mut CrashAt::publish())
-        .expect_err("publish crash must surface");
-    assert!(matches!(error, StoreError::Io(_)));
-    assert_eq!(loaded_state(&path), baseline);
-
-    // A clean save after any number of crashes publishes epoch 1.
-    store.save(&path).expect("post-crash save");
-    let (epoch, responses) = loaded_state(&path);
-    assert_eq!(epoch, 1);
-    assert_ne!(responses, baseline.1, "epoch 1 must answer differently");
-    assert_eq!(responses, util::mix_responses(&store));
-}
-
-#[test]
-fn follower_crash_at_every_boundary_recovers_and_resyncs() {
-    let world = util::shared_tiny_world();
-    let primary = Store::from_world(world.clone());
-    let scratch = Scratch::new("follower");
-    let follower_path = scratch.path("follower.lfps");
-
-    // The follower starts as a synced replica of the primary's base
-    // snapshot, published durably at epoch 0.
-    let follower = Store::from_bytes(&primary.to_bytes()).expect("snapshot sync");
-    follower.save(&follower_path).expect("baseline persist");
-    let baseline = loaded_state(&follower_path);
-    assert_eq!(baseline.0, 0);
-
-    // The primary ingests one snapshot; the replication log's segment
-    // for epoch 1 is exactly what `repl_delta` would ship.
-    let delta = util::measure_deltas(&world, 1).into_iter().next().unwrap();
-    primary.ingest(delta).expect("primary ingest");
-    let shipped = primary.delta_segment(1).expect("epoch 1 is in the log");
-
-    // Applying the shipped segment is the follower's ingest path.
-    let apply = |store: &Store| {
-        let delta =
-            lfp_store::SnapshotDelta::from_bytes(&shipped).expect("shipped segment decodes");
-        store.ingest(delta).expect("apply shipped delta");
-    };
-    apply(&follower);
-    assert_eq!(follower.epoch(), 1);
-    // Replication's core claim: at equal epochs the follower answers
-    // byte-identically to the primary.
-    let converged = util::mix_responses(&follower);
-    assert_eq!(converged, util::mix_responses(&primary));
-
-    // Map the write boundaries of the follower's epoch-1 image.
-    let mut recorder = Recorder::default();
-    follower
-        .save_with(&scratch.path("probe.lfps"), &mut recorder)
-        .expect("probe save");
-
-    // Kill the follower's post-apply persist before every chunk write
-    // and before the publish rename: the published file must still be
-    // the *fully-applied* epoch 0 every time — a torn epoch may never
-    // become loadable, let alone servable.
-    for at in 0..recorder.chunks.len() {
-        let error = follower
-            .save_with(&follower_path, &mut CrashAt::chunk(at))
-            .expect_err("injected crash must surface");
-        assert!(matches!(error, StoreError::Io(_)));
-        assert_eq!(loaded_state(&follower_path), baseline, "crash point {at}");
-    }
-    let error = follower
-        .save_with(&follower_path, &mut CrashAt::publish())
-        .expect_err("publish crash must surface");
-    assert!(matches!(error, StoreError::Io(_)));
-    assert_eq!(loaded_state(&follower_path), baseline);
-
-    // Restart after the crashes: the reloaded follower is at the last
-    // fully-applied epoch and resyncs by re-fetching the same shipped
-    // segment — landing byte-identical to the never-crashed replica.
-    let (restarted, _) = Store::load(&follower_path).expect("follower restart");
-    assert_eq!(restarted.epoch(), 0, "recovered to the last applied epoch");
-    apply(&restarted);
-    assert_eq!(restarted.epoch(), 1);
-    assert_eq!(util::mix_responses(&restarted), converged);
-    restarted.save(&follower_path).expect("clean persist");
-    let (epoch, responses) = loaded_state(&follower_path);
-    assert_eq!(epoch, 1);
-    assert_eq!(responses, converged);
-}
-
-// ---------------------------------------------------------------------
-// The segmented epoch log: the same matrix, but with more places to die
-// — inside a segment file, at a segment's seal, inside the manifest,
-// and at the manifest swap itself (the single publish point).
-// ---------------------------------------------------------------------
-
-/// One write event a segmented operation crossed, in order.
+/// One write event a save or compaction crossed, in order.
 #[derive(Debug, Clone, PartialEq)]
 enum LogEvent {
     /// `(file, offset, len)` of a chunk write into `<file>.tmp`.
@@ -288,11 +53,25 @@ enum LogEvent {
     Seal(String),
 }
 
-/// Records every event a segmented save/compaction crosses without
-/// interfering — the map the injection loop then enumerates.
+/// Records every event a save or compaction crosses without
+/// interfering — the map of crash points the injection loops then
+/// enumerate.
 #[derive(Default)]
 struct LogRecorder {
     events: Vec<LogEvent>,
+}
+
+impl LogRecorder {
+    /// `(offset, len)` of every chunk write, in order.
+    fn chunks(&self) -> Vec<(usize, usize)> {
+        self.events
+            .iter()
+            .filter_map(|event| match event {
+                LogEvent::Chunk(_, offset, len) => Some((*offset, *len)),
+                LogEvent::Seal(_) => None,
+            })
+            .collect()
+    }
 }
 
 impl LogFaults for LogRecorder {
@@ -338,6 +117,181 @@ impl LogFaults for LogCrashAt {
         self.tick()
     }
 }
+
+/// Load the store at `path` and return (epoch, full catalog responses).
+fn loaded_state(path: &Path) -> (u64, Vec<(String, String)>) {
+    let (store, _report) = Store::load(path).expect("store loads after crash");
+    (store.epoch(), util::mix_responses(&store))
+}
+
+#[test]
+fn save_records_stable_chunk_boundaries() {
+    let store = Store::from_world(util::shared_tiny_world());
+    let scratch = Scratch::new("boundaries");
+    let path = scratch.path("world.lfps");
+
+    let mut recorder = LogRecorder::default();
+    let report = store.save_with(&path, &mut recorder).expect("clean save");
+
+    // The boundaries tile the byte stream exactly: contiguous, starting
+    // at 0, summing to the store size, every chunk ≤ SAVE_CHUNK — and
+    // exactly one seal, the publish, after the last of them.
+    let chunks = recorder.chunks();
+    assert!(!chunks.is_empty());
+    assert_eq!(recorder.events.len(), chunks.len() + 1);
+    assert_eq!(
+        recorder.events.last(),
+        Some(&LogEvent::Seal("world.lfps".to_string()))
+    );
+    let mut expected_offset = 0usize;
+    for &(offset, len) in &chunks {
+        assert_eq!(offset, expected_offset, "chunk boundaries not contiguous");
+        assert!(len > 0 && len <= SAVE_CHUNK);
+        expected_offset += len;
+    }
+    assert_eq!(expected_offset as u64, report.bytes);
+    assert!(
+        chunks.len() >= 2,
+        "store too small to cross a chunk boundary — the crash matrix \
+         would only test the empty-file case"
+    );
+
+    // Recording perturbed nothing: the published file is the store.
+    let (epoch, _) = loaded_state(&path);
+    assert_eq!(epoch, 0);
+}
+
+#[test]
+fn crash_at_every_write_boundary_recovers_last_good_epoch() {
+    let world = util::shared_tiny_world();
+    let store = Store::from_world(world.clone());
+    let scratch = Scratch::new("matrix");
+    let path = scratch.path("world.lfps");
+
+    // Publish epoch 0 — the "last good" state every crash must preserve.
+    store.save(&path).expect("baseline save");
+    let baseline = loaded_state(&path);
+    assert_eq!(baseline.0, 0);
+
+    // Advance to epoch 1, so the crashing saves carry genuinely new
+    // bytes the crash must *not* publish partially.
+    let deltas = util::measure_deltas(&world, 1);
+    store
+        .ingest(deltas.into_iter().next().unwrap())
+        .expect("ingest");
+    assert_eq!(store.epoch(), 1);
+
+    // Map the crash points of the epoch-1 image (against a scratch
+    // path, so the real one still holds epoch 0).
+    let mut recorder = LogRecorder::default();
+    let probe = store
+        .save_with(&scratch.path("probe.lfps"), &mut recorder)
+        .expect("probe save");
+    let chunks = recorder.chunks();
+
+    // Crash before every chunk write, including chunk 0 (empty temp),
+    // and — the last event — after the temp file is complete but before
+    // the rename: the new epoch is on disk yet *unpublished*.
+    for at in 0..recorder.events.len() {
+        let error = store
+            .save_with(&path, &mut LogCrashAt::event(at))
+            .expect_err("injected crash must surface");
+        assert!(matches!(error, StoreError::Io(_)));
+
+        // The temp file is truncated at exactly the recorded boundary
+        // (whole, at the publish crash)…
+        let tmp_len = std::fs::metadata(path.with_extension("lfps.tmp"))
+            .expect("crashed save leaves its temp file")
+            .len();
+        let expected = chunks
+            .get(at)
+            .map_or(probe.bytes, |&(offset, _)| offset as u64);
+        assert_eq!(tmp_len, expected, "crash point {at}");
+
+        // …and the published path still loads as epoch 0, responding
+        // byte-identically to the pre-crash baseline.
+        assert_eq!(loaded_state(&path), baseline, "crash point {at}");
+    }
+
+    // A clean save after any number of crashes publishes epoch 1.
+    store.save(&path).expect("post-crash save");
+    let (epoch, responses) = loaded_state(&path);
+    assert_eq!(epoch, 1);
+    assert_ne!(responses, baseline.1, "epoch 1 must answer differently");
+    assert_eq!(responses, util::mix_responses(&store));
+}
+
+#[test]
+fn follower_crash_at_every_boundary_recovers_and_resyncs() {
+    let world = util::shared_tiny_world();
+    let primary = Store::from_world(world.clone());
+    let scratch = Scratch::new("follower");
+    let follower_path = scratch.path("follower.lfps");
+
+    // The follower starts as a synced replica of the primary's base
+    // snapshot, published durably at epoch 0.
+    let follower = Store::from_bytes(&primary.to_bytes()).expect("snapshot sync");
+    follower.save(&follower_path).expect("baseline persist");
+    let baseline = loaded_state(&follower_path);
+    assert_eq!(baseline.0, 0);
+
+    // The primary ingests one snapshot; the replication log's segment
+    // for epoch 1 is exactly what `repl_delta` would ship.
+    let delta = util::measure_deltas(&world, 1).into_iter().next().unwrap();
+    primary.ingest(delta).expect("primary ingest");
+    let shipped = primary.delta_segment(1).expect("epoch 1 is in the log");
+
+    // Applying the shipped segment is the follower's ingest path.
+    let apply = |store: &Store| {
+        let delta =
+            lfp_store::SnapshotDelta::from_bytes(&shipped).expect("shipped segment decodes");
+        store.ingest(delta).expect("apply shipped delta");
+    };
+    apply(&follower);
+    assert_eq!(follower.epoch(), 1);
+    // Replication's core claim: at equal epochs the follower answers
+    // byte-identically to the primary.
+    let converged = util::mix_responses(&follower);
+    assert_eq!(converged, util::mix_responses(&primary));
+
+    // Map the write boundaries of the follower's epoch-1 image.
+    let mut recorder = LogRecorder::default();
+    follower
+        .save_with(&scratch.path("probe.lfps"), &mut recorder)
+        .expect("probe save");
+    assert!(matches!(recorder.events.last(), Some(LogEvent::Seal(_))));
+
+    // Kill the follower's post-apply persist before every chunk write
+    // and before the publish rename (the last event): the published
+    // file must still be the *fully-applied* epoch 0 every time — a
+    // torn epoch may never become loadable, let alone servable.
+    for at in 0..recorder.events.len() {
+        let error = follower
+            .save_with(&follower_path, &mut LogCrashAt::event(at))
+            .expect_err("injected crash must surface");
+        assert!(matches!(error, StoreError::Io(_)));
+        assert_eq!(loaded_state(&follower_path), baseline, "crash point {at}");
+    }
+
+    // Restart after the crashes: the reloaded follower is at the last
+    // fully-applied epoch and resyncs by re-fetching the same shipped
+    // segment — landing byte-identical to the never-crashed replica.
+    let (restarted, _) = Store::load(&follower_path).expect("follower restart");
+    assert_eq!(restarted.epoch(), 0, "recovered to the last applied epoch");
+    apply(&restarted);
+    assert_eq!(restarted.epoch(), 1);
+    assert_eq!(util::mix_responses(&restarted), converged);
+    restarted.save(&follower_path).expect("clean persist");
+    let (epoch, responses) = loaded_state(&follower_path);
+    assert_eq!(epoch, 1);
+    assert_eq!(responses, converged);
+}
+
+// ---------------------------------------------------------------------
+// The segmented epoch log: the same seam, but with more places to die
+// — inside a segment file, at a segment's seal, inside the manifest,
+// and at the manifest swap itself (the single publish point).
+// ---------------------------------------------------------------------
 
 #[test]
 fn segmented_crash_at_every_boundary_recovers_last_sealed_epoch() {

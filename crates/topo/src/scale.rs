@@ -125,7 +125,7 @@ impl Scale {
     /// finishes in seconds while still yielding a path corpus with enough
     /// distinct AS pairs, lengths and slices to exercise every index the
     /// query planner lowers onto. This is the preset `vendor-queryd` and
-    /// the `query-bench` load generator run in CI: world build is a small
+    /// the `query-load` load generator run in CI: world build is a small
     /// fixed cost, and the serving layer (cache hits, planner scans,
     /// protocol round trips) dominates the benchmark.
     pub fn query_stress() -> Self {

@@ -18,8 +18,8 @@
 
 use lfp::query::{wire, QueryEngine, Response};
 use lfp::serve::{
-    DirectIo, EngineSource, FaultCounters, FaultPlan, FaultPolicy, IoPolicy, ServeConfig,
-    ServeReport, Server, ServerHandle,
+    DirectIo, EngineSource, FaultCounters, FaultPlan, FaultPolicy, IoPolicy, ObsHandle, PolicySlot,
+    ServeConfig, ServeReport, Server, ServerHandle,
 };
 use lfp::topo::Scale;
 use lfp_analysis::json::{parse, JsonValue};
@@ -41,42 +41,41 @@ fn shared_engine() -> Arc<QueryEngine> {
 struct TestServer {
     addr: SocketAddr,
     handle: ServerHandle,
+    /// Outlives the run: the final exposition after [`stop`](Self::stop).
+    obs: ObsHandle,
     thread: Option<JoinHandle<ServeReport>>,
 }
 
 impl TestServer {
-    fn start(config: ServeConfig, policy: Box<dyn IoPolicy>) -> TestServer {
+    /// Serve with `factory` choosing the policy of every slot — the
+    /// acceptor's and each shard's; each slot owns what it is handed.
+    fn start(
+        config: ServeConfig,
+        factory: impl FnMut(PolicySlot) -> Box<dyn IoPolicy>,
+    ) -> TestServer {
         let engine = shared_engine();
         let source: Arc<dyn EngineSource> = Arc::new(move || Arc::clone(&engine));
-        let server = Server::bind_with_policy("127.0.0.1:0", config, source, policy).expect("bind");
+        let server =
+            Server::bind_with_policy_factory("127.0.0.1:0", config, source, factory).expect("bind");
         let addr = server.local_addr();
         let handle = server.handle();
+        let obs = server.obs_handle();
         let thread = std::thread::spawn(move || server.run());
         TestServer {
             addr,
             handle,
+            obs,
             thread: Some(thread),
         }
     }
 
-    /// Multi-loop chaos: every shard runs its own lane of `plan`
-    /// (`seed ⊕ shard_id` — the determinism contract in
-    /// `lfp_serve::policy`).
-    fn start_sharded(config: ServeConfig, plan: FaultPlan) -> TestServer {
-        let engine = shared_engine();
-        let source: Arc<dyn EngineSource> = Arc::new(move || Arc::clone(&engine));
-        let server = Server::bind_with_policy_factory("127.0.0.1:0", config, source, |shard| {
-            Box::new(FaultPolicy::new(plan.lane(shard as u64)))
+    /// Chaos at any loop count: every slot runs its own lane of `plan`
+    /// (`seed ⊕ shard_id` per shard, the acceptor lane for the acceptor
+    /// — the determinism contract in `lfp_serve::policy`).
+    fn start_faulted(config: ServeConfig, plan: FaultPlan) -> TestServer {
+        TestServer::start(config, move |slot| {
+            Box::new(FaultPolicy::new(plan.for_slot(slot)))
         })
-        .expect("bind");
-        let addr = server.local_addr();
-        let handle = server.handle();
-        let thread = std::thread::spawn(move || server.run());
-        TestServer {
-            addr,
-            handle,
-            thread: Some(thread),
-        }
     }
 
     fn stop(mut self) -> ServeReport {
@@ -191,7 +190,7 @@ fn noise_matrix_keeps_every_pipelined_reply_byte_identical() {
     let mix = test_mix(&engine);
 
     for (name, plan) in noise_schedules() {
-        let server = TestServer::start(ServeConfig::default(), Box::new(FaultPolicy::new(plan)));
+        let server = TestServer::start_faulted(ServeConfig::default(), plan);
         let addr = server.addr;
 
         std::thread::scope(|scope| {
@@ -249,7 +248,7 @@ fn noise_matrix_at_four_loops_keeps_every_reply_byte_identical() {
     let mix = test_mix(&engine);
 
     for (name, plan) in noise_schedules() {
-        let server = TestServer::start_sharded(
+        let server = TestServer::start_faulted(
             ServeConfig {
                 loops: 4,
                 ..ServeConfig::default()
@@ -325,10 +324,7 @@ fn noise_matrix_at_four_loops_keeps_every_reply_byte_identical() {
 fn aggressive_resets_lose_connections_not_correctness() {
     let engine = shared_engine();
     let mix = test_mix(&engine);
-    let server = TestServer::start(
-        ServeConfig::default(),
-        Box::new(FaultPolicy::new(FaultPlan::aggressive(33))),
-    );
+    let server = TestServer::start_faulted(ServeConfig::default(), FaultPlan::aggressive(33));
     let addr = server.addr;
 
     std::thread::scope(|scope| {
@@ -423,7 +419,7 @@ fn watermark_sheds_bursts_with_typed_overloaded_errors() {
             retry_hint_ms: 7,
             ..ServeConfig::default()
         },
-        Box::new(DirectIo),
+        |_| Box::new(DirectIo),
     );
 
     let stream = TcpStream::connect(server.addr).expect("connect");
@@ -498,7 +494,7 @@ fn expired_deadlines_answer_typed_overloaded_not_silence() {
             retry_hint_ms: 9,
             ..ServeConfig::default()
         },
-        Box::new(DirectIo),
+        |_| Box::new(DirectIo),
     );
 
     let stream = TcpStream::connect(server.addr).expect("connect");
@@ -552,6 +548,20 @@ struct AcceptInterrupter {
     injected: u64,
 }
 
+impl AcceptInterrupter {
+    /// A policy factory: the interrupter owns the acceptor slot, every
+    /// shard passes straight through.
+    fn in_acceptor_slot(slot: PolicySlot) -> Box<dyn IoPolicy> {
+        match slot {
+            PolicySlot::Acceptor => Box::new(AcceptInterrupter {
+                accepts: 0,
+                injected: 0,
+            }),
+            PolicySlot::Shard(_) => Box::new(DirectIo),
+        }
+    }
+}
+
 impl IoPolicy for AcceptInterrupter {
     fn read(&mut self, conn: u64, stream: &TcpStream, buf: &mut [u8]) -> io::Result<usize> {
         DirectIo.read(conn, stream, buf)
@@ -585,13 +595,7 @@ impl IoPolicy for AcceptInterrupter {
 #[test]
 fn interrupted_accepts_are_retried_never_dropped() {
     let engine = shared_engine();
-    let server = TestServer::start(
-        ServeConfig::default(),
-        Box::new(AcceptInterrupter {
-            accepts: 0,
-            injected: 0,
-        }),
-    );
+    let server = TestServer::start(ServeConfig::default(), AcceptInterrupter::in_acceptor_slot);
 
     // Every one of these sequential connections hits at least one
     // injected EINTR on the accept path (every other call interrupts,
@@ -618,6 +622,81 @@ fn interrupted_accepts_are_retried_never_dropped() {
     assert!(
         report.injected_faults >= 12,
         "every connection should have cost one interrupted accept: {report:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Matrix row: the acceptor's faults are counted. At four loops the
+// acceptor interrupts accepts while every shard runs its own noise
+// lane; the exit report must carry the acceptor's injections *on top
+// of* the shard lanes', and every reply stays byte-identical.
+// ---------------------------------------------------------------------
+
+#[test]
+fn acceptor_faults_are_reported_alongside_shard_lanes_at_four_loops() {
+    let engine = shared_engine();
+    let mix = test_mix(&engine);
+    let plan = FaultPlan::light(606);
+    let server = TestServer::start(
+        ServeConfig {
+            loops: 4,
+            ..ServeConfig::default()
+        },
+        move |slot| match slot {
+            PolicySlot::Acceptor => AcceptInterrupter::in_acceptor_slot(slot),
+            shard => Box::new(FaultPolicy::new(plan.for_slot(shard))),
+        },
+    );
+    let addr = server.addr;
+
+    // Eight clients → two per shard by round-robin accept order.
+    std::thread::scope(|scope| {
+        for worker in 0..8 {
+            let mix = &mix;
+            let engine = &engine;
+            scope.spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                stream.set_nodelay(true).ok();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .expect("read timeout");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let lines: Vec<&String> = (0..6).map(|i| &mix[(worker + i) % mix.len()]).collect();
+                let mut bytes = Vec::new();
+                for line in &lines {
+                    bytes.extend_from_slice(line.as_bytes());
+                    bytes.push(b'\n');
+                }
+                (&stream).write_all(&bytes).expect("burst write");
+                for line in lines {
+                    let mut reply = String::new();
+                    let n = reader.read_line(&mut reply).expect("reply read");
+                    assert!(n > 0, "connection died under a no-kill plan");
+                    assert_is_direct_execution(engine, line, reply.trim_end());
+                }
+            });
+        }
+    });
+
+    let obs = server.obs.clone();
+    let report = server.stop();
+    assert_eq!(report.accepted, 8);
+    assert_eq!(report.queries, 8 * 6);
+    assert_eq!(report.shards_drained, 4);
+    // Each shard's last act is to publish its final counters, so the
+    // post-run exposition holds exactly what the shard lanes injected;
+    // the acceptor (one interrupted accept per connection, at least)
+    // is the rest of the merged total.
+    let shard_lanes = metric(
+        &obs.metrics(&engine),
+        "lfp_injected_faults_total",
+        "shard=\"all\"",
+    )
+    .expect("injected-faults family");
+    assert!(shard_lanes > 0, "the shard lanes injected nothing");
+    assert!(
+        report.injected_faults >= shard_lanes + report.accepted,
+        "acceptor faults missing from the merged report: {report:?}, shard lanes {shard_lanes}"
     );
 }
 
@@ -676,12 +755,12 @@ fn metrics_reconcile_exactly_with_acknowledged_replies_under_noise() {
         stall_ops: 4,
         ..FaultPlan::quiet(21)
     };
-    let server = TestServer::start(
+    let server = TestServer::start_faulted(
         ServeConfig {
             slowlog_capacity: 8,
             ..ServeConfig::default()
         },
-        Box::new(FaultPolicy::new(plan)),
+        plan,
     );
     let addr = server.addr;
 
@@ -829,10 +908,7 @@ fn metrics_reconcile_exactly_with_acknowledged_replies_under_noise() {
 fn aggressive_chaos_surfaces_fault_counters_and_never_overcounts() {
     let engine = shared_engine();
     let mix = test_mix(&engine);
-    let server = TestServer::start(
-        ServeConfig::default(),
-        Box::new(FaultPolicy::new(FaultPlan::aggressive(77))),
-    );
+    let server = TestServer::start_faulted(ServeConfig::default(), FaultPlan::aggressive(77));
     let addr = server.addr;
 
     // The resilient-client workload from the reset row, counting the

@@ -274,6 +274,15 @@ fn stalled_readers_are_evicted_while_polite_clients_keep_being_served() {
     }
     writer.join().expect("staller writer thread");
 
+    // The eviction must land while the staller is still *not reading*.
+    // Its 32,000 requests fit in kernel buffers, so the writer can be
+    // done long before the server has produced enough unread responses
+    // to be refused; draining below without waiting would turn this
+    // test into the reader that rescues the staller.
+    wait_for_stats(&mut polite, |stats| {
+        stats.get("evicted").and_then(JsonValue::as_u64) >= Some(1)
+    });
+
     // The staller's connection must be torn down by the server (EOF or
     // reset) — not kept buffering forever.
     let mut reader = staller.reader;
