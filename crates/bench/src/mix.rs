@@ -39,6 +39,7 @@ use lfp_serve::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -314,6 +315,39 @@ fn try_spend(budget: &AtomicU64) -> bool {
         .is_ok()
 }
 
+/// A connection's request slots not yet committed to the wire: the
+/// untouched rest of its cursor range, then the slots handed back for
+/// another try, oldest first — the FIFO order a queue filled with the
+/// whole range up front would give, in constant memory however many
+/// slots a connection is planned.
+struct Pending {
+    fresh: Range<usize>,
+    requeued: VecDeque<usize>,
+}
+
+impl Pending {
+    fn pop_front(&mut self) -> Option<usize> {
+        self.fresh.next().or_else(|| self.requeued.pop_front())
+    }
+
+    fn push_back(&mut self, cursor: usize) {
+        self.requeued.push_back(cursor);
+    }
+
+    fn len(&self) -> usize {
+        self.fresh.len() + self.requeued.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn clear(&mut self) {
+        self.fresh.start = self.fresh.end;
+        self.requeued.clear();
+    }
+}
+
 /// One fleet connection: request slots move `pending` → `outstanding`
 /// → resolved, and failures the budget covers move them *back*. The
 /// connection gives a slot up (as lost) only when the budget cannot
@@ -326,7 +360,7 @@ struct FleetConn {
     out: Vec<u8>,
     out_pos: usize,
     /// Mix cursors not yet committed to the wire.
-    pending: VecDeque<usize>,
+    pending: Pending,
     /// Mix cursors on the wire awaiting their (in-order) reply.
     outstanding: VecDeque<usize>,
     send_times: VecDeque<Instant>,
@@ -349,9 +383,10 @@ impl FleetConn {
             decoder: FrameDecoder::new(),
             out: Vec::new(),
             out_pos: 0,
-            pending: (0..plan.requests_per_conn)
-                .map(|slot| index * 7 + slot)
-                .collect(),
+            pending: Pending {
+                fresh: index * 7..index * 7 + plan.requests_per_conn,
+                requeued: VecDeque::new(),
+            },
             outstanding: VecDeque::new(),
             send_times: VecDeque::new(),
             backoff: Backoff::new(splitmix64(plan.seed ^ index as u64), 5, 2_000),

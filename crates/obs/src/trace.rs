@@ -17,12 +17,12 @@ pub enum Stage {
     /// the request frame was decoded.
     Accept,
     /// Frame admitted to the shard's job queue until a worker claimed the
-    /// batch containing it.
+    /// batch containing it (zero for an answer served on the loop).
     Queue,
     /// Batch claimed until this request actually starts executing
-    /// (head-of-batch wait inside a worker).
+    /// (head-of-batch wait inside a worker; zero on the loop).
     Claim,
-    /// Total query execution (parse/plan/compute/render, cache included).
+    /// Total query execution (plan/compute/render, cache included).
     Execute,
     /// Sub-stage of `Execute`: selection planning.
     Plan,

@@ -223,22 +223,28 @@ impl ShardedLru {
     /// [`get`](ShardedLru::get) with an explicit caller lane (see
     /// `shard_of` for what a lane buys). Lane 0 is identical to `get`.
     pub fn get_lane(&self, key: &str, lane: u64) -> Option<Arc<str>> {
+        let result = self.hit_lane(key, lane);
+        if result.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.lane_slot(lane).misses.fetch_add(1, Ordering::Relaxed);
+        }
+        result
+    }
+
+    /// [`get_lane`](ShardedLru::get_lane) that counts only a hit. A
+    /// caller that answers hits itself and hands misses on to a counted
+    /// [`get_lane`](ShardedLru::get_lane) probe uses it, so each request
+    /// still counts as exactly one lookup.
+    pub fn hit_lane(&self, key: &str, lane: u64) -> Option<Arc<str>> {
         let result = self
             .shard_of(key, lane)
             .lock()
             .expect("cache shard poisoned")
             .get(key);
-        let slot = self.lane_slot(lane);
-        match result {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                slot.hits.fetch_add(1, Ordering::Relaxed)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                slot.misses.fetch_add(1, Ordering::Relaxed)
-            }
-        };
+        if result.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.lane_slot(lane).hits.fetch_add(1, Ordering::Relaxed);
+        }
         result
     }
 
@@ -413,6 +419,21 @@ mod tests {
         // Re-inserting an existing key is a refresh, not an eviction.
         cache.insert_lane("c", value("C2"), 3);
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn hit_only_probe_counts_hits_and_leaves_misses_to_the_caller() {
+        let cache = ShardedLru::new(2, 8);
+        assert!(cache.hit_lane("a", 1).is_none());
+        assert_eq!(cache.stats().misses, 0, "a hit-only miss is uncounted");
+        // The caller's follow-up counted probe is the request's lookup.
+        assert!(cache.get_lane("a", 1).is_none());
+        cache.insert_lane("a", value("A"), 1);
+        assert_eq!(cache.hit_lane("a", 1).as_deref(), Some("A"));
+        let lane = cache.lane_stats(1);
+        assert_eq!((lane.hits, lane.misses), (1, 1));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

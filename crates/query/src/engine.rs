@@ -66,6 +66,10 @@ pub struct ExecObs {
     pub cached: bool,
     /// The planner's explain trace (empty on hits and planless queries).
     pub explain: String,
+    /// The epoch-tagged canonical form the result is cached under and
+    /// echoed as ([`QueryEngine::canonical`]), so a caller rendering the
+    /// envelope need not build it a second time.
+    pub key: String,
 }
 
 /// The serving engine. Shareable by reference (or `Arc`) across worker
@@ -227,18 +231,7 @@ impl QueryEngine {
         let probe_start = clock.now_ns();
         let key = self.canonical(query);
         if let Some(payload) = self.cache.get_lane(&key, lane) {
-            let obs = ExecObs {
-                cache_ns: clock.now_ns().saturating_sub(probe_start),
-                cached: true,
-                ..ExecObs::default()
-            };
-            return Ok((
-                Response {
-                    payload,
-                    cached: true,
-                },
-                obs,
-            ));
+            return Ok(cache_hit(payload, key, probe_start, clock));
         }
         let compute_start = clock.now_ns();
         let (body, plan_ns, explain) = self.compute(query, Some(clock))?;
@@ -254,6 +247,7 @@ impl QueryEngine {
             render_ns: compute_ns.saturating_sub(plan_ns),
             cached: false,
             explain,
+            key,
         };
         Ok((
             Response {
@@ -262,6 +256,24 @@ impl QueryEngine {
             },
             obs,
         ))
+    }
+
+    /// The cache-probe half of
+    /// [`execute_lane_obs`](QueryEngine::execute_lane_obs): the resident
+    /// answer under `lane`, or `None` without executing anything. A hit
+    /// counts; a miss does not, because the caller hands the query on to
+    /// `execute_lane_obs`, whose own probe counts it — one lookup per
+    /// request in the cache counters either way.
+    pub fn resident_lane_obs(
+        &self,
+        query: &Query,
+        lane: u64,
+        clock: &dyn Clock,
+    ) -> Option<(Response, ExecObs)> {
+        let probe_start = clock.now_ns();
+        let key = self.canonical(query);
+        let payload = self.cache.hit_lane(&key, lane)?;
+        Some(cache_hit(payload, key, probe_start, clock))
     }
 
     /// Compute one payload; returns it with the nanoseconds `select_rows`
@@ -428,6 +440,27 @@ impl QueryEngine {
         );
         json.finish()
     }
+}
+
+/// A resident answer with its observation: the probe took from
+/// `probe_start` until now, and nothing was planned or rendered.
+fn cache_hit(
+    payload: Arc<str>,
+    key: String,
+    probe_start: u64,
+    clock: &dyn Clock,
+) -> (Response, ExecObs) {
+    let obs = ExecObs {
+        cache_ns: clock.now_ns().saturating_sub(probe_start),
+        cached: true,
+        key,
+        ..ExecObs::default()
+    };
+    let response = Response {
+        payload,
+        cached: true,
+    };
+    (response, obs)
 }
 
 fn render_transitions(
@@ -716,6 +749,31 @@ mod tests {
         let plain = engine.execute_lane(&query, 0).unwrap();
         assert!(plain.cached);
         assert_eq!(plain.payload, cold.payload);
+    }
+
+    #[test]
+    fn resident_probe_shares_the_execution_key_and_counts_one_lookup_per_request() {
+        let engine = engine();
+        let clock = lfp_obs::MonotonicClock::new();
+        let query = Query::Transitions {
+            selection: Selection {
+                min_hops: Some(3),
+                ..Selection::default()
+            },
+        };
+        // Not resident yet: no answer, and the miss is left to the
+        // execution that follows.
+        assert!(engine.resident_lane_obs(&query, 2, &clock).is_none());
+        let (cold, cold_obs) = engine.execute_lane_obs(&query, 2, &clock).unwrap();
+        assert_eq!(cold_obs.key, engine.canonical(&query));
+        let (warm, warm_obs) = engine.resident_lane_obs(&query, 2, &clock).unwrap();
+        assert!(warm.cached && warm_obs.cached);
+        assert_eq!(warm.payload, cold.payload);
+        assert_eq!(warm_obs.key, cold_obs.key);
+        assert_eq!((warm_obs.plan_ns, warm_obs.render_ns), (0, 0));
+        // Two requests, two lookups: one miss, one hit.
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

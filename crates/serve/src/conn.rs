@@ -2,13 +2,15 @@
 //! assembly line.
 //!
 //! A connection accumulates raw socket chunks in a
-//! [`FrameDecoder`](lfp_query::FrameDecoder), hands decoded requests to
-//! the worker pool tagged with a per-connection **sequence number**, and
+//! [`FrameDecoder`](lfp_query::FrameDecoder), tags each decoded request
+//! with a per-connection **sequence number** — the loop answers resident
+//! results on the spot and hands the rest to the worker pool — and
 //! reassembles the (possibly out-of-order) completions into an in-order
 //! byte stream:
 //!
 //! ```text
-//!  socket ──► decoder ──► seq-tagged jobs ──► workers (any order)
+//!  socket ──► decoder ──► seq-tagged ──┬─► inline answer (cache hit)
+//!                                      └─► workers (misses, any order)
 //!                                               │
 //!  socket ◄── write_buf ◄── in-order flush ◄── done: BTreeMap<seq, …>
 //! ```
@@ -183,8 +185,8 @@ impl Conn {
         seq
     }
 
-    /// Record the response for `seq` (from a worker, or synthesised
-    /// in-loop for control queries and framing errors).
+    /// Record the response for `seq` (from a worker, or produced on the
+    /// loop: inline answers, control queries, sheds, framing errors).
     pub(crate) fn complete(&mut self, seq: u64, payload: Payload) {
         self.done.insert(seq, (payload, None));
     }

@@ -28,15 +28,16 @@
 //!   hand each stream to a shard round-robin by accept order,
 //! * `shard` *(internal)* — one independent event loop per shard: its
 //!   own poll set, wake pipe, worker pool, fault lane and result-cache
-//!   lane; decode + reassemble + write for exactly the connections it
-//!   owns,
+//!   lane; decode, answer cache-resident results inline, reassemble +
+//!   write for exactly the connections it owns, with the pool left to
+//!   cache misses and extension lines,
 //! * [`server`] — [`Server`]: the thin supervisor that binds the
 //!   listener, spawns `loops` shards, runs the acceptor, fans out
 //!   shutdown/drain through one control plane, and merges per-shard
 //!   counters into the final report and the `stats` reply (with a
-//!   `per_shard` breakdown). Workers execute queries against the
-//!   engine fetched per request from an [`EngineSource`] — so store
-//!   epoch swaps land mid-pipeline without torn responses.
+//!   `per_shard` breakdown). Loops and workers answer every query
+//!   against the engine fetched per request from an [`EngineSource`] —
+//!   so store epoch swaps land mid-pipeline without torn responses.
 //!
 //! Graceful shutdown is a first-class state: the `shutdown` control
 //! query (on any shard) stops accepting and reading everywhere,

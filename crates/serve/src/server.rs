@@ -103,16 +103,23 @@ pub struct ServeConfig {
     /// flush before abandoning the stragglers.
     pub drain_timeout: Duration,
     /// Admission-control watermark on a shard's job-queue depth: once
-    /// this many decoded requests are waiting for that shard's workers,
-    /// new data queries on it are **shed** with the typed `overloaded`
-    /// wire error instead of joining the queue. `usize::MAX` (the
-    /// default) disables shedding.
+    /// this many requests are waiting for that shard's workers, new data
+    /// queries on it are **shed** with the typed `overloaded` wire error
+    /// instead of being admitted. Only work that queues builds the depth
+    /// — cache misses, and lines for the extension or a typed error. A
+    /// resident answer is served on the loop and never queues, so a warm
+    /// working set alone never sheds; the check runs before a line is
+    /// parsed, so while misses hold the queue at the watermark, every
+    /// data line on that shard is shed. `usize::MAX` (the default)
+    /// disables shedding.
     pub queue_watermark: usize,
-    /// Per-request deadline, measured from pipeline admission. A job a
-    /// worker picks up after its deadline is answered `overloaded`
-    /// (reason `deadline`) without executing — under backlog the
-    /// client has long since retried or given up, and executing it
-    /// anyway only starves requests that can still make it.
+    /// Per-request deadline, measured from pipeline admission to the
+    /// start of execution. A request that waited that long is answered
+    /// `overloaded` (reason `deadline`) without executing — under
+    /// backlog the client has long since retried or given up, and
+    /// executing it anyway only starves requests that can still make
+    /// it. An answer served on the loop starts at admission, so there
+    /// only a zero deadline fires.
     pub request_deadline: Duration,
     /// Retry hint (milliseconds) embedded in `overloaded` responses.
     pub retry_hint_ms: u64,
@@ -150,7 +157,8 @@ pub struct ServeReport {
     pub queries: u64,
     /// Control requests (stats/shutdown) answered.
     pub control: u64,
-    /// Worker completions delivered to connections.
+    /// Data answers delivered to connections, whether the loop answered
+    /// inline or a worker executed them.
     pub completed: u64,
     /// Connections evicted (write-buffer cap or drain deadline).
     pub evicted: u64,
@@ -165,8 +173,8 @@ pub struct ServeReport {
     pub bytes_read: u64,
     /// Data queries shed at admission (queue watermark).
     pub shed: u64,
-    /// Jobs answered `overloaded` because their deadline expired
-    /// before a worker reached them.
+    /// Data requests answered `overloaded` because their deadline
+    /// expired before execution started.
     pub deadline_expired: u64,
     /// Faults the I/O policies injected, every shard's plus the
     /// acceptor's (0 under [`DirectIo`]).
@@ -260,8 +268,9 @@ impl ServerHandle {
 /// whole per-request data path, as one owned string. Callers that need
 /// the serving core's answer without a socket use it (the repo
 /// benchmark's byte-identity oracle, `query-load`'s in-process
-/// compaction soak); the shard workers run the segmented equivalent,
-/// `shard::answer_line_payload`, whose rendering is property-tested
+/// compaction soak); the shards run the segmented equivalent — decode
+/// once on the loop, then `shard::answer_resident_obs` inline or
+/// `shard::answer_request_obs` in a worker — whose rendering is tested
 /// identical.
 pub fn answer_line(line: &str, engine: &QueryEngine) -> String {
     let value = match parse(line) {
@@ -288,12 +297,17 @@ pub fn answer_line(line: &str, engine: &QueryEngine) -> String {
     }
 }
 
-/// A pluggable answerer multiplexed onto the framed protocol ahead of
-/// the data path: a worker probes the extension first and the extension
-/// owns any line it returns `Some` for. The replication control stream
-/// (`repl_*` requests, answered against the *store* — state no
-/// [`QueryEngine`] can see) rides this seam; everything the extension
-/// declines falls through to normal query execution unchanged.
+/// A pluggable answerer multiplexed onto the framed protocol beside the
+/// data path: every line the data grammar rejects (`wire::decode`
+/// fails) goes to a worker, which probes the extension, and the
+/// extension owns any line it returns `Some` for. The replication
+/// control stream (`repl_*` requests, answered against the *store* —
+/// state no [`QueryEngine`] can see) rides this seam; a line the
+/// extension declines is answered with the decode error. Lines that
+/// decode as data queries never reach the extension — the loop answers
+/// resident ones before any worker runs — so an extension's grammar
+/// must be disjoint from the data grammar (`repl_*` kinds are unknown
+/// query kinds to `wire::decode`).
 ///
 /// Implementations run on worker threads: they must be `Send + Sync`
 /// and cheap to probe on non-matching lines (prefilter on a substring
@@ -535,7 +549,7 @@ impl StatsHub {
             &mut out,
             "lfp_completed_total",
             "counter",
-            "Worker completions delivered to connections.",
+            "Data answers delivered to connections (inline or from a worker).",
             &|s| s.completed,
         );
         sharded(
@@ -556,7 +570,7 @@ impl StatsHub {
             &mut out,
             "lfp_deadline_expired_total",
             "counter",
-            "Jobs answered overloaded past their deadline.",
+            "Data requests answered overloaded past their deadline.",
             &|s| s.deadline_expired,
         );
         sharded(
@@ -934,8 +948,8 @@ impl Server {
     }
 
     /// Install a [`LineExtension`] on every shard's worker pool. Call
-    /// before [`run`](Server::run); the extension is probed ahead of
-    /// query execution for every data line on every shard.
+    /// before [`run`](Server::run); the extension is probed for every
+    /// line the data grammar rejects, on every shard.
     pub fn set_line_extension(&mut self, extension: Arc<dyn LineExtension>) {
         for shard in &mut self.shards {
             shard.extension = Some(Arc::clone(&extension));

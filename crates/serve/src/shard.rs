@@ -12,6 +12,17 @@
 //! counters — is private, which is what lets N shards saturate N cores
 //! without a shared hot lock.
 //!
+//! The loop parses and decodes every data line itself and answers
+//! whatever is already **resident** on the spot: a cache hit on the
+//! shard's lane, a `min_epoch` fence refusal, an expired deadline. For
+//! such an answer the hand-off to a worker and back would cost more
+//! than the answer, so it never takes one. The worker pool gets only
+//! work that can be slow: cache misses (plan, fold, render) and the
+//! lines the data grammar rejects (the line extension's `repl_*`
+//! stream, typed parse and decode errors). Mixed pipelines stay in
+//! order because every reply, inline or pooled, lands in the
+//! connection's sequence-keyed reassembly.
+//!
 //! The split against the old monolith is mechanical: this module is the
 //! former `server.rs` event loop minus the listener (connections arrive
 //! pre-accepted through an **inbox**, a mutexed queue the acceptor
@@ -31,7 +42,7 @@ use crate::server::{
 use crate::sys::{PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use lfp_analysis::json::{escape, parse};
 use lfp_obs::{Clock, SlowLog, Stage};
-use lfp_query::{wire, QueryEngine};
+use lfp_query::{wire, ExecObs, Query, QueryEngine, Response};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
@@ -40,16 +51,65 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// One decoded request travelling to the shard's worker pool.
+/// One request the loop could not answer itself, travelling to the
+/// shard's worker pool.
 pub(crate) struct Job {
     conn: u64,
     seq: u64,
-    line: String,
-    /// When the request was admitted to a pipeline — the epoch its
-    /// deadline is measured from.
-    accepted: Instant,
+    work: Work,
+    /// Clock reading at admission — what the request's deadline is
+    /// measured from.
+    accepted_ns: u64,
     /// The request's span trace, begun at byte arrival.
     trace: Box<ReqTrace>,
+}
+
+/// What a queued job asks of a worker.
+enum Work {
+    /// A decoded data query whose answer was not resident when the loop
+    /// probed the cache.
+    Query(Request),
+    /// A line the data grammar rejected, with the rejection. The line
+    /// extension gets first refusal (the replication stream arrives
+    /// this way); a line it declines is answered with the typed error.
+    Line { line: String, error: String },
+}
+
+/// One data line, parsed and decoded once on the loop: the query plus
+/// its `min_epoch` fencing floor.
+struct Request {
+    query: Query,
+    min_epoch: Option<u64>,
+}
+
+impl Request {
+    /// Parse and decode one protocol line. The error is the message of
+    /// the failure envelope, worded exactly as [`answer_line`]'s.
+    ///
+    /// [`answer_line`]: crate::server::answer_line
+    fn decode(line: &str) -> Result<Request, String> {
+        let value = parse(line).map_err(|error| format!("invalid JSON: {error}"))?;
+        let query = wire::decode_value(&value)?;
+        Ok(Request {
+            query,
+            min_epoch: wire::min_epoch_of(&value),
+        })
+    }
+
+    /// Epoch fencing, identical to `answer_line`: a `min_epoch` floor
+    /// above `engine`'s epoch gets the typed refusal.
+    fn fenced_off(&self, engine: &QueryEngine) -> Option<Payload> {
+        let want = self.min_epoch?;
+        let have = engine.epoch();
+        (have < want).then(|| Payload::Owned(wire::stale_epoch_envelope(have, want)))
+    }
+}
+
+/// The request-deadline check, the same on the loop and in the workers:
+/// a request that waited `deadline` or longer between admission and the
+/// start of its execution is answered `overloaded` without executing.
+fn past_deadline(accepted_ns: u64, started_ns: u64, deadline: Duration) -> bool {
+    u128::from(started_ns.saturating_sub(accepted_ns)) >= deadline.as_nanos()
 }
 
 /// One executed response travelling back.
@@ -188,59 +248,71 @@ impl Drain {
     }
 }
 
-/// Answer one already-framed protocol line as a segmented [`Payload`]:
-/// successful answers keep the cache-resident result bytes shared
-/// (flushed later with one gathered write), failures render owned.
-/// Byte-for-byte equivalent to `answer_line` + newline framing — the
-/// head/tail split is property-tested in `lfp_query::wire`, and the
-/// whole rendering is re-checked against `answer_line` below.
+/// Execute one decoded request as a segmented [`Payload`] — the worker's
+/// half of the data path. The fence is checked against `engine`, the
+/// engine the worker fetched for this request, and execution goes
+/// through [`QueryEngine::execute_lane_obs`], which probes the cache
+/// once more before planning. Successful answers keep the
+/// cache-resident result bytes shared (flushed later with one gathered
+/// write); failures render owned. [`Request::decode`] followed by this
+/// is byte-for-byte `answer_line` plus newline framing: the head/tail
+/// split is property-tested in `lfp_query::wire`, and the whole
+/// rendering is re-checked against `answer_line` below.
 ///
-/// Execution goes through [`QueryEngine::execute_lane_obs`], filling
-/// `rt` with the canonical query, cache/plan/render sub-stage
-/// durations, the planner explain trace and the success flag — the
+/// `rt` receives the canonical query (the key execution already built —
+/// one canonical string per request), the cache/plan/render sub-stage
+/// durations, the planner explain trace and the success flag; the
 /// observed path is byte-identical to the unobserved one (tested in
 /// `lfp_query::engine`).
-pub(crate) fn answer_line_payload_obs(
-    line: &str,
+fn answer_request_obs(
+    request: &Request,
     engine: &QueryEngine,
     lane: u64,
     clock: &dyn Clock,
     rt: &mut ReqTrace,
 ) -> Payload {
-    let value = match parse(line) {
-        Ok(value) => value,
-        Err(error) => {
-            return Payload::Owned(wire::error_envelope(&format!("invalid JSON: {error}")))
-        }
-    };
-    match wire::decode_value(&value) {
-        Ok(query) => {
-            // Epoch fencing, identical to `answer_line`: a `min_epoch`
-            // floor above this engine's epoch gets the typed refusal.
-            if let Some(want) = wire::min_epoch_of(&value) {
-                let have = engine.epoch();
-                if have < want {
-                    return Payload::Owned(wire::stale_epoch_envelope(have, want));
-                }
-            }
-            match engine.execute_lane_obs(&query, lane, clock) {
-                Ok((response, obs)) => {
-                    rt.canonical = engine.canonical(&query);
-                    rt.cached = response.cached;
-                    rt.explain = obs.explain;
-                    rt.ok = true;
-                    rt.trace.add(Stage::CacheLookup, obs.cache_ns);
-                    rt.trace.add(Stage::Plan, obs.plan_ns);
-                    rt.trace.add(Stage::Render, obs.render_ns);
-                    Payload::Rendered {
-                        head: wire::ok_envelope_head(&rt.canonical, response.cached),
-                        body: response.payload,
-                    }
-                }
-                Err(error) => Payload::Owned(wire::error_envelope(&error)),
-            }
-        }
+    if let Some(refusal) = request.fenced_off(engine) {
+        return refusal;
+    }
+    match engine.execute_lane_obs(&request.query, lane, clock) {
+        Ok((response, obs)) => rendered(response, obs, rt),
         Err(error) => Payload::Owned(wire::error_envelope(&error)),
+    }
+}
+
+/// The loop's half of the data path: answer a decoded request if that
+/// takes no execution — the fence refusal, or the result already
+/// resident on `lane` — and `None` for a miss, which must go to a
+/// worker. The rendering and the trace are exactly
+/// [`answer_request_obs`]'s for the same outcome.
+fn answer_resident_obs(
+    request: &Request,
+    engine: &QueryEngine,
+    lane: u64,
+    clock: &dyn Clock,
+    rt: &mut ReqTrace,
+) -> Option<Payload> {
+    if let Some(refusal) = request.fenced_off(engine) {
+        return Some(refusal);
+    }
+    let (response, obs) = engine.resident_lane_obs(&request.query, lane, clock)?;
+    Some(rendered(response, obs, rt))
+}
+
+/// The success envelope around a shared result body, with the outcome
+/// recorded into `rt`.
+fn rendered(response: Response, obs: ExecObs, rt: &mut ReqTrace) -> Payload {
+    rt.cached = response.cached;
+    rt.explain = obs.explain;
+    rt.ok = true;
+    rt.trace.add(Stage::CacheLookup, obs.cache_ns);
+    rt.trace.add(Stage::Plan, obs.plan_ns);
+    rt.trace.add(Stage::Render, obs.render_ns);
+    let head = wire::ok_envelope_head(&obs.key, response.cached);
+    rt.canonical = obs.key;
+    Payload::Rendered {
+        head,
+        body: response.payload,
     }
 }
 
@@ -446,7 +518,6 @@ impl ShardSeed {
                         id,
                         conn,
                         config.max_inflight,
-                        now_ns,
                         &mut reserved,
                         &mut new_jobs,
                     );
@@ -655,18 +726,19 @@ impl ShardSeed {
         });
     }
 
-    /// Drain decoded frames out of one connection into jobs and
-    /// control responses, respecting the pipeline bound. `stats`,
-    /// `metrics` and `slowlog` requests are only *reserved* here
-    /// (sequence number + origin); the loop renders one document for
-    /// all of each kind afterwards. Returns true if a `shutdown`
-    /// control query was accepted.
+    /// Drain decoded frames out of one connection into inline answers,
+    /// jobs and control responses, respecting the pipeline bound.
+    /// Resident data answers complete here (see
+    /// [`answer_inline`](ShardSeed::answer_inline)); `stats`, `metrics`
+    /// and `slowlog` requests are only *reserved* (sequence number +
+    /// origin) and the loop renders one document for all of each kind
+    /// afterwards. Returns true if a `shutdown` control query was
+    /// accepted.
     fn pump_frames(
         &self,
         id: u64,
         conn: &mut Conn,
         max_inflight: usize,
-        now_ns: u64,
         reserved: &mut ControlRequests,
         new_jobs: &mut Vec<Job>,
     ) -> bool {
@@ -716,7 +788,11 @@ impl ShardSeed {
                             let seq = conn.assign_seq();
                             // Admission control: shed against this
                             // shard's live queue depth plus this
-                            // iteration's not-yet-pushed batch. The
+                            // iteration's not-yet-pushed batch. Only
+                            // queued work builds that depth — resident
+                            // answers complete inline below — and the
+                            // check runs before the parse, so a shed
+                            // stays the cheapest reply there is. The
                             // response slot is already assigned, so the
                             // shed reply keeps its place in the
                             // pipeline order.
@@ -738,12 +814,30 @@ impl ShardSeed {
                             // arrival of its bytes to this decode is
                             // the `accept` stage.
                             let mut trace = ReqTrace::begin(conn.arrived_ns);
-                            trace.trace.stamp(Stage::Accept, now_ns);
+                            let decoded = Request::decode(line);
+                            let accepted_ns = self.clock.now_ns();
+                            trace.trace.stamp(Stage::Accept, accepted_ns);
+                            let work = match decoded {
+                                Ok(request) => {
+                                    match self.answer_inline(request, accepted_ns, &mut trace) {
+                                        Ok(payload) => {
+                                            conn.complete_traced(seq, payload, Some(trace));
+                                            self.shared.completed.fetch_add(1, Ordering::Relaxed);
+                                            continue;
+                                        }
+                                        Err(request) => Work::Query(request),
+                                    }
+                                }
+                                Err(error) => Work::Line {
+                                    line: line.to_string(),
+                                    error,
+                                },
+                            };
                             new_jobs.push(Job {
                                 conn: id,
                                 seq,
-                                line: line.to_string(),
-                                accepted: Instant::now(),
+                                work,
+                                accepted_ns,
                                 trace,
                             });
                         }
@@ -779,6 +873,39 @@ impl ShardSeed {
         }
         shutdown
     }
+
+    /// Answer a decoded request on the loop when no execution is
+    /// needed: a deadline already past, a fence refusal, or a result
+    /// resident on this shard's cache lane. The engine is fetched for
+    /// this request alone, as a worker would. Hands the request back
+    /// on a cache miss.
+    fn answer_inline(
+        &self,
+        request: Request,
+        accepted_ns: u64,
+        rt: &mut ReqTrace,
+    ) -> Result<Payload, Request> {
+        // Execution starts at the admission instant — `queue` and
+        // `claim` stay zero — so the worker's deadline check fires here
+        // only for a zero deadline.
+        let payload = if past_deadline(accepted_ns, accepted_ns, self.config.request_deadline) {
+            self.shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
+            Payload::Owned(wire::overloaded_envelope(
+                "deadline",
+                self.config.retry_hint_ms,
+            ))
+        } else {
+            let engine = self.source.engine();
+            rt.epoch = engine.epoch();
+            let lane = self.id as u64;
+            match answer_resident_obs(&request, &engine, lane, self.clock.as_ref(), rt) {
+                Some(payload) => payload,
+                None => return Err(request),
+            }
+        };
+        rt.trace.stamp(Stage::Execute, self.clock.now_ns());
+        Ok(payload)
+    }
 }
 
 /// Control requests reserved during frame pumping, grouped by kind so
@@ -792,12 +919,14 @@ struct ControlRequests {
 }
 
 /// Jobs a worker claims per queue lock. Batching amortises the lock,
-/// the completion post and the wake pipe over many requests — without
-/// it, every pipelined query pays a cross-thread ping-pong, which on a
-/// loaded box costs more than executing the (cache-hit) query itself.
+/// the completion post and the wake pipe over many requests. Only work
+/// the loop could not answer itself is queued — cache misses and lines
+/// for the extension or a typed error — because for a resident answer
+/// the cross-thread round trip costs more than the answer: hits are
+/// served on the loop and never reach a batch.
 const WORKER_BATCH: usize = 64;
 
-/// One worker: claim a batch, fetch the *current* engine per request,
+/// One worker: claim a batch, fetch the *current* engine per query,
 /// execute (or expire), post the completions in one go, nudge the loop
 /// once. `lane` is the owning shard's id — it selects the result-cache
 /// lane so each shard's hot set stays on its own cache shards.
@@ -838,31 +967,36 @@ fn worker_loop(
             let Job {
                 conn,
                 seq,
-                line,
-                accepted,
+                work,
+                accepted_ns,
                 mut trace,
             } = job;
             trace.trace.stamp(Stage::Queue, claimed_ns);
-            trace.trace.stamp(Stage::Claim, clock.now_ns());
+            let started_ns = clock.now_ns();
+            trace.trace.stamp(Stage::Claim, started_ns);
             // A request the queue held past its deadline is answered
             // `overloaded` without executing: its client has already
             // retried (or walked), and every cycle spent on it delays
             // requests that can still make their deadlines.
-            let payload = if accepted.elapsed() >= deadline {
+            let payload = if past_deadline(accepted_ns, started_ns, deadline) {
                 shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
                 Payload::Owned(wire::overloaded_envelope("deadline", retry_hint_ms))
             } else {
-                // Per request, not per batch: an epoch swap mid-batch
-                // is picked up by the very next query.
-                let engine = source.engine();
-                trace.epoch = engine.epoch();
-                // The extension (replication control stream) gets first
-                // refusal; lines it declines take the data path.
-                match extension.as_ref().and_then(|ext| ext.try_answer(&line)) {
-                    Some(reply) => Payload::Owned(reply),
-                    None => {
-                        answer_line_payload_obs(&line, &engine, lane, clock.as_ref(), &mut trace)
+                match work {
+                    Work::Query(request) => {
+                        // Per request, not per batch: an epoch swap
+                        // since the loop's probe — or mid-batch — is
+                        // picked up here, fence included.
+                        let engine = source.engine();
+                        trace.epoch = engine.epoch();
+                        answer_request_obs(&request, &engine, lane, clock.as_ref(), &mut trace)
                     }
+                    Work::Line { line, error } => Payload::Owned(
+                        extension
+                            .as_ref()
+                            .and_then(|ext| ext.try_answer(&line))
+                            .unwrap_or_else(|| wire::error_envelope(&error)),
+                    ),
                 }
             };
             trace.trace.stamp(Stage::Execute, clock.now_ns());
@@ -886,6 +1020,14 @@ fn worker_loop(
 mod tests {
     use super::*;
 
+    /// The wire line a payload flushes as (without the newline).
+    fn flatten(payload: Payload) -> String {
+        match payload {
+            Payload::Owned(s) => s,
+            Payload::Rendered { head, body } => format!("{head}{body}}}"),
+        }
+    }
+
     #[test]
     fn drain_deadline_arms_once() {
         let mut drain = Drain::default();
@@ -899,6 +1041,14 @@ mod tests {
         assert_eq!(drain.deadline.unwrap(), armed);
         std::thread::sleep(Duration::from_millis(10));
         assert!(drain.expired());
+    }
+
+    #[test]
+    fn zero_deadline_expires_at_admission_and_others_measure_the_wait() {
+        assert!(past_deadline(7, 7, Duration::ZERO));
+        assert!(!past_deadline(7, 7, Duration::from_nanos(1)));
+        assert!(past_deadline(0, 1_000_000, Duration::from_millis(1)));
+        assert!(!past_deadline(0, 999_999, Duration::from_millis(1)));
     }
 
     #[test]
@@ -923,11 +1073,23 @@ mod tests {
             let scalar = answer_line(line, &engine);
             let clock = lfp_obs::ManualClock::new(0);
             let mut rt = ReqTrace::begin(0);
-            let rendered = match answer_line_payload_obs(line, &engine, 0, &clock, &mut rt) {
-                Payload::Owned(s) => s,
-                Payload::Rendered { head, body } => format!("{head}{body}}}"),
+            let payload = match Request::decode(line) {
+                Ok(request) => answer_request_obs(&request, &engine, 0, &clock, &mut rt),
+                Err(error) => Payload::Owned(wire::error_envelope(&error)),
             };
+            let rendered = flatten(payload);
             assert_eq!(scalar, rendered, "line {line}");
+            // The loop's inline answer is the same bytes and the same
+            // trace outcome, for everything it can answer without
+            // executing (every decodable line here is resident by now).
+            if let Ok(request) = Request::decode(line) {
+                let mut inline_rt = ReqTrace::begin(0);
+                let inline = answer_resident_obs(&request, &engine, 0, &clock, &mut inline_rt)
+                    .expect("warmed line is resident");
+                assert_eq!(flatten(inline), scalar, "line {line}");
+                assert_eq!(inline_rt.ok, rt.ok, "line {line}");
+                assert_eq!(inline_rt.canonical, rt.canonical, "line {line}");
+            }
             // The trace context mirrors the outcome: data queries that
             // executed carry their canonical form; failures do not.
             if scalar.contains("\"ok\": true") {

@@ -11,6 +11,7 @@
 mod util;
 
 use lfp_analysis::json::{parse, JsonValue};
+use lfp_query::wire;
 use lfp_store::{follow_once, repl::b64, ReplClient, ReplSource, Store, REPL_CHUNK};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -106,6 +107,45 @@ fn snapshot_ships_in_chunks_and_reassembles_exactly() {
     assert!(over.contains("\"ok\": false"), "{over}");
     assert!(source.answer(r#"{"query": "catalog"}"#).is_none());
     assert!(source.answer("not json at all").is_none());
+}
+
+/// The serving loop answers resident data queries before any line
+/// extension sees them, and hands the extension only lines the data
+/// grammar rejects. That order is safe because the two grammars are
+/// disjoint: the answerer declines every line `wire::decode` accepts —
+/// even one carrying `repl_` in a string field — and every replication
+/// line fails to decode.
+#[test]
+fn replication_and_data_grammars_are_disjoint() {
+    let primary = Arc::new(Store::from_world(util::shared_tiny_world()));
+    let source = ReplSource::new(Arc::clone(&primary));
+    let engine = primary.engine();
+    let mut data: Vec<String> = util::catalog_mix(&engine)
+        .iter()
+        .flat_map(|query| [query.canonical(), engine.canonical(query)])
+        .collect();
+    data.extend([
+        r#"{"query": "catalog", "min_epoch": 0}"#.to_string(),
+        r#"{"query": "transitions", "source": "repl_status"}"#.to_string(),
+        r#"{"query": "longest_runs", "source": "repl_delta", "min_epoch": 3}"#.to_string(),
+    ]);
+    for line in &data {
+        assert!(wire::decode(line).is_ok(), "not a data line: {line}");
+        assert!(
+            source.answer(line).is_none(),
+            "repl took a data line: {line}"
+        );
+    }
+    for line in [
+        r#"{"query": "repl_status"}"#,
+        r#"{"query": "repl_snapshot", "offset": 0}"#,
+        r#"{"query": "repl_delta", "have": 0}"#,
+        r#"{"query": "repl_ingest"}"#,
+        r#"{"query": "repl_bogus"}"#,
+    ] {
+        assert!(wire::decode(line).is_err(), "repl line decodes: {line}");
+        assert!(source.answer(line).is_some(), "repl declined: {line}");
+    }
 }
 
 #[test]

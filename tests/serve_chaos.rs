@@ -53,7 +53,16 @@ impl TestServer {
         config: ServeConfig,
         factory: impl FnMut(PolicySlot) -> Box<dyn IoPolicy>,
     ) -> TestServer {
-        let engine = shared_engine();
+        TestServer::start_on(shared_engine(), config, factory)
+    }
+
+    /// [`start`](Self::start) over a given engine — one whose cache
+    /// state the test controls.
+    fn start_on(
+        engine: Arc<QueryEngine>,
+        config: ServeConfig,
+        factory: impl FnMut(PolicySlot) -> Box<dyn IoPolicy>,
+    ) -> TestServer {
         let source: Arc<dyn EngineSource> = Arc::new(move || Arc::clone(&engine));
         let server =
             Server::bind_with_policy_factory("127.0.0.1:0", config, source, factory).expect("bind");
@@ -406,13 +415,16 @@ fn aggressive_resets_lose_connections_not_correctness() {
 // ---------------------------------------------------------------------
 // Matrix row: overload. A one-worker server with a tiny admission
 // watermark sheds pipelined bursts with the typed `overloaded` error —
-// every request still gets exactly one reply, in order.
+// every request still gets exactly one reply, in order. Only queued work
+// fills the watermark (a resident answer is served on the loop), so the
+// burst is of distinct queries on an engine whose cache is still empty.
 // ---------------------------------------------------------------------
 
 #[test]
 fn watermark_sheds_bursts_with_typed_overloaded_errors() {
-    let engine = shared_engine();
-    let server = TestServer::start(
+    let engine = Arc::new(QueryEngine::new(Arc::clone(shared_engine().world())));
+    let server = TestServer::start_on(
+        Arc::clone(&engine),
         ServeConfig {
             workers: 1,
             queue_watermark: 1,
@@ -431,10 +443,12 @@ fn watermark_sheds_bursts_with_typed_overloaded_errors() {
 
     // One 32-request burst in a single write: the pump admits at most
     // the watermark's worth and sheds the rest of the batch.
-    let line = "{\"query\": \"catalog\"}";
     let burst = 32usize;
+    let lines: Vec<String> = (0..burst)
+        .map(|hops| format!("{{\"query\": \"longest_runs\", \"min_hops\": {hops}}}"))
+        .collect();
     let mut bytes = Vec::new();
-    for _ in 0..burst {
+    for line in &lines {
         bytes.extend_from_slice(line.as_bytes());
         bytes.push(b'\n');
     }
@@ -442,7 +456,7 @@ fn watermark_sheds_bursts_with_typed_overloaded_errors() {
 
     let mut served = 0usize;
     let mut shed = 0usize;
-    for _ in 0..burst {
+    for line in &lines {
         let mut reply = String::new();
         assert!(reader.read_line(&mut reply).expect("reply") > 0);
         let reply = reply.trim_end();

@@ -9,7 +9,7 @@
 //! connections.
 
 use lfp::query::{wire, QueryEngine, Response};
-use lfp::serve::{EngineSource, ServeConfig, ServeReport, Server, ServerHandle};
+use lfp::serve::{answer_line, EngineSource, ServeConfig, ServeReport, Server, ServerHandle};
 use lfp::topo::Scale;
 use lfp_analysis::json::{parse, JsonValue};
 use lfp_analysis::World;
@@ -36,7 +36,12 @@ struct TestServer {
 
 impl TestServer {
     fn start(config: ServeConfig) -> TestServer {
-        let engine = shared_engine();
+        TestServer::start_on(shared_engine(), config)
+    }
+
+    /// [`start`](Self::start) over a given engine — one whose cache
+    /// state the test controls.
+    fn start_on(engine: Arc<QueryEngine>, config: ServeConfig) -> TestServer {
         let source: Arc<dyn EngineSource> = Arc::new(move || Arc::clone(&engine));
         let server = Server::bind("127.0.0.1:0", config, source).expect("bind ephemeral");
         let addr = server.local_addr();
@@ -727,4 +732,114 @@ fn evicted_reader_on_one_shard_never_stalls_the_other() {
 
     let report = server.stop();
     assert!(report.evicted >= 1, "staller was never evicted: {report:?}");
+}
+
+// ---------------------------------------------------------------------
+// Inline answers: the loop serves resident results itself and queues
+// only misses. Replies must not care which path a request took.
+// ---------------------------------------------------------------------
+
+/// A fresh engine over the shared world: its own, empty result cache.
+fn fresh_engine() -> Arc<QueryEngine> {
+    Arc::new(QueryEngine::new(Arc::clone(shared_engine().world())))
+}
+
+/// One connection per shard pipelines resident hits interleaved with
+/// first-time misses. Each reply must arrive in request order and be
+/// byte-identical to `answer_line` on an engine that saw the same
+/// requests in the same order — `cached` flag included, so a hit really
+/// came from the cache and a miss really executed.
+#[test]
+fn interleaved_hits_and_misses_reply_in_order_like_answer_line() {
+    for loops in [1usize, 4] {
+        let engine = fresh_engine();
+        let oracle = fresh_engine();
+        let server = TestServer::start_on(
+            Arc::clone(&engine),
+            ServeConfig {
+                loops,
+                ..ServeConfig::default()
+            },
+        );
+        let addr = server.addr;
+
+        // Round-robin accept order puts connection `c` on shard `c`.
+        std::thread::scope(|scope| {
+            for conn in 0..loops {
+                let oracle = &oracle;
+                scope.spawn(move || {
+                    let base = conn * 8;
+                    let hits: Vec<String> = (base..base + 4)
+                        .map(|hops| format!("{{\"query\": \"transitions\", \"min_hops\": {hops}}}"))
+                        .collect();
+                    let misses: Vec<String> = (base..base + 4)
+                        .map(|hops| {
+                            format!("{{\"query\": \"longest_runs\", \"min_hops\": {hops}}}")
+                        })
+                        .collect();
+                    let mut client = Client::connect(addr);
+                    // Make the hits resident on this connection's shard.
+                    for line in &hits {
+                        client.send(format!("{line}\n").as_bytes());
+                        let reply = client.read_line().expect("warm reply");
+                        assert_eq!(reply, answer_line(line, oracle), "[{loops} loops] {line}");
+                    }
+                    let pipeline: Vec<&String> = hits
+                        .iter()
+                        .zip(&misses)
+                        .flat_map(|(hit, miss)| [hit, miss])
+                        .chain(&hits[..2])
+                        .collect();
+                    let burst: String = pipeline.iter().map(|line| format!("{line}\n")).collect();
+                    client.send(burst.as_bytes());
+                    for line in pipeline {
+                        let reply = client.read_line().expect("pipelined reply");
+                        assert_eq!(reply, answer_line(line, oracle), "[{loops} loops] {line}");
+                    }
+                });
+            }
+        });
+
+        let report = server.stop();
+        assert_eq!(report.queries, (loops * 14) as u64);
+        assert_eq!(report.completed, (loops * 14) as u64);
+        assert!(report.drained_cleanly);
+        // One lookup per request: the six pipelined hits per connection
+        // on the loop, the four warm-ups and four misses in the workers.
+        let stats = engine.cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            ((loops * 6) as u64, (loops * 8) as u64)
+        );
+    }
+}
+
+/// The fence binds inline answers exactly as it binds executed ones: a
+/// resident result asked for with `min_epoch` above the engine's epoch
+/// gets the typed `stale_epoch` refusal, and with a passing fence it is
+/// the same cache entry the unfenced request filled.
+#[test]
+fn inline_hits_honour_the_min_epoch_fence_and_share_the_unfenced_entry() {
+    let engine = fresh_engine();
+    let oracle = fresh_engine();
+    let server = TestServer::start_on(Arc::clone(&engine), ServeConfig::default());
+    let mut client = Client::connect(server.addr);
+    let mut ask = |line: &str| {
+        client.send(format!("{line}\n").as_bytes());
+        client.read_line().expect("reply")
+    };
+
+    let line = "{\"query\": \"longest_runs\", \"min_hops\": 3}";
+    assert_eq!(ask(line), answer_line(line, &oracle), "cold fill");
+    let refused = ask("{\"query\": \"longest_runs\", \"min_hops\": 3, \"min_epoch\": 1}");
+    assert_eq!(refused, wire::stale_epoch_envelope(0, 1));
+    let passing = ask("{\"query\": \"longest_runs\", \"min_hops\": 3, \"min_epoch\": 0}");
+    let warm = answer_line(line, &oracle);
+    assert!(warm.contains("\"cached\": true"), "{warm}");
+    assert_eq!(passing, warm, "the fenced hit is the unfenced entry");
+    // The refusal never probed the cache; the passing fence hit it.
+    let stats = engine.cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+
+    server.stop();
 }
