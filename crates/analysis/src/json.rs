@@ -13,34 +13,58 @@
 //! JavaScript consumers) so emitted lines survive every line-delimited
 //! transport.
 
+use std::fmt::Write as _;
+
 /// Escape a string for inclusion inside JSON quotes.
 pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+    escape_into(&mut out, text);
+    out
+}
+
+/// [`escape`], appended to `out`: runs of characters that need no
+/// escaping are copied as whole slices.
+pub fn escape_into(out: &mut String, text: &str) {
+    let mut clean = 0;
+    for (index, c) in text.char_indices() {
+        let replacement = match c {
+            '"' => "\\\"",
+            '\\' => "\\\\",
+            '\n' => "\\n",
+            '\r' => "\\r",
+            '\t' => "\\t",
             // JSON allows these raw, but they terminate lines in JS and in
             // some line-delimited framings; emit them escaped so one JSON
             // document is always exactly one line.
-            '\u{2028}' => out.push_str("\\u2028"),
-            '\u{2029}' => out.push_str("\\u2029"),
-            c => out.push(c),
+            '\u{2028}' => "\\u2028",
+            '\u{2029}' => "\\u2029",
+            c if (c as u32) < 0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&text[clean..index]);
+        if replacement.is_empty() {
+            let _ = write!(out, "\\u{:04x}", c as u32);
+        } else {
+            out.push_str(replacement);
         }
+        clean = index + c.len_utf8();
     }
-    out
+    out.push_str(&text[clean..]);
 }
 
 /// Format a float as a JSON number (`null` for NaN/infinity).
 pub fn number(value: f64) -> String {
+    let mut out = String::new();
+    push_number(&mut out, value);
+    out
+}
+
+/// [`number`], appended to `out`.
+pub fn push_number(out: &mut String, value: f64) {
     if value.is_finite() {
-        format!("{value}")
+        let _ = write!(out, "{value}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 

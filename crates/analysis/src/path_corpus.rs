@@ -47,6 +47,38 @@
 //!   by sorting, so the [`Ecdf`] (and its mean — a sum of
 //!   integer-valued `f64`s, exact in any order) is the same value.
 //!
+//! ## Group folds
+//!
+//! The exploratory questions (paper §6–7) slice the corpus by dataset,
+//! by US slice and by path length, with no AS endpoint at all — and for
+//! those a per-row fold still walks thousands of rows. So the corpus
+//! also keeps, for every **(source, US slice, router-hop count)** group,
+//! the group's row count, its longest-run histogram and its transition
+//! cells. They accumulate as rows are interned, from the same per-
+//! sequence summaries the row folds read (O(new rows)), and are sealed
+//! into one immutable [`Arc`]-shared table per source when a build or an
+//! extension ends, plus a corpus-wide total that an extension updates by
+//! adding only the new sources' tables. A table is sparse over hop
+//! counts and lists only the run lengths and matrix cells present in it,
+//! so nothing is sized by `u16::MAX`; within a slice its groups are
+//! stored as prefix sums over ascending hop counts. Any endpoint-free
+//! selection — a source or the whole corpus, a hop range, a slice or
+//! all three — is then at most three slices × two prefix lookups
+//! ([`PathCorpus::group_transitions`], [`PathCorpus::group_runs`]), and
+//! no row is visited.
+//!
+//! The answers are the row folds' answers, exactly: every count is an
+//! integer summed in `u64` (a prefix difference is an exact sum of the
+//! groups in range), and a [`RunHistogram`]'s mean and quantiles are
+//! computed the way [`Ecdf`]'s are — the integer sample sum is exact below
+//! 2^53, which is the same value `Ecdf` reaches by adding integer-valued
+//! `f64`s, and the quantile rank is the same `round(q·(n−1))`. Like the
+//! summaries, the tables are derived: never serialised (`CorpusParts` and
+//! the store bytes do not change), rebuilt by
+//! [`PathCorpus::from_parts`] and covered by `PartialEq`. A table is a
+//! canonical function of its groups' sums, so a chain of extensions, one
+//! batch extension and a round trip through the parts all compare equal.
+//!
 //! ## Construction and determinism
 //!
 //! Building ingests every RIPE snapshot plus ITDK-derivable paths
@@ -73,6 +105,7 @@ use lfp_topo::Internet;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 use std::num::NonZeroUsize;
+use std::sync::Arc;
 
 /// Hop code for a responsive router hop without a unique LFP verdict.
 pub const UNKNOWN_HOP: u8 = u8::MAX;
@@ -221,6 +254,355 @@ impl SequenceSummaries {
     }
 }
 
+/// A dense vendor×vendor transition matrix: cell `from·16 + to` counts
+/// the hand-off `from → to`, by vendor code (which is `Vendor: Ord`
+/// order, so reading the cells in index order is reading the pairs in
+/// order).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TransitionCells([u64; MATRIX_CELLS]);
+
+impl TransitionCells {
+    /// The nonzero cells as `(from, to, count)`, in `(Vendor, Vendor)`
+    /// order.
+    pub fn nonzero(&self) -> impl Iterator<Item = (Vendor, Vendor, u64)> + '_ {
+        self.0
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(cell, &count)| {
+                let from = Vendor::ALL[cell / MATRIX_SIDE];
+                (from, Vendor::ALL[cell % MATRIX_SIDE], count)
+            })
+    }
+
+    /// Every hand-off counted.
+    pub fn handoffs(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// The diagonal: hand-offs that kept custody with one vendor.
+    pub fn kept(&self) -> u64 {
+        (0..MATRIX_SIDE)
+            .map(|code| self.0[code * MATRIX_SIDE + code])
+            .sum()
+    }
+}
+
+/// The longest-run samples of a selection as a value histogram:
+/// ascending `(run length, paths)` pairs, both ≥ 1 (paths without an
+/// identified hop are not samples). Read back in order it *is* the
+/// sorted sample vector, and its statistics are computed the way
+/// [`Ecdf`]'s are, so they are the same values bit for bit (see the
+/// module docs' "Group folds").
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunHistogram(Vec<(u16, u64)>);
+
+impl RunHistogram {
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|&(_, paths)| paths as usize).sum()
+    }
+
+    /// True when there is no sample.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Mean of the samples: their integer sum (exact below 2^53) over
+    /// their count — [`Ecdf::mean`]'s value.
+    pub fn mean(&self) -> Option<f64> {
+        let samples = self.len();
+        let sum: u64 = self
+            .0
+            .iter()
+            .map(|&(value, paths)| u64::from(value) * paths)
+            .sum();
+        (samples > 0).then(|| sum as f64 / samples as f64)
+    }
+
+    /// The q-quantile by nearest rank — [`Ecdf::quantile`]'s rank rule.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        let samples = self.len();
+        if samples == 0 {
+            return None;
+        }
+        let rank = (q.clamp(0.0, 1.0) * (samples - 1) as f64).round() as usize;
+        let mut seen = 0usize;
+        self.0.iter().find_map(|&(value, paths)| {
+            seen += paths as usize;
+            (rank < seen).then_some(f64::from(value))
+        })
+    }
+
+    /// The samples expanded into an [`Ecdf`] (already sorted).
+    pub fn to_ecdf(&self) -> Ecdf {
+        let mut sorted = Vec::with_capacity(self.len());
+        for &(value, paths) in &self.0 {
+            sorted.extend(std::iter::repeat_n(f64::from(value), paths as usize));
+        }
+        Ecdf::from_sorted(sorted)
+    }
+}
+
+/// An endpoint-free selection in the group folds' key space: one source
+/// (or the whole corpus), a router-hop range and one US slice (or all).
+/// An empty range (`min_hops > max_hops`) selects nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupSelection {
+    /// Source id, or `None` for every source.
+    pub source: Option<usize>,
+    /// Fewest router hops selected.
+    pub min_hops: u16,
+    /// Most router hops selected.
+    pub max_hops: u16,
+    /// US slice, or `None` for every slice.
+    pub slice: Option<UsSlice>,
+}
+
+/// Number of US slices (the group key's middle component).
+const SLICES: usize = UsSlice::ALL.len();
+
+/// One group's fold while its source is open: rows, the longest-run
+/// histogram (a handful of distinct values, so a short list) and dense
+/// transition cells, with the spare accumulators a sequence's padding
+/// entries aim at.
+#[derive(Debug, Clone)]
+struct GroupAcc {
+    rows: u64,
+    runs: Vec<(u16, u64)>,
+    cells: Box<[u64; MATRIX_CELLS + CELL_BLOCK]>,
+}
+
+impl Default for GroupAcc {
+    fn default() -> GroupAcc {
+        GroupAcc {
+            rows: 0,
+            runs: Vec::new(),
+            cells: Box::new([0; MATRIX_CELLS + CELL_BLOCK]),
+        }
+    }
+}
+
+impl GroupAcc {
+    fn add_run(&mut self, value: u16, paths: u64) {
+        match self.runs.iter_mut().find(|(run, _)| *run == value) {
+            Some((_, total)) => *total += paths,
+            None => self.runs.push((value, paths)),
+        }
+    }
+}
+
+/// The group folds of the sources a build or an extension is appending,
+/// keyed `(source, slice code, router hops)`, until
+/// [`PathCorpus::seal_groups`] turns them into tables.
+#[derive(Debug)]
+struct OpenGroups {
+    /// Position in `groups` per key.
+    index: HashMap<(u16, u8, u16), usize>,
+    /// The groups, in first-row order.
+    groups: Vec<((u16, u8, u16), GroupAcc)>,
+    /// `index` memoised for the source of the latest row (rows arrive
+    /// grouped by source) and hop counts below [`MEMO_HOPS`], so most rows
+    /// skip the hash.
+    memo_source: u16,
+    memo: [usize; SLICES * MEMO_HOPS],
+}
+
+/// Hop counts the [`OpenGroups`] memo covers (every real path is shorter).
+const MEMO_HOPS: usize = 64;
+
+impl Default for OpenGroups {
+    fn default() -> OpenGroups {
+        OpenGroups {
+            index: HashMap::new(),
+            groups: Vec::new(),
+            memo_source: 0,
+            memo: [usize::MAX; SLICES * MEMO_HOPS],
+        }
+    }
+}
+
+impl OpenGroups {
+    /// Fold one row; `longest` and `cells` are its sequence's summaries.
+    fn add(&mut self, source: u16, slice: UsSlice, hops: u16, longest: u16, cells: &[(u16, u32)]) {
+        if source != self.memo_source {
+            self.memo_source = source;
+            self.memo.fill(usize::MAX);
+        }
+        let memo = (hops as usize) * SLICES + slice.code() as usize;
+        let at = match self.memo.get(memo) {
+            Some(&at) if at != usize::MAX => at,
+            _ => {
+                let key = (source, slice.code(), hops);
+                let fresh = self.groups.len();
+                let at = *self.index.entry(key).or_insert(fresh);
+                if at == fresh {
+                    self.groups.push((key, GroupAcc::default()));
+                }
+                if let Some(slot) = self.memo.get_mut(memo) {
+                    *slot = at;
+                }
+                at
+            }
+        };
+        let group = &mut self.groups[at].1;
+        group.rows += 1;
+        group.add_run(longest, 1);
+        for block in cells.chunks_exact(CELL_BLOCK) {
+            for &(cell, weight) in block {
+                group.cells[cell as usize] += u64::from(weight);
+            }
+        }
+    }
+}
+
+/// The state of one interning fold (a build or an extension): the
+/// sequence and vendor-set dedup tables, and the group folds of the
+/// sources being appended.
+#[derive(Debug, Default)]
+struct Interner {
+    seqs: HashMap<Vec<(u8, u16)>, u32>,
+    sets: HashMap<Vec<Vendor>, u32>,
+    groups: OpenGroups,
+}
+
+/// One source's sealed group folds (or the whole corpus's). Every
+/// *record* is `[rows, run histogram…, transition cells…]` over the
+/// table's own `runs` and `cells` columns; per slice, record `k` sums the
+/// groups of the first `k` hop counts, so the groups in any hop range are
+/// one record difference.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct GroupTable {
+    /// Router-hop counts with at least one row, ascending.
+    hops: Vec<u16>,
+    /// Longest-run values with at least one row, ascending (0 counts the
+    /// rows without an identified hop).
+    runs: Vec<u16>,
+    /// Matrix cells with a nonzero count, ascending.
+    cells: Vec<u16>,
+    /// Per slice code, `hops.len() + 1` prefix records.
+    prefix: [Vec<u64>; SLICES],
+}
+
+/// The table of a source id the corpus does not have: no groups.
+static NO_GROUPS: GroupTable = GroupTable {
+    hops: Vec::new(),
+    runs: Vec::new(),
+    cells: Vec::new(),
+    prefix: [Vec::new(), Vec::new(), Vec::new()],
+};
+
+impl GroupTable {
+    /// Seal folded groups (each with at least one row) into a table whose
+    /// columns are exactly the hop counts, run values and cells present —
+    /// a canonical function of the groups' sums.
+    fn seal(groups: &[((u8, u16), &GroupAcc)]) -> GroupTable {
+        let mut hops = BTreeSet::new();
+        let mut runs = BTreeSet::new();
+        let mut present = [false; MATRIX_CELLS];
+        for &((_, group_hops), group) in groups {
+            hops.insert(group_hops);
+            runs.extend(group.runs.iter().map(|&(value, _)| value));
+            for (seen, &count) in present.iter_mut().zip(group.cells.iter()) {
+                *seen |= count > 0;
+            }
+        }
+        let mut table = GroupTable {
+            hops: hops.into_iter().collect(),
+            runs: runs.into_iter().collect(),
+            cells: (0..MATRIX_CELLS as u16)
+                .filter(|&cell| present[cell as usize])
+                .collect(),
+            prefix: Default::default(),
+        };
+        let width = table.width();
+        let records = table.hops.len() + 1;
+        table.prefix = std::array::from_fn(|_| vec![0; records * width]);
+        for &((slice, group_hops), group) in groups {
+            let at = table.hops.binary_search(&group_hops).expect("hop column") + 1;
+            let record = &mut table.prefix[slice as usize][at * width..(at + 1) * width];
+            record[0] += group.rows;
+            for &(value, paths) in &group.runs {
+                record[1 + table.runs.binary_search(&value).expect("run column")] += paths;
+            }
+            let cells = &mut record[1 + table.runs.len()..];
+            for (total, &cell) in cells.iter_mut().zip(&table.cells) {
+                *total += group.cells[cell as usize];
+            }
+        }
+        for prefix in &mut table.prefix {
+            for at in width..prefix.len() {
+                prefix[at] += prefix[at - width];
+            }
+        }
+        table
+    }
+
+    /// The sum of several tables' groups, sealed.
+    fn sum<'a>(tables: impl IntoIterator<Item = &'a GroupTable>) -> GroupTable {
+        let mut groups: BTreeMap<(u8, u16), GroupAcc> = BTreeMap::new();
+        for table in tables {
+            let offset = 1 + table.runs.len();
+            for slice in 0..SLICES {
+                for (at, &hops) in table.hops.iter().enumerate() {
+                    let (lower, upper) = (table.record(slice, at), table.record(slice, at + 1));
+                    let rows = upper[0] - lower[0];
+                    if rows == 0 {
+                        continue;
+                    }
+                    let group = groups.entry((slice as u8, hops)).or_default();
+                    group.rows += rows;
+                    for (index, &value) in table.runs.iter().enumerate() {
+                        let paths = upper[1 + index] - lower[1 + index];
+                        if paths > 0 {
+                            group.add_run(value, paths);
+                        }
+                    }
+                    for (index, &cell) in table.cells.iter().enumerate() {
+                        group.cells[cell as usize] += upper[offset + index] - lower[offset + index];
+                    }
+                }
+            }
+        }
+        let groups: Vec<_> = groups.iter().map(|(&key, group)| (key, group)).collect();
+        GroupTable::seal(&groups)
+    }
+
+    /// Words per record.
+    fn width(&self) -> usize {
+        1 + self.runs.len() + self.cells.len()
+    }
+
+    /// Prefix record `at` of one slice.
+    fn record(&self, slice: usize, at: usize) -> &[u64] {
+        let width = self.width();
+        &self.prefix[slice][at * width..(at + 1) * width]
+    }
+
+    /// Visit, for `slice` (every slice when `None`), the two prefix
+    /// records bounding the groups with hop counts in `min..=max` as
+    /// `visit(slice code, lower, upper)`. A range holding no hop count
+    /// of the table — `min > max` included — visits nothing.
+    fn span(
+        &self,
+        min: u16,
+        max: u16,
+        slice: Option<UsSlice>,
+        mut visit: impl FnMut(usize, &[u64], &[u64]),
+    ) {
+        let lo = self.hops.partition_point(|&hops| hops < min);
+        let hi = self.hops.partition_point(|&hops| hops <= max);
+        if lo >= hi {
+            return;
+        }
+        for code in 0..SLICES {
+            if slice.is_none_or(|wanted| wanted.code() as usize == code) {
+                visit(code, self.record(code, lo), self.record(code, hi));
+            }
+        }
+    }
+}
+
 /// The columnar path store. All per-path attributes are parallel columns
 /// indexed by row id; hop sequences live run-length encoded in a shared
 /// arena behind interned sequence ids.
@@ -261,6 +643,13 @@ pub struct PathCorpus {
     set_labels: Vec<String>,
     /// What each sequence id contributes to the ordered analyses.
     summaries: SequenceSummaries,
+
+    // -- group folds (see the module docs) --------------------------
+    /// One sealed table per source id, shared by every corpus extended
+    /// from this one.
+    groups: Vec<Arc<GroupTable>>,
+    /// The sum of every source's table.
+    total: GroupTable,
 
     // -- indexes ----------------------------------------------------
     by_source: Vec<Vec<u32>>,
@@ -338,11 +727,11 @@ impl PathCorpus {
 
         // Phase 2 — serial interning fold over the ordered stream.
         let mut corpus = PathCorpus::with_capacity(sources, ripe_source_count, encoded.len());
-        let mut seq_intern: HashMap<Vec<(u8, u16)>, u32> = HashMap::new();
-        let mut set_intern: HashMap<Vec<Vendor>, u32> = HashMap::new();
+        let mut interner = Interner::default();
         for path in encoded {
-            corpus.intern(path, &mut seq_intern, &mut set_intern);
+            corpus.intern(path, &mut interner);
         }
+        corpus.seal_groups(&interner.groups);
         corpus
     }
 
@@ -371,6 +760,8 @@ impl PathCorpus {
             sets: Vec::new(),
             set_labels: Vec::new(),
             summaries: SequenceSummaries::default(),
+            groups: Vec::new(),
+            total: GroupTable::default(),
             by_src_as: HashMap::new(),
             by_dst_as: HashMap::new(),
             by_length: HashMap::new(),
@@ -379,12 +770,14 @@ impl PathCorpus {
         }
     }
 
-    fn intern(
-        &mut self,
-        path: EncodedPath,
-        seq_intern: &mut HashMap<Vec<(u8, u16)>, u32>,
-        set_intern: &mut HashMap<Vec<Vendor>, u32>,
-    ) {
+    /// Append one path as the next row. Its group fold stays open in
+    /// `interner` until [`seal_groups`](PathCorpus::seal_groups).
+    fn intern(&mut self, path: EncodedPath, interner: &mut Interner) {
+        let Interner {
+            seqs: seq_intern,
+            sets: set_intern,
+            groups,
+        } = interner;
         let row = self.source.len() as u32;
 
         let mut runs: Vec<(u8, u16)> = Vec::new();
@@ -448,6 +841,35 @@ impl PathCorpus {
         self.by_length.entry(router_hops).or_default().push(row);
         self.by_set[set_id as usize].push(row);
         self.by_seq[seq_id as usize].push(row);
+        groups.add(
+            path.source,
+            path.slice,
+            router_hops,
+            self.summaries.longest_run[seq_id as usize],
+            self.summaries.cells_of(seq_id),
+        );
+    }
+
+    /// Seal the open group folds into one table per source that has none
+    /// yet (every source past the last sealed one, rows or not), and add
+    /// them to the corpus-wide total. Sealed tables are shared, never
+    /// copied or touched again.
+    fn seal_groups(&mut self, open: &OpenGroups) {
+        let first = self.groups.len();
+        let mut by_source = vec![Vec::new(); self.sources.len() - first];
+        for ((source, slice, hops), group) in &open.groups {
+            (source.checked_sub(first as u16))
+                .and_then(|fresh| by_source.get_mut(fresh as usize))
+                .expect("open groups belong to unsealed sources")
+                .push(((*slice, *hops), group));
+        }
+        let fresh: Vec<Arc<GroupTable>> = by_source
+            .iter()
+            .map(|groups| Arc::new(GroupTable::seal(groups)))
+            .collect();
+        self.total =
+            GroupTable::sum(std::iter::once(&self.total).chain(fresh.iter().map(|t| &**t)));
+        self.groups.extend(fresh);
     }
 
     // -- shape ------------------------------------------------------
@@ -725,9 +1147,20 @@ impl PathCorpus {
     /// diagonal measures custody kept and the off-diagonal custody
     /// changed.
     ///
-    /// Folds each row's per-sequence cell blocks into a dense matrix: no
-    /// work or memory proportional to the corpus, only to `rows`.
+    /// Built from [`transition_cells`](PathCorpus::transition_cells),
+    /// whose cell order is `Vendor: Ord` order — the map is built from an
+    /// already sorted stream.
     pub fn transition_matrix(&self, rows: &[u32]) -> BTreeMap<(Vendor, Vendor), usize> {
+        self.transition_cells(rows)
+            .nonzero()
+            .map(|(from, to, count)| ((from, to), count as usize))
+            .collect()
+    }
+
+    /// The [`transition_matrix`](PathCorpus::transition_matrix) over
+    /// `rows`, dense. Folds each row's per-sequence cell blocks: no work
+    /// or memory proportional to the corpus, only to `rows`.
+    pub fn transition_cells(&self, rows: &[u32]) -> TransitionCells {
         let mut dense = [0u64; MATRIX_CELLS + CELL_BLOCK];
         for &row in rows {
             let cells = self.summaries.cells_of(self.seq_id[row as usize]);
@@ -737,30 +1170,24 @@ impl PathCorpus {
                 }
             }
         }
-        // Cell order is (from, to) code order, which is `Vendor: Ord`
-        // order — the map is built from an already sorted stream.
-        dense[..MATRIX_CELLS]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &count)| count > 0)
-            .map(|(cell, &count)| {
-                let pair = (
-                    Vendor::ALL[cell / MATRIX_SIDE],
-                    Vendor::ALL[cell % MATRIX_SIDE],
-                );
-                (pair, count as usize)
-            })
-            .collect()
+        let mut cells = [0u64; MATRIX_CELLS];
+        cells.copy_from_slice(&dense[..MATRIX_CELLS]);
+        TransitionCells(cells)
     }
 
     /// ECDF of the longest same-vendor run per path (strict hop
     /// adjacency: an unidentified hop breaks the run). Paths without an
-    /// identified hop are excluded.
-    ///
-    /// Run lengths are small integers, so the samples are counted into a
-    /// value histogram (grown to the selection's own maximum) and read
-    /// back in ascending order — no sort.
+    /// identified hop are excluded. The expansion of
+    /// [`longest_run_histogram`](PathCorpus::longest_run_histogram).
     pub fn longest_run_ecdf(&self, rows: &[u32]) -> Ecdf {
+        self.longest_run_histogram(rows).to_ecdf()
+    }
+
+    /// The [`longest_run_ecdf`](PathCorpus::longest_run_ecdf) samples as
+    /// a value histogram. Run lengths are small integers, so they are
+    /// counted into slots (grown to the selection's own maximum) and read
+    /// back in ascending order — no sort.
+    pub fn longest_run_histogram(&self, rows: &[u32]) -> RunHistogram {
         let mut histogram: Vec<u32> = Vec::new();
         for &row in rows {
             let longest = self.summaries.longest_run[self.seq_id[row as usize] as usize] as usize;
@@ -770,12 +1197,92 @@ impl PathCorpus {
             histogram[longest] += 1;
         }
         // Slot 0 counts the paths without an identified hop: skipped.
-        let samples = histogram.iter().skip(1).map(|&n| n as usize).sum();
-        let mut sorted = Vec::with_capacity(samples);
-        for (value, &count) in histogram.iter().enumerate().skip(1) {
-            sorted.extend(std::iter::repeat_n(value as f64, count as usize));
+        RunHistogram(
+            histogram
+                .iter()
+                .enumerate()
+                .skip(1)
+                .filter(|&(_, &paths)| paths > 0)
+                .map(|(value, &paths)| (value as u16, u64::from(paths)))
+                .collect(),
+        )
+    }
+
+    // -- group folds (endpoint-free selections; see the module docs) --
+
+    fn group_table(&self, source: Option<usize>) -> &GroupTable {
+        match source {
+            None => &self.total,
+            Some(source) => self.groups.get(source).map_or(&NO_GROUPS, |table| table),
         }
-        Ecdf::from_sorted(sorted)
+    }
+
+    /// Rows of the selection's source in its hop range: over every slice
+    /// (the planner's in-range stage), and in its slice (the selection).
+    pub fn group_rows(&self, selection: &GroupSelection) -> (usize, usize) {
+        let (mut in_range, mut kept) = (0u64, 0u64);
+        let table = self.group_table(selection.source);
+        table.span(
+            selection.min_hops,
+            selection.max_hops,
+            None,
+            |slice, lower, upper| {
+                let rows = upper[0] - lower[0];
+                in_range += rows;
+                if selection
+                    .slice
+                    .is_none_or(|wanted| wanted.code() as usize == slice)
+                {
+                    kept += rows;
+                }
+            },
+        );
+        (in_range as usize, kept as usize)
+    }
+
+    /// [`transition_cells`](PathCorpus::transition_cells) over the
+    /// selection's rows, from the group folds.
+    pub fn group_transitions(&self, selection: &GroupSelection) -> TransitionCells {
+        let mut cells = [0u64; MATRIX_CELLS];
+        let table = self.group_table(selection.source);
+        let offset = 1 + table.runs.len();
+        table.span(
+            selection.min_hops,
+            selection.max_hops,
+            selection.slice,
+            |_, lower, upper| {
+                for (index, &cell) in table.cells.iter().enumerate() {
+                    cells[cell as usize] += upper[offset + index] - lower[offset + index];
+                }
+            },
+        );
+        TransitionCells(cells)
+    }
+
+    /// [`longest_run_histogram`](PathCorpus::longest_run_histogram) over
+    /// the selection's rows, from the group folds.
+    pub fn group_runs(&self, selection: &GroupSelection) -> RunHistogram {
+        let table = self.group_table(selection.source);
+        let mut paths = vec![0u64; table.runs.len()];
+        table.span(
+            selection.min_hops,
+            selection.max_hops,
+            selection.slice,
+            |_, lower, upper| {
+                for (index, total) in paths.iter_mut().enumerate() {
+                    *total += upper[1 + index] - lower[1 + index];
+                }
+            },
+        );
+        RunHistogram(
+            table
+                .runs
+                .iter()
+                .zip(paths)
+                .filter(|&(&value, paths)| value > 0 && paths > 0)
+                .map(|(&value, paths)| (value, paths))
+                .collect(),
+        )
     }
 
     /// Edge-vs-transit vendor diversity over the selection (identified
@@ -817,8 +1324,8 @@ impl PathCorpus {
     /// Dump everything a store needs to reconstruct this corpus exactly:
     /// the column vectors and interning arenas, with enums lowered to
     /// stable one-byte codes. Indexes, derived columns (`router_hops`,
-    /// `identified`), per-sequence summaries and rendered labels are *not*
-    /// dumped — they are pure functions of the rest and
+    /// `identified`), per-sequence summaries, group folds and rendered
+    /// labels are *not* dumped — they are pure functions of the rest and
     /// [`PathCorpus::from_parts`] rebuilds them.
     pub fn to_parts(&self) -> CorpusParts {
         CorpusParts {
@@ -968,6 +1475,8 @@ impl PathCorpus {
             sets,
             set_labels,
             summaries: SequenceSummaries::default(),
+            groups: Vec::new(),
+            total: GroupTable::default(),
             by_src_as: HashMap::new(),
             by_dst_as: HashMap::new(),
             by_length: HashMap::new(),
@@ -994,8 +1503,10 @@ impl PathCorpus {
             corpus.summaries.push(runs);
         }
 
-        // Per-row validation + derived columns + index rebuild, one pass
-        // in row order (indexes come out sorted, exactly as built).
+        // Per-row validation + derived columns + index rebuild + group
+        // folds, one pass in row order (indexes come out sorted, exactly
+        // as built).
+        let mut groups = OpenGroups::default();
         for row in 0..rows {
             let source = corpus.source[row] as usize;
             if source >= source_count {
@@ -1028,7 +1539,15 @@ impl PathCorpus {
             corpus.by_length.entry(hops).or_default().push(row);
             corpus.by_set[set_id].push(row);
             corpus.by_seq[seq_id].push(row);
+            groups.add(
+                source as u16,
+                corpus.slice[row as usize],
+                hops,
+                corpus.summaries.longest_run[seq_id],
+                corpus.summaries.cells_of(seq_id as u32),
+            );
         }
+        corpus.seal_groups(&groups);
         Ok(corpus)
     }
 
@@ -1065,14 +1584,13 @@ impl PathCorpus {
         }
         // Re-derive the interning tables from the arenas (cheap relative
         // to classification; the arenas are append-only so ids persist).
-        let mut seq_intern: HashMap<Vec<(u8, u16)>, u32> = HashMap::new();
+        let mut interner = Interner::default();
         for (id, &(offset, len)) in corpus.seq_spans.iter().enumerate() {
             let key = corpus.runs[offset as usize..(offset + len) as usize].to_vec();
-            seq_intern.insert(key, id as u32);
+            interner.seqs.insert(key, id as u32);
         }
-        let mut set_intern: HashMap<Vec<Vendor>, u32> = HashMap::new();
         for (id, set) in corpus.sets.iter().enumerate() {
-            set_intern.insert(set.clone(), id as u32);
+            interner.sets.insert(set.clone(), id as u32);
         }
 
         let config = ScanConfig {
@@ -1102,12 +1620,13 @@ impl PathCorpus {
                 |item, _ctx| encode_path(internet, item),
             );
             for path in encoded {
-                corpus.intern(path, &mut seq_intern, &mut set_intern);
+                corpus.intern(path, &mut interner);
             }
             if addition.is_ripe_snapshot {
                 corpus.latest_ripe = source_id;
             }
         }
+        corpus.seal_groups(&interner.groups);
         Ok(corpus)
     }
 }
@@ -1170,10 +1689,54 @@ pub struct CorpusParts {
     pub sets: Vec<Vec<u8>>,
 }
 
+/// Size ratio past which [`intersect_sorted`] gallops instead of merging.
+const GALLOP_RATIO: usize = 16;
+
 /// Intersect two ascending row-id slices (the corpus indexes are built in
-/// row order, so every index lookup returns a sorted slice). Linear
-/// two-pointer merge; the planner's only set operation.
+/// row order, so every index lookup returns a sorted slice) — the
+/// planner's only set operation. Sizes within [`GALLOP_RATIO`] of each
+/// other take a linear two-pointer merge; past it, each element of the
+/// smaller side gallops through the larger, O(small · log(large/small)):
+/// a ~100-row pair base against a whole-source index costs a few hundred
+/// probes instead of a walk over the index.
 pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if small.len().saturating_mul(GALLOP_RATIO) < large.len() {
+        gallop_intersect(small, large)
+    } else {
+        merge_intersect(a, b)
+    }
+}
+
+/// Galloping intersection: for each value of `small`, an exponential
+/// probe through what is left of `large`, then a binary search inside the
+/// last doubling.
+fn gallop_intersect(small: &[u32], large: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(small.len());
+    let mut rest = large;
+    for &value in small {
+        let mut step = 1;
+        while step <= rest.len() && rest[step - 1] < value {
+            step *= 2;
+        }
+        // rest[..step / 2] < value, and rest[step - 1] ≥ value if it exists.
+        let low = step / 2;
+        let at = low + rest[low..step.min(rest.len())].partition_point(|&row| row < value);
+        if at == rest.len() {
+            break;
+        }
+        if rest[at] == value {
+            out.push(value);
+            rest = &rest[at + 1..];
+        } else {
+            rest = &rest[at..];
+        }
+    }
+    out
+}
+
+/// Two-pointer merge intersection.
+fn merge_intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -1337,7 +1900,7 @@ mod tests {
         }
         let sources = vec!["S-1".to_string(), "S-derived".to_string()];
         let mut corpus = PathCorpus::with_capacity(sources, 1, paths.len());
-        let (mut seq_intern, mut set_intern) = (HashMap::new(), HashMap::new());
+        let mut interner = Interner::default();
         for (index, codes) in paths.into_iter().enumerate() {
             let path = EncodedPath {
                 source: (index % 2) as u16,
@@ -1351,8 +1914,9 @@ mod tests {
                 core_vendors: 0,
                 as_segments: 0,
             };
-            corpus.intern(path, &mut seq_intern, &mut set_intern);
+            corpus.intern(path, &mut interner);
         }
+        corpus.seal_groups(&interner.groups);
         assert!(corpus.distinct_sequences() < corpus.len());
         corpus
     }
@@ -1376,18 +1940,132 @@ mod tests {
             longest_run_ecdf_by_row(corpus, rows),
         );
         // Same sorted samples, so everything derived from them agrees —
-        // spelled out for the values the engine renders.
+        // spelled out for the values the engine renders, which it reads
+        // straight off the histogram.
         assert_eq!(fast, oracle);
-        assert_eq!(fast.len(), oracle.len());
+        let histogram = corpus.longest_run_histogram(rows);
+        assert_eq!(histogram.len(), oracle.len());
         assert_eq!(
-            fast.mean().map(f64::to_bits),
+            histogram.mean().map(f64::to_bits),
             oracle.mean().map(f64::to_bits)
         );
         for step in 0..=20 {
             let q = f64::from(step) / 20.0;
-            assert_eq!(fast.quantile(q), oracle.quantile(q), "quantile {q}");
+            assert_eq!(histogram.quantile(q), oracle.quantile(q), "quantile {q}");
         }
         assert_eq!(fast.series(16), oracle.series(16));
+    }
+
+    /// Every endpoint-free selection shape over `corpus`: source {all,
+    /// each} × hops {everything, exact, ranges, `min > max`, past the
+    /// corpus maximum} × slice {all, each}.
+    fn group_selections(corpus: &PathCorpus) -> Vec<GroupSelection> {
+        let longest = corpus.router_hops.iter().copied().max().unwrap_or(0);
+        let ranges = [
+            (0, u16::MAX),
+            (3, 3),
+            (0, 0),
+            (2, 7),
+            (5, u16::MAX),
+            (9, 3),
+            (longest, longest),
+            (1, longest.saturating_add(100)),
+            (longest.saturating_add(1), u16::MAX),
+        ];
+        let mut sources = vec![None];
+        sources.extend((0..corpus.sources().len()).map(Some));
+        let mut slices = vec![None];
+        slices.extend(UsSlice::ALL.map(Some));
+        let mut grid = Vec::new();
+        for &source in &sources {
+            for &(min_hops, max_hops) in &ranges {
+                for &slice in &slices {
+                    grid.push(GroupSelection {
+                        source,
+                        min_hops,
+                        max_hops,
+                        slice,
+                    });
+                }
+            }
+        }
+        grid
+    }
+
+    fn assert_group_folds_match_row_folds(corpus: &PathCorpus) {
+        for selection in group_selections(corpus) {
+            let in_range: Vec<u32> = corpus
+                .all_rows()
+                .into_iter()
+                .filter(|&row| {
+                    selection
+                        .source
+                        .is_none_or(|source| corpus.source_of(row) as usize == source)
+                        && (selection.min_hops..=selection.max_hops).contains(&corpus.hops_of(row))
+                })
+                .collect();
+            let rows: Vec<u32> = in_range
+                .iter()
+                .copied()
+                .filter(|&row| {
+                    selection
+                        .slice
+                        .is_none_or(|slice| corpus.us_slice_of(row) == slice)
+                })
+                .collect();
+            assert_eq!(
+                corpus.group_rows(&selection),
+                (in_range.len(), rows.len()),
+                "{selection:?}"
+            );
+            assert_eq!(
+                corpus.group_transitions(&selection),
+                corpus.transition_cells(&rows),
+                "{selection:?}"
+            );
+            assert_eq!(
+                corpus.group_runs(&selection),
+                corpus.longest_run_histogram(&rows),
+                "{selection:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn group_folds_equal_the_row_folds_for_every_endpoint_free_selection() {
+        let world = crate::world::World::build(lfp_topo::Scale::tiny());
+        assert_group_folds_match_row_folds(&synthetic_corpus());
+        assert_group_folds_match_row_folds(world.path_corpus());
+        // A source id the corpus does not have selects nothing.
+        let corpus = world.path_corpus();
+        let missing = GroupSelection {
+            source: Some(corpus.sources().len()),
+            min_hops: 0,
+            max_hops: u16::MAX,
+            slice: None,
+        };
+        assert_eq!(corpus.group_rows(&missing), (0, 0));
+        assert!(corpus.group_runs(&missing).is_empty());
+        assert_eq!(corpus.group_transitions(&missing).handoffs(), 0);
+    }
+
+    #[test]
+    fn group_tables_are_sized_by_what_is_present_not_by_u16_max() {
+        // The synthetic corpus holds two paths of u16::MAX hops (runs of
+        // u16::MAX and u16::MAX - 1): sparse hop and run columns keep
+        // every table a few hundred words, rebuilt from parts or not.
+        let synthetic = synthetic_corpus();
+        let rebuilt = PathCorpus::from_parts(synthetic.to_parts()).expect("valid parts");
+        for corpus in [&synthetic, &rebuilt] {
+            let tables = corpus.groups.iter().map(|table| &**table);
+            for table in tables.chain([&corpus.total]) {
+                let words: usize = table.prefix.iter().map(Vec::len).sum();
+                assert!(words < 4096, "{words} words");
+            }
+            assert!(corpus.total.hops.contains(&u16::MAX));
+            assert!(corpus.total.runs.contains(&u16::MAX));
+        }
+        assert_eq!(synthetic.groups.len(), synthetic.sources().len());
     }
 
     proptest! {
@@ -1438,7 +2116,9 @@ mod tests {
         for corpus in [&synthetic_corpus(), world.path_corpus()] {
             let rebuilt = PathCorpus::from_parts(corpus.to_parts()).expect("valid parts");
             assert!(!rebuilt.summaries.cells.is_empty());
-            // `PartialEq` covers the derived arenas.
+            assert_eq!(rebuilt.groups.len(), rebuilt.sources().len());
+            assert!(!rebuilt.total.hops.is_empty());
+            // `PartialEq` covers the derived arenas and the group folds.
             assert_eq!(&rebuilt, corpus);
         }
     }
@@ -1476,11 +2156,23 @@ mod tests {
                 .extended_with(&world.internet, std::slice::from_ref(addition), shards)
                 .unwrap();
         }
+        // Equal group folds included (`PartialEq` covers them).
         assert_eq!(chained, batch);
         assert_eq!(
             batch.summaries.longest_run.len(),
             batch.distinct_sequences()
         );
+        // Extending shares the base's tables instead of copying them,
+        // and the total is the sum of every source's table.
+        assert_eq!(batch.groups.len(), batch.sources().len());
+        for (base, extended) in corpus.groups.iter().zip(&batch.groups) {
+            assert!(Arc::ptr_eq(base, extended));
+        }
+        assert_eq!(
+            batch.total,
+            GroupTable::sum(batch.groups.iter().map(|table| &**table))
+        );
+        assert_group_folds_match_row_folds(&batch);
     }
 
     #[test]
@@ -1570,6 +2262,65 @@ mod tests {
             .rows_with_length(corpus.router_hops[0])
             .contains(&row));
         assert!(corpus.rows_with_sequence(corpus.seq_id[0]).contains(&row));
+    }
+
+    /// `count` ascending distinct values below `universe`, drawn by `seed`.
+    fn sorted_sample(count: usize, universe: u64, seed: u64) -> Vec<u32> {
+        let mut state = seed;
+        let mut values: Vec<u32> = (0..count)
+            .map(|_| {
+                state = splitmix64(state);
+                (state % universe) as u32
+            })
+            .collect();
+        values.sort_unstable();
+        values.dedup();
+        values
+    }
+
+    proptest! {
+        /// Galloping ≡ the two-pointer merge, over sorted pairs whose
+        /// sizes differ by 1× to 10⁴×; half the small side is drawn from
+        /// the large side so there is something to find.
+        #[test]
+        fn galloping_equals_the_merge(
+            small in 0usize..24,
+            ratio in 1usize..=10_000,
+            seed in any::<u64>(),
+        ) {
+            let large_len = small.max(1) * ratio;
+            let universe = 2 * large_len as u64 + 1;
+            let large = sorted_sample(large_len, universe, seed);
+            let picks = sorted_sample(small / 2, large.len() as u64, seed ^ 1);
+            let mut small_side: Vec<u32> = picks.iter().map(|&index| large[index as usize]).collect();
+            small_side.extend(sorted_sample(small - small / 2, universe, seed ^ 2));
+            small_side.sort_unstable();
+            small_side.dedup();
+            let expected = merge_intersect(&small_side, &large);
+            prop_assert_eq!(gallop_intersect(&small_side, &large), expected.clone());
+            prop_assert_eq!(intersect_sorted(&small_side, &large), expected.clone());
+            prop_assert_eq!(intersect_sorted(&large, &small_side), expected);
+        }
+    }
+
+    #[test]
+    fn galloping_handles_the_edges() {
+        let large: Vec<u32> = (0..1000).map(|row| row * 3).collect();
+        for small in [
+            vec![],
+            vec![0],
+            vec![2997],
+            vec![2998, 5000],
+            vec![1, 2, 3, 4, 5],
+            vec![0, 3, 2997],
+        ] {
+            assert_eq!(
+                gallop_intersect(&small, &large),
+                merge_intersect(&small, &large),
+                "{small:?}"
+            );
+        }
+        assert!(gallop_intersect(&[1, 2], &[]).is_empty());
     }
 
     #[test]

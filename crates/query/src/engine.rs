@@ -20,17 +20,17 @@
 //! unservable and old entries simply age out of the LRU.
 
 use crate::cache::{CacheStats, ShardedLru};
-use crate::plan::select_rows;
+use crate::plan::{plan, select_rows};
 use crate::query::{method_name, slice_name, Query};
 use lfp_analysis::homogeneity::per_as_vendor_counts;
-use lfp_analysis::json::{escape, number, JsonBuilder};
-use lfp_analysis::path_corpus::{LabelSource, PathCorpus};
-use lfp_analysis::stats::Ecdf;
+use lfp_analysis::json::{escape, escape_into, number, push_number, JsonBuilder};
+use lfp_analysis::path_corpus::{LabelSource, PathCorpus, RunHistogram, TransitionCells};
 use lfp_analysis::World;
 use lfp_obs::Clock;
 use lfp_stack::vendor::Vendor;
 use lfp_topo::Continent;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -57,8 +57,8 @@ pub struct Response {
 pub struct ExecObs {
     /// Canonicalisation plus result-cache probe (and insert on a miss).
     pub cache_ns: u64,
-    /// Selection planning (`select_rows`); 0 for planless queries and
-    /// cache hits.
+    /// Selection planning (the planner and its executor's stage counts);
+    /// 0 for planless queries and cache hits.
     pub plan_ns: u64,
     /// Computing and rendering the payload; 0 for cache hits.
     pub render_ns: u64,
@@ -70,6 +70,18 @@ pub struct ExecObs {
     /// echoed as ([`QueryEngine::canonical`]), so a caller rendering the
     /// envelope need not build it a second time.
     pub key: String,
+}
+
+/// An epoch-tagged canonical form ([`QueryEngine::canonical`]) with the
+/// epoch it was built at. A cache probe that misses hands its key on, so
+/// the execution that follows builds it again only when it runs on an
+/// engine of another epoch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheKey {
+    /// The epoch the key was built at.
+    pub epoch: u64,
+    /// The canonical form.
+    pub text: String,
 }
 
 /// The serving engine. Shareable by reference (or `Arc`) across worker
@@ -180,6 +192,15 @@ impl QueryEngine {
         query.canonical_at(self.epoch)
     }
 
+    /// [`canonical`](QueryEngine::canonical) as a [`CacheKey`] of this
+    /// engine's epoch.
+    pub fn key(&self, query: &Query) -> CacheKey {
+        CacheKey {
+            epoch: self.epoch,
+            text: self.canonical(query),
+        }
+    }
+
     /// Cache counters since construction.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -222,14 +243,22 @@ impl QueryEngine {
     /// timing: identical bytes and cache behaviour, plus an [`ExecObs`]
     /// splitting the engine's time into cache probe / plan / render and
     /// carrying the planner's explain trace for the slow-query log.
+    ///
+    /// `key` is the query's key if a probe already built one (see
+    /// [`resident_lane_obs`](QueryEngine::resident_lane_obs)); it is used
+    /// only if it was built at this engine's epoch, else rebuilt.
     pub fn execute_lane_obs(
         &self,
         query: &Query,
+        key: Option<CacheKey>,
         lane: u64,
         clock: &dyn Clock,
     ) -> Result<(Response, ExecObs), String> {
         let probe_start = clock.now_ns();
-        let key = self.canonical(query);
+        let key = match key {
+            Some(key) if key.epoch == self.epoch => key.text,
+            _ => self.canonical(query),
+        };
         if let Some(payload) = self.cache.get_lane(&key, lane) {
             return Ok(cache_hit(payload, key, probe_start, clock));
         }
@@ -260,8 +289,9 @@ impl QueryEngine {
 
     /// The cache-probe half of
     /// [`execute_lane_obs`](QueryEngine::execute_lane_obs): the resident
-    /// answer under `lane`, or `None` without executing anything. A hit
-    /// counts; a miss does not, because the caller hands the query on to
+    /// answer under `lane`, or — without executing anything — the key it
+    /// was probed under, for the execution that follows. A hit counts; a
+    /// miss does not, because the caller hands the query on to
     /// `execute_lane_obs`, whose own probe counts it — one lookup per
     /// request in the cache counters either way.
     pub fn resident_lane_obs(
@@ -269,49 +299,60 @@ impl QueryEngine {
         query: &Query,
         lane: u64,
         clock: &dyn Clock,
-    ) -> Option<(Response, ExecObs)> {
+    ) -> Result<(Response, ExecObs), CacheKey> {
         let probe_start = clock.now_ns();
         let key = self.canonical(query);
-        let payload = self.cache.hit_lane(&key, lane)?;
-        Some(cache_hit(payload, key, probe_start, clock))
+        match self.cache.hit_lane(&key, lane) {
+            Some(payload) => Ok(cache_hit(payload, key, probe_start, clock)),
+            None => Err(CacheKey {
+                epoch: self.epoch,
+                text: key,
+            }),
+        }
     }
 
-    /// Compute one payload; returns it with the nanoseconds `select_rows`
-    /// took and the plan's explain trace (0 and empty when planless).
-    /// Without a clock it is the same path minus the clock reads.
+    /// Compute one payload; returns it with the nanoseconds planning took
+    /// and the plan's explain trace (0 and empty when planless). Without
+    /// a clock it is the same path minus the clock reads.
     fn compute(
         &self,
         query: &Query,
         clock: Option<&dyn Clock>,
     ) -> Result<(String, u64, String), String> {
         let planless = |payload: String| Ok((payload, 0, String::new()));
-        type Render = fn(&QueryEngine, &[u32], &str) -> String;
-        let (selection, render): (_, Render) = match query {
-            Query::VendorMixAs { as_id, method } => {
-                return planless(
-                    self.vendor_mix(&format!("as:{as_id}"), *method, |candidate| {
-                        candidate == *as_id
-                    }),
-                )
+        let corpus = &*self.corpus;
+        match query {
+            Query::VendorMixAs { as_id, method } => planless(self.vendor_mix(
+                &format!("as:{as_id}"),
+                *method,
+                |candidate| candidate == *as_id,
+            )),
+            Query::VendorMixRegion { region, method } => planless(self.vendor_mix(
+                &format!("region:{}", region.abbrev()),
+                *method,
+                |candidate| self.world.internet.continent_of(candidate) == *region,
+            )),
+            Query::Catalog => planless(self.catalog()),
+            Query::PathDiversity { selection } => {
+                let (planned, plan_ns) = timed(clock, || select_rows(corpus, selection));
+                let planned = planned?;
+                let payload = self.path_diversity(&planned.rows, &planned.explain);
+                Ok((payload, plan_ns, planned.explain))
             }
-            Query::VendorMixRegion { region, method } => {
-                return planless(self.vendor_mix(
-                    &format!("region:{}", region.abbrev()),
-                    *method,
-                    |candidate| self.world.internet.continent_of(candidate) == *region,
-                ))
+            Query::Transitions { selection } => {
+                let (planned, plan_ns) = timed(clock, || plan(corpus, selection));
+                let planned = planned?;
+                let cells = planned.transitions(corpus);
+                let payload = render_transitions(planned.paths(), &cells, &planned.explain);
+                Ok((payload, plan_ns, planned.explain))
             }
-            Query::Catalog => return planless(self.catalog()),
-            Query::PathDiversity { selection } => (selection, Self::path_diversity),
-            Query::Transitions { selection } => (selection, Self::transitions),
-            Query::LongestRuns { selection } => (selection, Self::longest_runs),
-        };
-        let now = || clock.map_or(0, Clock::now_ns);
-        let plan_start = now();
-        let plan = select_rows(&self.corpus, selection)?;
-        let plan_ns = now().saturating_sub(plan_start);
-        let payload = render(self, &plan.rows, &plan.explain);
-        Ok((payload, plan_ns, plan.explain))
+            Query::LongestRuns { selection } => {
+                let (planned, plan_ns) = timed(clock, || plan(corpus, selection));
+                let planned = planned?;
+                let payload = render_longest_runs(&planned.longest_runs(corpus), &planned.explain);
+                Ok((payload, plan_ns, planned.explain))
+            }
+        }
     }
 
     fn counts_for(&self, method: LabelSource) -> &BTreeMap<u32, BTreeMap<Vendor, usize>> {
@@ -396,14 +437,6 @@ impl QueryEngine {
         json.finish()
     }
 
-    fn transitions(&self, rows: &[u32], explain: &str) -> String {
-        render_transitions(rows.len(), self.corpus.transition_matrix(rows), explain)
-    }
-
-    fn longest_runs(&self, rows: &[u32], explain: &str) -> String {
-        render_longest_runs(&self.corpus.longest_run_ecdf(rows), explain)
-    }
-
     fn catalog(&self) -> String {
         let corpus = &self.corpus;
         let sample = |ids: Vec<u32>| {
@@ -463,48 +496,65 @@ fn cache_hit(
     (response, obs)
 }
 
-fn render_transitions(
-    paths: usize,
-    matrix: BTreeMap<(Vendor, Vendor), usize>,
-    explain: &str,
-) -> String {
-    let handoffs: usize = matrix.values().sum();
-    let kept: usize = matrix
-        .iter()
-        .filter(|((from, to), _)| from == to)
-        .map(|(_, &count)| count)
-        .sum();
-    let mut json = JsonBuilder::object();
-    json.integer("paths", paths as u64);
-    json.integer("handoffs", handoffs as u64);
-    json.number(
-        "custody_kept_percent",
-        kept as f64 * 100.0 / handoffs.max(1) as f64,
-    );
-    json.raw_array(
-        "transitions",
-        matrix.into_iter().map(|((from, to), count)| {
-            format!(
-                "[\"{}\", \"{}\", {count}]",
-                escape(from.name()),
-                escape(to.name())
-            )
-        }),
-    );
-    json.string("plan", explain);
-    json.finish()
+/// Run `step`; return its result and the nanoseconds it took on `clock`
+/// (0 without a clock, which is then never read).
+fn timed<T>(clock: Option<&dyn Clock>, step: impl FnOnce() -> T) -> (T, u64) {
+    let now = || clock.map_or(0, Clock::now_ns);
+    let start = now();
+    let result = step();
+    (result, now().saturating_sub(start))
 }
 
-fn render_longest_runs(ecdf: &Ecdf, explain: &str) -> String {
-    let quantile = |q: f64| ecdf.quantile(q).unwrap_or(f64::NAN);
-    let mut json = JsonBuilder::object();
-    json.integer("paths", ecdf.len() as u64);
-    json.number("mean", ecdf.mean().unwrap_or(f64::NAN));
-    json.number("p50", quantile(0.5));
-    json.number("p90", quantile(0.9));
-    json.number("max", quantile(1.0));
-    json.string("plan", explain);
-    json.finish()
+/// The `transitions` result object, written straight from the dense
+/// matrix into one `String` — the bytes `JsonBuilder` renders for it
+/// (the `BTreeMap` rendering stays as the tests' oracle), without a map,
+/// a builder or an allocation per cell.
+fn render_transitions(paths: usize, cells: &TransitionCells, explain: &str) -> String {
+    let handoffs = cells.handoffs();
+    // Room for a few dozen cells, the common case, without regrowing.
+    let mut out = String::with_capacity(1024 + explain.len());
+    let _ = write!(
+        out,
+        "{{\"paths\": {paths}, \"handoffs\": {handoffs}, \"custody_kept_percent\": "
+    );
+    push_number(
+        &mut out,
+        cells.kept() as f64 * 100.0 / handoffs.max(1) as f64,
+    );
+    out.push_str(", \"transitions\": [");
+    for (index, (from, to, count)) in cells.nonzero().enumerate() {
+        if index > 0 {
+            out.push_str(", ");
+        }
+        out.push_str("[\"");
+        escape_into(&mut out, from.name());
+        out.push_str("\", \"");
+        escape_into(&mut out, to.name());
+        let _ = write!(out, "\", {count}]");
+    }
+    out.push_str("], \"plan\": \"");
+    escape_into(&mut out, explain);
+    out.push_str("\"}");
+    out
+}
+
+/// The `longest_runs` result object, read straight off the histogram —
+/// the bytes `JsonBuilder` renders from the expanded [`Ecdf`] (kept as
+/// the tests' oracle).
+///
+/// [`Ecdf`]: lfp_analysis::stats::Ecdf
+fn render_longest_runs(runs: &RunHistogram, explain: &str) -> String {
+    let mut out = String::with_capacity(96 + explain.len());
+    let _ = write!(out, "{{\"paths\": {}, \"mean\": ", runs.len());
+    push_number(&mut out, runs.mean().unwrap_or(f64::NAN));
+    for (key, q) in [("p50", 0.5), ("p90", 0.9), ("max", 1.0)] {
+        let _ = write!(out, ", \"{key}\": ");
+        push_number(&mut out, runs.quantile(q).unwrap_or(f64::NAN));
+    }
+    out.push_str(", \"plan\": \"");
+    escape_into(&mut out, explain);
+    out.push_str("\"}");
+    out
 }
 
 #[cfg(test)]
@@ -514,6 +564,7 @@ mod tests {
     use crate::testutil::{select_rows_staged, selection_grid, shared_world};
     use lfp_analysis::json::parse;
     use lfp_analysis::path_corpus::{code_vendor, UNKNOWN_HOP};
+    use lfp_analysis::stats::Ecdf;
 
     fn engine() -> QueryEngine {
         QueryEngine::new(shared_world())
@@ -624,9 +675,75 @@ mod tests {
         );
     }
 
+    /// Oracle for [`render_transitions`]: the `BTreeMap` through
+    /// `JsonBuilder`.
+    fn render_transitions_oracle(
+        paths: usize,
+        matrix: BTreeMap<(Vendor, Vendor), usize>,
+        explain: &str,
+    ) -> String {
+        let handoffs: usize = matrix.values().sum();
+        let kept: usize = matrix
+            .iter()
+            .filter(|((from, to), _)| from == to)
+            .map(|(_, &count)| count)
+            .sum();
+        let mut json = JsonBuilder::object();
+        json.integer("paths", paths as u64);
+        json.integer("handoffs", handoffs as u64);
+        json.number(
+            "custody_kept_percent",
+            kept as f64 * 100.0 / handoffs.max(1) as f64,
+        );
+        json.raw_array(
+            "transitions",
+            matrix.into_iter().map(|((from, to), count)| {
+                format!(
+                    "[\"{}\", \"{}\", {count}]",
+                    escape(from.name()),
+                    escape(to.name())
+                )
+            }),
+        );
+        json.string("plan", explain);
+        json.finish()
+    }
+
+    /// Oracle for [`render_longest_runs`]: the expanded [`Ecdf`] through
+    /// `JsonBuilder`.
+    fn render_longest_runs_oracle(ecdf: &Ecdf, explain: &str) -> String {
+        let quantile = |q: f64| ecdf.quantile(q).unwrap_or(f64::NAN);
+        let mut json = JsonBuilder::object();
+        json.integer("paths", ecdf.len() as u64);
+        json.number("mean", ecdf.mean().unwrap_or(f64::NAN));
+        json.number("p50", quantile(0.5));
+        json.number("p90", quantile(0.9));
+        json.number("max", quantile(1.0));
+        json.string("plan", explain);
+        json.finish()
+    }
+
+    /// The rows executor for every selection: materialise the rows, fold
+    /// them, render with the production renderers.
+    fn row_fold_payload(engine: &QueryEngine, query: &Query) -> String {
+        let corpus = engine.corpus();
+        match query {
+            Query::Transitions { selection } => {
+                let plan = select_rows(corpus, selection).unwrap();
+                let cells = corpus.transition_cells(&plan.rows);
+                render_transitions(plan.rows.len(), &cells, &plan.explain)
+            }
+            Query::LongestRuns { selection } => {
+                let plan = select_rows(corpus, selection).unwrap();
+                render_longest_runs(&corpus.longest_run_histogram(&plan.rows), &plan.explain)
+            }
+            other => engine.execute_uncached(other).unwrap(),
+        }
+    }
+
     /// The pre-summary execution path: staged plan, then the per-row,
     /// per-run folds (`BTreeMap` entry per run; one sorted `f64` per
-    /// row), rendered by the same functions.
+    /// row), rendered by the oracle renderers.
     fn oracle_payload(engine: &QueryEngine, query: &Query) -> String {
         let corpus = engine.corpus();
         match query {
@@ -652,7 +769,7 @@ mod tests {
                         previous = Some(vendor);
                     }
                 }
-                render_transitions(plan.rows.len(), matrix, &plan.explain)
+                render_transitions_oracle(plan.rows.len(), matrix, &plan.explain)
             }
             Query::LongestRuns { selection } => {
                 let plan = select_rows_staged(corpus, selection).unwrap();
@@ -665,12 +782,14 @@ mod tests {
                         .reduce(f64::max)
                 };
                 let ecdf = Ecdf::new(plan.rows.iter().filter_map(longest).collect());
-                render_longest_runs(&ecdf, &plan.explain)
+                render_longest_runs_oracle(&ecdf, &plan.explain)
             }
             planless => engine.execute_uncached(planless).unwrap(),
         }
     }
 
+    /// Grouped (the engine's choice for endpoint-free selections) ≡ the
+    /// row fold ≡ the oracle path, byte for byte, `plan` included.
     #[test]
     fn cold_mix_shaped_pool_renders_byte_identical_to_the_oracle_path() {
         let engine = engine();
@@ -694,6 +813,7 @@ mod tests {
             }
             for query in &queries {
                 let payload = engine.execute_uncached(query).unwrap();
+                assert_eq!(payload, row_fold_payload(&engine, query), "query #{index}");
                 assert_eq!(payload, oracle_payload(&engine, query), "query #{index}");
                 if let Query::LongestRuns { .. } = query {
                     let empty = payload.starts_with("{\"paths\": 0,");
@@ -733,14 +853,14 @@ mod tests {
         let query = Query::PathDiversity {
             selection: Selection::default(),
         };
-        let (cold, cold_obs) = engine.execute_lane_obs(&query, 0, &clock).unwrap();
+        let (cold, cold_obs) = engine.execute_lane_obs(&query, None, 0, &clock).unwrap();
         assert!(!cold.cached && !cold_obs.cached);
         assert!(
             cold_obs.explain.contains("base=all"),
             "explain trace captured on a miss"
         );
         assert_eq!(&*cold.payload, engine.execute_uncached(&query).unwrap());
-        let (warm, warm_obs) = engine.execute_lane_obs(&query, 0, &clock).unwrap();
+        let (warm, warm_obs) = engine.execute_lane_obs(&query, None, 0, &clock).unwrap();
         assert!(warm.cached && warm_obs.cached);
         assert!(warm_obs.explain.is_empty());
         assert_eq!((warm_obs.plan_ns, warm_obs.render_ns), (0, 0));
@@ -761,10 +881,15 @@ mod tests {
                 ..Selection::default()
             },
         };
-        // Not resident yet: no answer, and the miss is left to the
-        // execution that follows.
-        assert!(engine.resident_lane_obs(&query, 2, &clock).is_none());
-        let (cold, cold_obs) = engine.execute_lane_obs(&query, 2, &clock).unwrap();
+        // Not resident yet: no answer, and the miss — with the key it was
+        // probed under — is left to the execution that follows.
+        let key = engine
+            .resident_lane_obs(&query, 2, &clock)
+            .expect_err("cold cache");
+        assert_eq!(key, engine.key(&query));
+        let (cold, cold_obs) = engine
+            .execute_lane_obs(&query, Some(key), 2, &clock)
+            .unwrap();
         assert_eq!(cold_obs.key, engine.canonical(&query));
         let (warm, warm_obs) = engine.resident_lane_obs(&query, 2, &clock).unwrap();
         assert!(warm.cached && warm_obs.cached);
@@ -774,6 +899,28 @@ mod tests {
         // Two requests, two lookups: one miss, one hit.
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn a_key_built_at_another_epoch_is_rebuilt_not_reused() {
+        let engine = engine();
+        let clock = lfp_obs::MonotonicClock::new();
+        let query = Query::LongestRuns {
+            selection: Selection {
+                max_hops: Some(5),
+                ..Selection::default()
+            },
+        };
+        let stale = CacheKey {
+            epoch: engine.epoch() + 1,
+            text: query.canonical_at(engine.epoch() + 1),
+        };
+        let (_, obs) = engine
+            .execute_lane_obs(&query, Some(stale.clone()), 0, &clock)
+            .unwrap();
+        assert_eq!(obs.key, engine.canonical(&query));
+        assert!(engine.resident_lane_obs(&query, 0, &clock).is_ok());
+        assert!(engine.cache_handle().hit_lane(&stale.text, 0).is_none());
     }
 
     #[test]

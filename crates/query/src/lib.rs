@@ -12,8 +12,11 @@
 //!   plus a canonical wire form that doubles as the cache key,
 //! * [`plan`] — the planner: lowers a [`Selection`] onto the path
 //!   corpus's columnar indexes (`rows_between` / `rows_of_source` /
-//!   `rows_with_length`), intersecting sorted row-id slices and applying
-//!   residual predicates in one fused pass, with an `explain` trace,
+//!   `rows_with_length`) and runs one of two executors — rows
+//!   (intersecting sorted row-id slices, residual predicates in one
+//!   fused pass) when an AS endpoint is named, the corpus's
+//!   per-(source, slice, hop count) group folds when none is — with one
+//!   `explain` trace for both,
 //! * [`cache`] — a sharded LRU keyed by the canonical query, storing the
 //!   rendered result bytes so a hit is a hash, a lock and an `Arc` clone,
 //! * [`engine`] — [`QueryEngine`]: plan → execute → render → cache,
@@ -51,7 +54,7 @@ pub mod wire;
 
 pub use batch::{run_batch, run_batch_with_shards};
 pub use cache::{CacheStats, LaneStats, ShardedLru, LANE_SLOTS};
-pub use engine::{ExecObs, QueryEngine, Response};
+pub use engine::{CacheKey, ExecObs, QueryEngine, Response};
 pub use plan::{select_rows, RowPlan};
 pub use query::{Query, Selection};
 pub use wire::{FrameDecoder, FrameError};
@@ -60,7 +63,8 @@ pub use wire::{FrameDecoder, FrameError};
 pub(crate) mod testutil {
     use crate::plan::RowPlan;
     use crate::query::{slice_name, Selection};
-    use lfp_analysis::path_corpus::{intersect_sorted, PathCorpus};
+    use lfp_analysis::path_corpus::{intersect_sorted, CorpusParts, PathCorpus};
+    use lfp_analysis::us_study::UsSlice;
     use lfp_analysis::World;
     use lfp_topo::Scale;
     use std::sync::{Arc, OnceLock};
@@ -149,8 +153,8 @@ pub(crate) mod testutil {
 
     /// Every filter shape the planner distinguishes, crossed: endpoints
     /// {none, src, dst, pair} × source {none, each dataset} × hops {none,
-    /// exact, min only, max only, range, empty range} × slice {none,
-    /// each}.
+    /// exact, min only, max only, range, empty range (`min > max`), a
+    /// max past the corpus's longest path} × slice {none, each}.
     pub fn selection_grid(corpus: &PathCorpus) -> Vec<Selection> {
         let (src, dst) = (corpus.src_as_ids()[0], corpus.dst_as_ids()[0]);
         let endpoints = [
@@ -161,6 +165,12 @@ pub(crate) mod testutil {
         ];
         let mut sources: Vec<Option<String>> = vec![None];
         sources.extend(corpus.sources().iter().cloned().map(Some));
+        let longest = corpus
+            .all_rows()
+            .into_iter()
+            .map(|row| corpus.hops_of(row))
+            .max()
+            .unwrap_or(0);
         let hops = [
             (None, None),
             (Some(4), Some(4)),
@@ -168,6 +178,7 @@ pub(crate) mod testutil {
             (None, Some(6)),
             (Some(2), Some(7)),
             (Some(9), Some(3)),
+            (Some(3), Some(longest + 40)),
         ];
         let mut slices = vec![None];
         slices.extend(lfp_analysis::us_study::UsSlice::ALL.map(Some));
@@ -189,5 +200,60 @@ pub(crate) mod testutil {
             }
         }
         grid
+    }
+
+    /// A corpus of hand-made paths `(source id, hop codes, US slice)`
+    /// over sources `S-1` and `S-derived`, built through
+    /// [`PathCorpus::from_parts`]: for shapes a simulated world does not
+    /// happen to produce. Every row gets its own sequence and set, and
+    /// AS ids `row` → `100 + row`.
+    pub fn corpus_of(paths: &[(u16, &[u8], UsSlice)]) -> PathCorpus {
+        let mut parts = CorpusParts {
+            sources: vec!["S-1".to_string(), "S-derived".to_string()],
+            ripe_source_count: 1,
+            latest_ripe: 0,
+            source: Vec::new(),
+            src_as: Vec::new(),
+            dst_as: Vec::new(),
+            effective_len: Vec::new(),
+            snmp_identified: Vec::new(),
+            slice: Vec::new(),
+            set_id: Vec::new(),
+            seq_id: Vec::new(),
+            edge_vendors: Vec::new(),
+            core_vendors: Vec::new(),
+            as_segments: Vec::new(),
+            runs: Vec::new(),
+            seq_spans: Vec::new(),
+            sets: Vec::new(),
+        };
+        for (row, &(source, codes, slice)) in paths.iter().enumerate() {
+            let offset = parts.runs.len();
+            for &code in codes {
+                match parts.runs[offset..].last_mut() {
+                    Some((last, len)) if *last == code => *len += 1,
+                    _ => parts.runs.push((code, 1)),
+                }
+            }
+            parts
+                .seq_spans
+                .push((offset as u32, (parts.runs.len() - offset) as u32));
+            let mut set = codes.to_vec();
+            set.sort_unstable();
+            set.dedup();
+            parts.sets.push(set);
+            parts.source.push(source);
+            parts.src_as.push(row as u32);
+            parts.dst_as.push(100 + row as u32);
+            parts.effective_len.push(codes.len() as u16);
+            parts.snmp_identified.push(0);
+            parts.slice.push(slice.code());
+            parts.set_id.push(row as u32);
+            parts.seq_id.push(row as u32);
+            parts.edge_vendors.push(0);
+            parts.core_vendors.push(0);
+            parts.as_segments.push(0);
+        }
+        PathCorpus::from_parts(parts).expect("hand-made parts are valid")
     }
 }

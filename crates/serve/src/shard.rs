@@ -42,7 +42,7 @@ use crate::server::{
 use crate::sys::{PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use lfp_analysis::json::{escape, parse};
 use lfp_obs::{Clock, SlowLog, Stage};
-use lfp_query::{wire, ExecObs, Query, QueryEngine, Response};
+use lfp_query::{wire, CacheKey, ExecObs, Query, QueryEngine, Response};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
@@ -75,11 +75,13 @@ enum Work {
     Line { line: String, error: String },
 }
 
-/// One data line, parsed and decoded once on the loop: the query plus
-/// its `min_epoch` fencing floor.
+/// One data line, parsed and decoded once on the loop: the query, its
+/// `min_epoch` fencing floor, and — once the loop's cache probe missed —
+/// the key it probed under, so the worker need not canonicalise again.
 struct Request {
     query: Query,
     min_epoch: Option<u64>,
+    key: Option<CacheKey>,
 }
 
 impl Request {
@@ -93,6 +95,7 @@ impl Request {
         Ok(Request {
             query,
             min_epoch: wire::min_epoch_of(&value),
+            key: None,
         })
     }
 
@@ -252,7 +255,10 @@ impl Drain {
 /// half of the data path. The fence is checked against `engine`, the
 /// engine the worker fetched for this request, and execution goes
 /// through [`QueryEngine::execute_lane_obs`], which probes the cache
-/// once more before planning. Successful answers keep the
+/// once more before planning — under the loop probe's key when `engine`
+/// serves the epoch it was built at, else under a fresh one, so an
+/// epoch swap in between never tags the reply or the cache entry with
+/// the old epoch. Successful answers keep the
 /// cache-resident result bytes shared (flushed later with one gathered
 /// write); failures render owned. [`Request::decode`] followed by this
 /// is byte-for-byte `answer_line` plus newline framing: the head/tail
@@ -265,7 +271,7 @@ impl Drain {
 /// observed path is byte-identical to the unobserved one (tested in
 /// `lfp_query::engine`).
 fn answer_request_obs(
-    request: &Request,
+    request: Request,
     engine: &QueryEngine,
     lane: u64,
     clock: &dyn Clock,
@@ -274,7 +280,7 @@ fn answer_request_obs(
     if let Some(refusal) = request.fenced_off(engine) {
         return refusal;
     }
-    match engine.execute_lane_obs(&request.query, lane, clock) {
+    match engine.execute_lane_obs(&request.query, request.key, lane, clock) {
         Ok((response, obs)) => rendered(response, obs, rt),
         Err(error) => Payload::Owned(wire::error_envelope(&error)),
     }
@@ -282,21 +288,26 @@ fn answer_request_obs(
 
 /// The loop's half of the data path: answer a decoded request if that
 /// takes no execution — the fence refusal, or the result already
-/// resident on `lane` — and `None` for a miss, which must go to a
-/// worker. The rendering and the trace are exactly
-/// [`answer_request_obs`]'s for the same outcome.
+/// resident on `lane` — and hand a miss back with the key it was probed
+/// under, for the worker it must go to. The rendering and the trace are
+/// exactly [`answer_request_obs`]'s for the same outcome.
 fn answer_resident_obs(
-    request: &Request,
+    mut request: Request,
     engine: &QueryEngine,
     lane: u64,
     clock: &dyn Clock,
     rt: &mut ReqTrace,
-) -> Option<Payload> {
+) -> Result<Payload, Request> {
     if let Some(refusal) = request.fenced_off(engine) {
-        return Some(refusal);
+        return Ok(refusal);
     }
-    let (response, obs) = engine.resident_lane_obs(&request.query, lane, clock)?;
-    Some(rendered(response, obs, rt))
+    match engine.resident_lane_obs(&request.query, lane, clock) {
+        Ok((response, obs)) => Ok(rendered(response, obs, rt)),
+        Err(key) => {
+            request.key = Some(key);
+            Err(request)
+        }
+    }
 }
 
 /// The success envelope around a shared result body, with the outcome
@@ -418,8 +429,11 @@ impl ShardSeed {
 
             // A touched connection has work queued that no poll event
             // will re-announce (resumed pumping, fresh completions):
-            // don't sleep on it.
-            let timeout = if draining {
+            // don't sleep on it. Nor on a drain with nothing left to
+            // flush: the exit check below ends it this iteration.
+            let timeout = if draining && conns.values().all(Conn::drained) {
+                0
+            } else if draining {
                 20
             } else if conns.values().any(|conn| conn.touched) {
                 0
@@ -650,6 +664,14 @@ impl ShardSeed {
                 self.control.request_stop();
                 drain.begin(config.drain_timeout);
             }
+            // Re-check the stop flag after the poll: a stop that woke
+            // this iteration begins the drain now, so an idle shard exits
+            // below instead of running one more iteration and sleeping
+            // the drain poll. Checked only here, so the frames this
+            // iteration read were still admitted, as before.
+            if self.control.stopped() {
+                drain.begin(config.drain_timeout);
+            }
 
             self.publish(&conns, &report, drain.active(), policy);
 
@@ -878,7 +900,7 @@ impl ShardSeed {
     /// needed: a deadline already past, a fence refusal, or a result
     /// resident on this shard's cache lane. The engine is fetched for
     /// this request alone, as a worker would. Hands the request back
-    /// on a cache miss.
+    /// on a cache miss, carrying the key it was probed under.
     fn answer_inline(
         &self,
         request: Request,
@@ -898,10 +920,7 @@ impl ShardSeed {
             let engine = self.source.engine();
             rt.epoch = engine.epoch();
             let lane = self.id as u64;
-            match answer_resident_obs(&request, &engine, lane, self.clock.as_ref(), rt) {
-                Some(payload) => payload,
-                None => return Err(request),
-            }
+            answer_resident_obs(request, &engine, lane, self.clock.as_ref(), rt)?
         };
         rt.trace.stamp(Stage::Execute, self.clock.now_ns());
         Ok(payload)
@@ -989,7 +1008,7 @@ fn worker_loop(
                         // picked up here, fence included.
                         let engine = source.engine();
                         trace.epoch = engine.epoch();
-                        answer_request_obs(&request, &engine, lane, clock.as_ref(), &mut trace)
+                        answer_request_obs(request, &engine, lane, clock.as_ref(), &mut trace)
                     }
                     Work::Line { line, error } => Payload::Owned(
                         extension
@@ -1074,7 +1093,7 @@ mod tests {
             let clock = lfp_obs::ManualClock::new(0);
             let mut rt = ReqTrace::begin(0);
             let payload = match Request::decode(line) {
-                Ok(request) => answer_request_obs(&request, &engine, 0, &clock, &mut rt),
+                Ok(request) => answer_request_obs(request, &engine, 0, &clock, &mut rt),
                 Err(error) => Payload::Owned(wire::error_envelope(&error)),
             };
             let rendered = flatten(payload);
@@ -1084,8 +1103,10 @@ mod tests {
             // executing (every decodable line here is resident by now).
             if let Ok(request) = Request::decode(line) {
                 let mut inline_rt = ReqTrace::begin(0);
-                let inline = answer_resident_obs(&request, &engine, 0, &clock, &mut inline_rt)
-                    .expect("warmed line is resident");
+                let Ok(inline) = answer_resident_obs(request, &engine, 0, &clock, &mut inline_rt)
+                else {
+                    panic!("warmed line {line} is not resident");
+                };
                 assert_eq!(flatten(inline), scalar, "line {line}");
                 assert_eq!(inline_rt.ok, rt.ok, "line {line}");
                 assert_eq!(inline_rt.canonical, rt.canonical, "line {line}");
@@ -1099,5 +1120,54 @@ mod tests {
                 assert!(!rt.ok, "line {line}");
             }
         }
+    }
+
+    /// The loop probes a miss on one engine, then the engine is swapped
+    /// before a worker runs the request: the key the probe built (and
+    /// carried in the job) belongs to the old epoch, so the worker must
+    /// build a fresh one — the reply echoes the new epoch and the cache
+    /// entry lands under the new key, never the old.
+    #[test]
+    fn a_key_probed_before_an_epoch_swap_is_rebuilt_by_the_worker() {
+        use crate::server::answer_line;
+        let world = Arc::new(lfp_analysis::World::build(lfp_topo::Scale::tiny()));
+        let old = QueryEngine::new(Arc::clone(&world));
+        let new = {
+            let (snapshot, scan) = world.latest_ripe();
+            let targets: Vec<_> = snapshot.router_ips.iter().copied().collect();
+            QueryEngine::for_epoch(
+                Arc::clone(&world),
+                old.corpus_arc(),
+                &targets,
+                &world.lfp_vendor_map(scan),
+                &world.snmp_vendor_map(scan),
+                old.cache_handle(),
+                old.epoch() + 1,
+            )
+        };
+        let clock = lfp_obs::ManualClock::new(0);
+        let line = "{\"query\": \"transitions\", \"min_hops\": 3}";
+        let request = Request::decode(line).unwrap();
+        let query = request.query.clone();
+
+        let mut rt = ReqTrace::begin(0);
+        let Err(request) = answer_resident_obs(request, &old, 0, &clock, &mut rt) else {
+            panic!("a cold cache cannot answer inline");
+        };
+        assert_eq!(request.key, Some(old.key(&query)));
+
+        let reply = flatten(answer_request_obs(request, &new, 0, &clock, &mut rt));
+        assert_eq!(rt.canonical, new.canonical(&query));
+        assert!(reply.contains(&new.canonical(&query)), "{reply}");
+        assert!(!reply.contains(&old.canonical(&query)), "{reply}");
+        // Byte-identical to the new engine answering the line itself
+        // (now a hit on the entry the worker inserted).
+        let direct = answer_line(line, &new);
+        assert_eq!(
+            reply.replace("\"cached\": false", "\"cached\": true"),
+            direct
+        );
+        assert!(new.resident_lane_obs(&query, 0, &clock).is_ok());
+        assert!(old.resident_lane_obs(&query, 0, &clock).is_err());
     }
 }

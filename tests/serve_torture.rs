@@ -843,3 +843,29 @@ fn inline_hits_honour_the_min_epoch_fence_and_share_the_unfenced_entry() {
 
     server.stop();
 }
+
+/// Stopping a server whose shards sleep in their idle poll returns at
+/// once: the stop wakes the poll, the shard re-checks the flag and exits
+/// that same iteration instead of running one more and sleeping the
+/// drain poll (which made every idle stop take ≥ 20 ms). An idle
+/// connection is open throughout. The fastest of three stops is judged,
+/// so one descheduling of a thread on a shared host cannot fail it.
+#[test]
+fn stopping_an_idle_server_returns_within_five_milliseconds() {
+    let mut fastest = Duration::MAX;
+    for _ in 0..3 {
+        let server = TestServer::start(ServeConfig::default());
+        let _idle = Client::connect(server.addr);
+        // Long enough for the connection to be adopted and every shard
+        // to fall asleep in its 200 ms idle poll.
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        let report = server.stop();
+        fastest = fastest.min(start.elapsed());
+        assert!(report.drained_cleanly, "{report:?}");
+    }
+    assert!(
+        fastest < Duration::from_millis(5),
+        "idle stop took {fastest:?}"
+    );
+}
