@@ -55,7 +55,8 @@ pub struct Response {
 /// planning, and everything else (fold + render).
 #[derive(Debug, Clone, Default)]
 pub struct ExecObs {
-    /// Canonicalisation plus result-cache probe (and insert on a miss).
+    /// Result-cache probe (and insert on a miss), plus canonicalisation
+    /// when the caller did not hand in a key of this engine's epoch.
     pub cache_ns: u64,
     /// Selection planning (the planner and its executor's stage counts);
     /// 0 for planless queries and cache hits.
@@ -289,25 +290,28 @@ impl QueryEngine {
 
     /// The cache-probe half of
     /// [`execute_lane_obs`](QueryEngine::execute_lane_obs): the resident
-    /// answer under `lane`, or — without executing anything — the key it
-    /// was probed under, for the execution that follows. A hit counts; a
-    /// miss does not, because the caller hands the query on to
-    /// `execute_lane_obs`, whose own probe counts it — one lookup per
-    /// request in the cache counters either way.
+    /// answer under `lane`, or — without executing anything — a copy of
+    /// the key it was probed under, for the execution that follows. The
+    /// key is borrowed: a caller that already wrote it (the serving
+    /// loop's [`wire::decode_to_key`](crate::wire::decode_to_key)) pays
+    /// no second canonicalisation. A key of another epoch is never
+    /// probed, so it reads as a miss. A hit counts; a miss does not,
+    /// because the caller hands the query on to `execute_lane_obs`, whose
+    /// own probe counts it — one lookup per request in the cache
+    /// counters either way.
     pub fn resident_lane_obs(
         &self,
-        query: &Query,
+        key: &CacheKey,
         lane: u64,
         clock: &dyn Clock,
     ) -> Result<(Response, ExecObs), CacheKey> {
         let probe_start = clock.now_ns();
-        let key = self.canonical(query);
-        match self.cache.hit_lane(&key, lane) {
-            Some(payload) => Ok(cache_hit(payload, key, probe_start, clock)),
-            None => Err(CacheKey {
-                epoch: self.epoch,
-                text: key,
-            }),
+        if key.epoch != self.epoch {
+            return Err(key.clone());
+        }
+        match self.cache.hit_lane(&key.text, lane) {
+            Some(payload) => Ok(cache_hit(payload, key.text.clone(), probe_start, clock)),
+            None => Err(key.clone()),
         }
     }
 
@@ -884,14 +888,16 @@ mod tests {
         // Not resident yet: no answer, and the miss — with the key it was
         // probed under — is left to the execution that follows.
         let key = engine
-            .resident_lane_obs(&query, 2, &clock)
+            .resident_lane_obs(&engine.key(&query), 2, &clock)
             .expect_err("cold cache");
         assert_eq!(key, engine.key(&query));
         let (cold, cold_obs) = engine
             .execute_lane_obs(&query, Some(key), 2, &clock)
             .unwrap();
         assert_eq!(cold_obs.key, engine.canonical(&query));
-        let (warm, warm_obs) = engine.resident_lane_obs(&query, 2, &clock).unwrap();
+        let (warm, warm_obs) = engine
+            .resident_lane_obs(&engine.key(&query), 2, &clock)
+            .unwrap();
         assert!(warm.cached && warm_obs.cached);
         assert_eq!(warm.payload, cold.payload);
         assert_eq!(warm_obs.key, cold_obs.key);
@@ -919,8 +925,19 @@ mod tests {
             .execute_lane_obs(&query, Some(stale.clone()), 0, &clock)
             .unwrap();
         assert_eq!(obs.key, engine.canonical(&query));
-        assert!(engine.resident_lane_obs(&query, 0, &clock).is_ok());
+        assert!(engine
+            .resident_lane_obs(&engine.key(&query), 0, &clock)
+            .is_ok());
         assert!(engine.cache_handle().hit_lane(&stale.text, 0).is_none());
+        // Nor does a probe under a key of another epoch reach the cache,
+        // even when an entry sits under that key's text.
+        engine
+            .cache_handle()
+            .insert_lane(&stale.text, Arc::from("stale"), 0);
+        let missed = engine
+            .resident_lane_obs(&stale, 0, &clock)
+            .expect_err("another epoch's key is a miss");
+        assert_eq!(missed, stale);
     }
 
     #[test]

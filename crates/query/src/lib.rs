@@ -25,8 +25,10 @@
 //!   for byte),
 //! * [`wire`] — the line protocol: one JSON query per line in, one JSON
 //!   result per line out, plus the incremental [`FrameDecoder`] the
-//!   event-driven server feeds raw socket chunks (the `vendor-queryd`
-//!   binary in `lfp-bench` serves it over TCP via `lfp-serve`).
+//!   event-driven server feeds raw socket chunks and the single-pass
+//!   [`wire::decode_to_key`] its loop decodes each line with (the
+//!   `vendor-queryd` binary in `lfp-bench` serves it over TCP via
+//!   `lfp-serve`).
 //!
 //! ```no_run
 //! use lfp_analysis::World;

@@ -8,7 +8,7 @@
 //! a **valid wire query** — `wire::decode(query.canonical())` returns
 //! the original query (property-tested).
 
-use lfp_analysis::json::escape;
+use lfp_analysis::json::escape_into;
 use lfp_analysis::path_corpus::LabelSource;
 use lfp_analysis::us_study::UsSlice;
 use lfp_topo::Continent;
@@ -40,24 +40,32 @@ impl Selection {
 
     /// Append this selection's canonical fields (leading comma included
     /// before each present field).
-    fn canonical_fields(&self, out: &mut String) {
+    fn write_canonical_fields(&self, out: &mut String) {
         if let Some(src_as) = self.src_as {
-            out.push_str(&format!(",\"src_as\":{src_as}"));
+            out.push_str(",\"src_as\":");
+            push_integer(out, src_as.into());
         }
         if let Some(dst_as) = self.dst_as {
-            out.push_str(&format!(",\"dst_as\":{dst_as}"));
+            out.push_str(",\"dst_as\":");
+            push_integer(out, dst_as.into());
         }
         if let Some(source) = &self.source {
-            out.push_str(&format!(",\"source\":\"{}\"", escape(source)));
+            out.push_str(",\"source\":\"");
+            escape_into(out, source);
+            out.push('"');
         }
         if let Some(min_hops) = self.min_hops {
-            out.push_str(&format!(",\"min_hops\":{min_hops}"));
+            out.push_str(",\"min_hops\":");
+            push_integer(out, min_hops.into());
         }
         if let Some(max_hops) = self.max_hops {
-            out.push_str(&format!(",\"max_hops\":{max_hops}"));
+            out.push_str(",\"max_hops\":");
+            push_integer(out, max_hops.into());
         }
         if let Some(slice) = self.slice {
-            out.push_str(&format!(",\"slice\":\"{}\"", slice_name(slice)));
+            out.push_str(",\"slice\":\"");
+            out.push_str(slice_name(slice));
+            out.push('"');
         }
     }
 }
@@ -109,7 +117,9 @@ impl Query {
     /// The canonical compact-JSON form (cache key, response echo, and a
     /// valid wire query).
     pub fn canonical(&self) -> String {
-        self.render_canonical(None)
+        let mut out = String::with_capacity(64);
+        self.write_canonical(None, &mut out);
+        out
     }
 
     /// The canonical form tagged with a serving epoch: the same compact
@@ -120,38 +130,70 @@ impl Query {
     /// request: the decoder accepts (and ignores) the `epoch` field, so
     /// replaying an echoed query asks the same question again.
     pub fn canonical_at(&self, epoch: u64) -> String {
-        self.render_canonical(Some(epoch))
+        let mut out = String::with_capacity(80);
+        self.write_canonical(Some(epoch), &mut out);
+        out
     }
 
-    fn render_canonical(&self, epoch: Option<u64>) -> String {
-        let mut out = match self {
-            Query::VendorMixAs { as_id, method } => format!(
-                "{{\"query\":\"vendor_mix\",\"as\":{as_id},\"method\":\"{}\"}}",
-                method_name(*method)
-            ),
-            Query::VendorMixRegion { region, method } => format!(
-                "{{\"query\":\"vendor_mix\",\"region\":\"{}\",\"method\":\"{}\"}}",
-                region.abbrev(),
-                method_name(*method)
-            ),
-            Query::PathDiversity { selection } => canonical_path_query("path_diversity", selection),
-            Query::Transitions { selection } => canonical_path_query("transitions", selection),
-            Query::LongestRuns { selection } => canonical_path_query("longest_runs", selection),
-            Query::Catalog => "{\"query\":\"catalog\"}".to_string(),
-        };
-        if let Some(epoch) = epoch {
-            out.pop();
-            out.push_str(&format!(",\"epoch\":{epoch}}}"));
+    /// Append the canonical form to `out` — tagged with `epoch` when one
+    /// is given ([`canonical_at`](Query::canonical_at)), bare otherwise
+    /// ([`canonical`](Query::canonical)). The one writer behind both,
+    /// and behind the key [`wire::decode_to_key`](crate::wire::decode_to_key)
+    /// writes for the serving loop's cache probe.
+    pub fn write_canonical(&self, epoch: Option<u64>, out: &mut String) {
+        out.push_str("{\"query\":\"");
+        match self {
+            Query::VendorMixAs { as_id, method } => {
+                out.push_str("vendor_mix\",\"as\":");
+                push_integer(out, (*as_id).into());
+                out.push_str(",\"method\":\"");
+                out.push_str(method_name(*method));
+                out.push('"');
+            }
+            Query::VendorMixRegion { region, method } => {
+                out.push_str("vendor_mix\",\"region\":\"");
+                out.push_str(region.abbrev());
+                out.push_str("\",\"method\":\"");
+                out.push_str(method_name(*method));
+                out.push('"');
+            }
+            Query::PathDiversity { selection } => {
+                out.push_str("path_diversity\"");
+                selection.write_canonical_fields(out);
+            }
+            Query::Transitions { selection } => {
+                out.push_str("transitions\"");
+                selection.write_canonical_fields(out);
+            }
+            Query::LongestRuns { selection } => {
+                out.push_str("longest_runs\"");
+                selection.write_canonical_fields(out);
+            }
+            Query::Catalog => out.push_str("catalog\""),
         }
-        out
+        if let Some(epoch) = epoch {
+            out.push_str(",\"epoch\":");
+            push_integer(out, epoch);
+        }
+        out.push('}');
     }
 }
 
-fn canonical_path_query(kind: &str, selection: &Selection) -> String {
-    let mut out = format!("{{\"query\":\"{kind}\"");
-    selection.canonical_fields(&mut out);
-    out.push('}');
-    out
+/// Append `value` in decimal.
+fn push_integer(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    for &digit in &digits[start..] {
+        out.push(char::from(digit));
+    }
 }
 
 /// Wire name of an identification method.
@@ -276,6 +318,33 @@ mod tests {
         // Distinct epochs never share a cache key.
         assert_ne!(query.canonical_at(0), query.canonical_at(1));
         assert_ne!(query.canonical(), query.canonical_at(0));
+    }
+
+    #[test]
+    fn integer_pushes_spell_numbers_like_display() {
+        for value in [0, 1, 9, 10, 99, 100, 4_294_967_295, 1 << 53, u64::MAX] {
+            let mut out = String::from("x");
+            push_integer(&mut out, value);
+            assert_eq!(out, format!("x{value}"));
+        }
+    }
+
+    #[test]
+    fn write_canonical_appends_and_matches_the_owned_forms() {
+        let query = Query::Transitions {
+            selection: Selection {
+                source: Some("quote\"d\u{2028}".to_string()),
+                min_hops: Some(0),
+                ..Selection::default()
+            },
+        };
+        let mut out = String::from("prefix");
+        query.write_canonical(Some(3), &mut out);
+        assert_eq!(out, format!("prefix{}", query.canonical_at(3)));
+        assert_eq!(
+            query.canonical(),
+            "{\"query\":\"transitions\",\"source\":\"quote\\\"d\\u2028\",\"min_hops\":0}"
+        );
     }
 
     #[test]

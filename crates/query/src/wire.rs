@@ -41,12 +41,44 @@
 //! `{"ok": true, "cached": …, "query": <canonical echo>, "result": …}`
 //! on success, `{"ok": false, "error": "…"}` otherwise. The echoed
 //! canonical form is itself a valid request (and the result-cache key).
+//!
+//! ## Decoding on the loop
+//!
+//! Two decoders read the request grammar. [`decode`] / [`decode_value`]
+//! parse a [`JsonValue`] tree first and check it field by field; they
+//! are the reference, and the only place error messages are worded.
+//! [`decode_to_key`] is the serving loop's single pass: it reads the line
+//! once, with no tree, and writes the epoch-tagged cache key
+//! ([`Query::write_canonical`]) into a reused buffer the cache probe
+//! borrows.
+//!
+//! The single pass **decides** a line only when it is sure the tree
+//! would accept it with the same query and `min_epoch`. That means a flat
+//! object whose values are all
+//!
+//! * strings with no `\` escape and no raw control character, or
+//! * plain non-negative integers of at most 15 digits with no leading
+//!   zero, fraction or exponent — exactly the spellings on which integer
+//!   parsing and the tree's `f64` agree,
+//!
+//! and that passes every rule [`decode_value`] enforces: known field
+//! names only, each at most once; the kind's allowed fields; the u32 and
+//! u16 ranges; the names of `slice`, `region` and `method`; `as` xor
+//! `region`; `path_diversity`'s two endpoints; `min_hops ≤ max_hops`.
+//!
+//! Everything else is **undecided** and the caller runs the tree decoder
+//! on the same line: any escape, any other number spelling, `null`,
+//! arrays, and every line either decoder would reject. So the single pass
+//! never produces an error itself. An error reply is always worded by the
+//! tree decoder, and error bytes cannot differ between the two paths.
+//! `tests/line_decoder.rs` checks that every decided line is one the
+//! tree accepts with the same query, floor and key.
 
 use crate::engine::Response;
 use crate::query::{method_by_name, region_by_abbrev, slice_by_name, Query, Selection};
 use lfp_analysis::json::{escape, parse, JsonValue};
 use lfp_analysis::path_corpus::LabelSource;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 /// Default upper bound on one request frame. Far above any legal query,
 /// far below anything that could pressure memory.
@@ -232,11 +264,10 @@ pub fn decode_value(value: &JsonValue) -> Result<Query, String> {
         .as_object()
         .ok_or_else(|| "request must be a JSON object".to_string())?;
     // Strictness extends to duplicates: `JsonValue::get` would silently
-    // answer from the first occurrence and drop the second.
-    for (index, (name, _)) in fields.iter().enumerate() {
-        if fields[..index].iter().any(|(prior, _)| prior == name) {
-            return Err(format!("duplicate field '{name}'"));
-        }
+    // answer from the first occurrence and drop the second. Either way
+    // the first repeat in document order is reported.
+    if let Some(name) = first_repeat(fields) {
+        return Err(format!("duplicate field '{name}'"));
     }
     let kind = value
         .get("query")
@@ -302,6 +333,28 @@ pub fn decode_value(value: &JsonValue) -> Result<Query, String> {
         "catalog" => Ok(Query::Catalog),
         _ => unreachable!("kind vetted above"),
     }
+}
+
+/// Objects up to this many fields are checked for repeats pairwise.
+/// Every legal request has at most nine; beyond it a hashed pass keeps a
+/// frame packed with thousands of fields linear on the serving loop.
+const PAIRWISE_FIELDS: usize = 16;
+
+/// The first field name that repeats an earlier one, in document order.
+fn first_repeat(fields: &[(String, JsonValue)]) -> Option<&str> {
+    if fields.len() <= PAIRWISE_FIELDS {
+        return fields.iter().enumerate().find_map(|(index, (name, _))| {
+            fields[..index]
+                .iter()
+                .any(|(prior, _)| prior == name)
+                .then_some(name.as_str())
+        });
+    }
+    let mut seen = HashSet::with_capacity(fields.len());
+    fields
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .find(|name| !seen.insert(*name))
 }
 
 fn decode_vendor_mix(value: &JsonValue) -> Result<Query, String> {
@@ -387,6 +440,293 @@ fn decode_hops(field: &JsonValue, name: &str) -> Result<u16, String> {
         .ok_or_else(|| format!("field '{name}' must be a hop count (u16)"))
 }
 
+/// A request line [`decode_to_key`] decided: what the tree decoder would
+/// have returned for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Decoded {
+    /// The query ([`decode_value`]'s result).
+    pub query: Query,
+    /// The fencing floor ([`min_epoch_of`]'s result).
+    pub min_epoch: Option<u64>,
+}
+
+/// Decode one protocol line in a single pass, and write its cache key
+/// into `key` in place of what it held: the query's canonical form at
+/// `epoch`, by [`Query::write_canonical`]. `None` means undecided. The
+/// caller then runs the tree decoder on the same line, which either
+/// accepts it or words the error (see "Decoding on the loop" in the
+/// module docs). After `None`, `key` holds unspecified text.
+pub fn decode_to_key(line: &str, epoch: u64, key: &mut String) -> Option<Decoded> {
+    let decoded = LineFields::scan(line)?.decode()?;
+    key.clear();
+    decoded.query.write_canonical(Some(epoch), key);
+    Some(decoded)
+}
+
+/// One field value the single pass accepts.
+#[derive(Debug, Clone, Copy)]
+enum Scalar<'a> {
+    /// A plain integer: 1–15 digits, no leading zero, sign, fraction or
+    /// exponent.
+    Int(u64),
+    /// A string with no escape and no raw control character.
+    Str(&'a str),
+}
+
+/// Digits a decided integer may have: every integer below 10^15 is
+/// exact in the tree decoder's `f64`, so both decoders read one value.
+const MAX_DIGITS: usize = 15;
+
+// Field slots of `LineFields`, one per name in the request grammar.
+const QUERY: usize = 0;
+const AS: usize = 1;
+const REGION: usize = 2;
+const METHOD: usize = 3;
+const SRC_AS: usize = 4;
+const DST_AS: usize = 5;
+const SOURCE: usize = 6;
+const MIN_HOPS: usize = 7;
+const MAX_HOPS: usize = 8;
+const SLICE: usize = 9;
+const EPOCH: usize = 10;
+const MIN_EPOCH: usize = 11;
+const FIELD_SLOTS: usize = 12;
+
+/// The slot of a field name, `None` for a name outside the grammar.
+fn field_slot(name: &str) -> Option<usize> {
+    Some(match name {
+        "query" => QUERY,
+        "as" => AS,
+        "region" => REGION,
+        "method" => METHOD,
+        "src_as" => SRC_AS,
+        "dst_as" => DST_AS,
+        "source" => SOURCE,
+        "min_hops" => MIN_HOPS,
+        "max_hops" => MAX_HOPS,
+        "slice" => SLICE,
+        "epoch" => EPOCH,
+        "min_epoch" => MIN_EPOCH,
+        _ => return None,
+    })
+}
+
+/// The slots `decode_value` allows per kind, as bit masks.
+const fn mask(slots: &[usize]) -> u16 {
+    let mut bits = 0;
+    let mut index = 0;
+    while index < slots.len() {
+        bits |= 1 << slots[index];
+        index += 1;
+    }
+    bits
+}
+const CATALOG_FIELDS: u16 = mask(&[QUERY, EPOCH, MIN_EPOCH]);
+const VENDOR_MIX_FIELDS: u16 = CATALOG_FIELDS | mask(&[AS, REGION, METHOD]);
+const PATH_FIELDS: u16 =
+    CATALOG_FIELDS | mask(&[SRC_AS, DST_AS, SOURCE, MIN_HOPS, MAX_HOPS, SLICE]);
+
+/// A request line's fields, read in one pass with no tree. Every method
+/// returns `None` for "undecided".
+#[derive(Default)]
+struct LineFields<'a> {
+    slots: [Option<Scalar<'a>>; FIELD_SLOTS],
+    /// Bit `slot` is set when that field is present.
+    present: u16,
+}
+
+impl<'a> LineFields<'a> {
+    /// Read a flat object of known, distinct fields with scalar values,
+    /// spanning the whole line but for JSON whitespace.
+    fn scan(line: &'a str) -> Option<LineFields<'a>> {
+        let mut cursor = Cursor { line, pos: 0 };
+        let mut fields = LineFields::default();
+        cursor.skip_whitespace();
+        cursor.eat(b'{')?;
+        loop {
+            cursor.skip_whitespace();
+            let slot = field_slot(cursor.string()?)?;
+            cursor.skip_whitespace();
+            cursor.eat(b':')?;
+            cursor.skip_whitespace();
+            let value = cursor.scalar()?;
+            if fields.slots[slot].replace(value).is_some() {
+                return None;
+            }
+            fields.present |= 1 << slot;
+            cursor.skip_whitespace();
+            match cursor.next()? {
+                b',' => {}
+                b'}' => break,
+                _ => return None,
+            }
+        }
+        cursor.skip_whitespace();
+        (cursor.pos == line.len()).then_some(fields)
+    }
+
+    /// The field at `slot` as an integer of type `T`: `Some(None)` when
+    /// absent, `None` when it is a string or out of `T`'s range.
+    fn int<T: TryFrom<u64>>(&self, slot: usize) -> Option<Option<T>> {
+        match self.slots[slot] {
+            None => Some(None),
+            Some(Scalar::Int(value)) => T::try_from(value).ok().map(Some),
+            Some(Scalar::Str(_)) => None,
+        }
+    }
+
+    /// The field at `slot` as a string: `Some(None)` when absent, `None`
+    /// when it is a number.
+    fn text(&self, slot: usize) -> Option<Option<&'a str>> {
+        match self.slots[slot] {
+            None => Some(None),
+            Some(Scalar::Str(text)) => Some(Some(text)),
+            Some(Scalar::Int(_)) => None,
+        }
+    }
+
+    /// [`decode_value`]'s rules, on the scanned fields.
+    fn decode(&self) -> Option<Decoded> {
+        // Absent and mistyped are both undecided here.
+        let kind = self.text(QUERY)??;
+        let allowed = match kind {
+            "vendor_mix" => VENDOR_MIX_FIELDS,
+            "path_diversity" | "transitions" | "longest_runs" => PATH_FIELDS,
+            "catalog" => CATALOG_FIELDS,
+            _ => return None,
+        };
+        if self.present & !allowed != 0 {
+            return None;
+        }
+        self.int::<u64>(EPOCH)?;
+        let min_epoch = self.int::<u64>(MIN_EPOCH)?;
+        let query = match kind {
+            "vendor_mix" => {
+                let method = match self.text(METHOD)? {
+                    None => LabelSource::Lfp,
+                    Some(name) => method_by_name(name)?,
+                };
+                match (self.int::<u32>(AS)?, self.text(REGION)?) {
+                    (Some(as_id), None) => Query::VendorMixAs { as_id, method },
+                    (None, Some(abbrev)) => Query::VendorMixRegion {
+                        region: region_by_abbrev(abbrev)?,
+                        method,
+                    },
+                    _ => return None,
+                }
+            }
+            "catalog" => Query::Catalog,
+            path => {
+                let selection = self.selection()?;
+                match path {
+                    "path_diversity" => {
+                        if selection.src_as.is_none() || selection.dst_as.is_none() {
+                            return None;
+                        }
+                        Query::PathDiversity { selection }
+                    }
+                    "transitions" => Query::Transitions { selection },
+                    _ => Query::LongestRuns { selection },
+                }
+            }
+        };
+        Some(Decoded { query, min_epoch })
+    }
+
+    /// [`decode_selection`]'s rules, on the scanned fields.
+    fn selection(&self) -> Option<Selection> {
+        let min_hops = self.int::<u16>(MIN_HOPS)?;
+        let max_hops = self.int::<u16>(MAX_HOPS)?;
+        if let (Some(min), Some(max)) = (min_hops, max_hops) {
+            if min > max {
+                return None;
+            }
+        }
+        let slice = match self.text(SLICE)? {
+            None => None,
+            Some(name) => Some(slice_by_name(name)?),
+        };
+        Some(Selection {
+            src_as: self.int::<u32>(SRC_AS)?,
+            dst_as: self.int::<u32>(DST_AS)?,
+            source: self.text(SOURCE)?.map(str::to_string),
+            min_hops,
+            max_hops,
+            slice,
+        })
+    }
+}
+
+/// The single pass's read position in a line.
+struct Cursor<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.line.as_bytes().get(self.pos).copied()
+    }
+
+    fn next(&mut self) -> Option<u8> {
+        let byte = self.peek()?;
+        self.pos += 1;
+        Some(byte)
+    }
+
+    fn eat(&mut self, byte: u8) -> Option<()> {
+        (self.next()? == byte).then_some(())
+    }
+
+    /// JSON whitespace, exactly the set the tree parser skips.
+    fn skip_whitespace(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// A string with no escape and no raw control character, borrowed
+    /// from the line.
+    fn string(&mut self) -> Option<&'a str> {
+        self.eat(b'"')?;
+        let start = self.pos;
+        loop {
+            match self.next()? {
+                b'"' => return Some(&self.line[start..self.pos - 1]),
+                b'\\' | 0x00..=0x1f => return None,
+                _ => {}
+            }
+        }
+    }
+
+    /// A string or a plain integer. An integer's end is not checked
+    /// here: whatever follows it must be whitespace, `,` or `}`, so
+    /// `03`, `3.0`, `3e0` and a sixteenth digit all leave the object
+    /// unterminated and the line undecided.
+    fn scalar(&mut self) -> Option<Scalar<'a>> {
+        match self.peek()? {
+            b'"' => self.string().map(Scalar::Str),
+            b'0' => {
+                self.pos += 1;
+                Some(Scalar::Int(0))
+            }
+            b'1'..=b'9' => {
+                let start = self.pos;
+                let mut value = 0u64;
+                while let Some(digit @ b'0'..=b'9') = self.peek() {
+                    if self.pos - start == MAX_DIGITS {
+                        return None;
+                    }
+                    value = value * 10 + u64::from(digit - b'0');
+                    self.pos += 1;
+                }
+                Some(Scalar::Int(value))
+            }
+            _ => None,
+        }
+    }
+}
+
 /// Render the success envelope for an answered query. `canonical` and
 /// the response payload are already-rendered JSON and embed raw.
 pub fn ok_envelope(canonical: &str, response: &Response) -> String {
@@ -403,7 +743,19 @@ pub fn ok_envelope(canonical: &str, response: &Response) -> String {
 /// of copying the payload into a fresh `String` — the concatenation is
 /// byte-identical to [`ok_envelope`] by construction.
 pub fn ok_envelope_head(canonical: &str, cached: bool) -> String {
-    format!("{{\"ok\": true, \"cached\": {cached}, \"query\": {canonical}, \"result\": ")
+    const OPEN: &str = "{\"ok\": true, \"cached\": ";
+    const QUERY: &str = ", \"query\": ";
+    const RESULT: &str = ", \"result\": ";
+    let flag = if cached { "true" } else { "false" };
+    let mut head = String::with_capacity(
+        OPEN.len() + flag.len() + QUERY.len() + canonical.len() + RESULT.len(),
+    );
+    head.push_str(OPEN);
+    head.push_str(flag);
+    head.push_str(QUERY);
+    head.push_str(canonical);
+    head.push_str(RESULT);
+    head
 }
 
 /// Everything of the success envelope *after* the result payload.
@@ -681,6 +1033,109 @@ mod tests {
             assert!(
                 error.contains(needle),
                 "{line}: expected {needle:?} in {error:?}"
+            );
+        }
+    }
+
+    /// The single pass on every canonical form over the planner's
+    /// selection grid, plus every vendor-mix and catalog shape, bare and
+    /// epoch-tagged, with and without a fencing floor: each line the tree
+    /// accepts is decided, to the same query and floor, with the key
+    /// `canonical_at` writes. The rest of the battery is
+    /// `tests/line_decoder.rs`; the grid lives here because `testutil`
+    /// is crate-private.
+    #[test]
+    fn decode_to_key_decides_every_canonical_form_the_tree_accepts() {
+        let world = crate::testutil::shared_world();
+        let corpus = world.path_corpus();
+        let mut queries = vec![Query::Catalog];
+        for method in [LabelSource::Lfp, LabelSource::Snmp] {
+            for as_id in [0, 7, u32::MAX] {
+                queries.push(Query::VendorMixAs { as_id, method });
+            }
+            for region in Continent::ALL {
+                queries.push(Query::VendorMixRegion { region, method });
+            }
+        }
+        for selection in crate::testutil::selection_grid(corpus) {
+            queries.push(Query::PathDiversity {
+                selection: selection.clone(),
+            });
+            queries.push(Query::Transitions {
+                selection: selection.clone(),
+            });
+            queries.push(Query::LongestRuns { selection });
+        }
+        let (mut decided, mut rejected) = (0, 0);
+        let mut key = String::new();
+        for query in &queries {
+            for epoch in [0, 9, 999_999_999_999_999] {
+                let bare = query.canonical();
+                let fenced = format!("{},\"min_epoch\":{epoch}}}", &bare[..bare.len() - 1]);
+                for line in [bare, query.canonical_at(epoch), fenced] {
+                    let tree =
+                        parse(&line).map(|value| (decode_value(&value), min_epoch_of(&value)));
+                    match (decode_to_key(&line, epoch, &mut key), tree) {
+                        (Some(decoded), Ok((Ok(query), min_epoch))) => {
+                            assert_eq!(decoded, Decoded { query, min_epoch }, "{line}");
+                            assert_eq!(key, decoded.query.canonical_at(epoch), "{line}");
+                            decided += 1;
+                        }
+                        // A grid selection with `min_hops > max_hops`, or
+                        // a `path_diversity` missing an endpoint.
+                        (None, Ok((Err(_), _))) => rejected += 1,
+                        (single, tree) => panic!("{line}: single pass {single:?}, tree {tree:?}"),
+                    }
+                }
+            }
+        }
+        assert!(decided > rejected && rejected > 0, "{decided} / {rejected}");
+    }
+
+    #[test]
+    fn duplicates_report_the_first_repeat_in_document_order() {
+        assert_eq!(
+            decode(r#"{"query": "transitions", "b": 1, "a": 1, "a": 2, "b": 2}"#).unwrap_err(),
+            "duplicate field 'a'"
+        );
+        // Duplicates are checked before the kind and the field names.
+        assert_eq!(
+            decode(r#"{"zz": 1, "query": "nope", "zz": 2}"#).unwrap_err(),
+            "duplicate field 'zz'"
+        );
+        // Past the pairwise size, the hashed pass reports the same one.
+        let padding: String = (0..PAIRWISE_FIELDS)
+            .map(|index| format!(", \"p{index}\": 0"))
+            .collect();
+        let line =
+            format!(r#"{{"query": "transitions", "b": 1{padding}, "a": 1, "a": 2, "b": 2}}"#);
+        assert_eq!(decode(&line).unwrap_err(), "duplicate field 'a'");
+    }
+
+    #[test]
+    fn a_frame_packed_with_fields_is_rejected_in_linear_time() {
+        // A legal-size frame of thousands of distinct fields. The
+        // duplicate check used to compare every name with every earlier
+        // one: tens of milliseconds on the serving loop per such line.
+        let mut line = String::from(r#"{"query": "catalog""#);
+        let mut fields = 0;
+        while line.len() + 16 < MAX_FRAME_BYTES {
+            line.push_str(&format!(",\"f{fields}\":0"));
+            fields += 1;
+        }
+        line.push('}');
+        assert!(line.len() <= MAX_FRAME_BYTES && fields > 6_000, "{fields}");
+        let repeated = format!("{},\"f0\":1}}", &line[..line.len() - 1]);
+        for (line, expected) in [
+            (&line, "unknown field 'f0' for query 'catalog'"),
+            (&repeated, "duplicate field 'f0'"),
+        ] {
+            let started = std::time::Instant::now();
+            assert_eq!(decode(line).unwrap_err(), expected);
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < std::time::Duration::from_millis(50),
+                "{fields} fields took {elapsed:?}"
             );
         }
     }

@@ -12,11 +12,18 @@
 //! counters — is private, which is what lets N shards saturate N cores
 //! without a shared hot lock.
 //!
-//! The loop parses and decodes every data line itself and answers
-//! whatever is already **resident** on the spot: a cache hit on the
-//! shard's lane, a `min_epoch` fence refusal, an expired deadline. For
-//! such an answer the hand-off to a worker and back would cost more
-//! than the answer, so it never takes one. The worker pool gets only
+//! The loop decodes every data line itself and answers whatever is
+//! already **resident** on the spot: a cache hit on the shard's lane, a
+//! `min_epoch` fence refusal, an expired deadline. It fetches the engine
+//! first, then reads the line in one pass (`wire::decode_to_key`)
+//! straight into the epoch-tagged cache key, a buffer the shard reuses
+//! across requests; the probe borrows that key, so a hit builds neither
+//! a JSON tree nor a second canonical string. A line the single pass
+//! leaves undecided — an escape, an odd number spelling, anything the
+//! grammar rejects — goes through the tree decoder, which words every
+//! error exactly as `answer_line` does. For a resident answer the
+//! hand-off to a worker and back would cost more than the answer, so it
+//! never takes one. The worker pool gets only
 //! work that can be slow: cache misses (plan, fold, render) and the
 //! lines the data grammar rejects (the line extension's `repl_*`
 //! stream, typed parse and decode errors). Mixed pipelines stay in
@@ -75,9 +82,9 @@ enum Work {
     Line { line: String, error: String },
 }
 
-/// One data line, parsed and decoded once on the loop: the query, its
-/// `min_epoch` fencing floor, and — once the loop's cache probe missed —
-/// the key it probed under, so the worker need not canonicalise again.
+/// One data line, decoded once on the loop: the query, its `min_epoch`
+/// fencing floor, and — once the loop's cache probe missed — the key it
+/// probed under, so the worker need not canonicalise again.
 struct Request {
     query: Query,
     min_epoch: Option<u64>,
@@ -85,13 +92,25 @@ struct Request {
 }
 
 impl Request {
-    /// Parse and decode one protocol line. The error is the message of
-    /// the failure envelope, worded exactly as [`answer_line`]'s.
+    /// Decode one protocol line and write its cache key at `key.epoch`
+    /// into `key.text`. The single pass ([`wire::decode_to_key`]) decides
+    /// almost every line; a line it leaves undecided is parsed and
+    /// decoded through the tree, so the error is the message of the
+    /// failure envelope, worded exactly as [`answer_line`]'s.
     ///
     /// [`answer_line`]: crate::server::answer_line
-    fn decode(line: &str) -> Result<Request, String> {
+    fn decode(line: &str, key: &mut CacheKey) -> Result<Request, String> {
+        if let Some(decoded) = wire::decode_to_key(line, key.epoch, &mut key.text) {
+            return Ok(Request {
+                query: decoded.query,
+                min_epoch: decoded.min_epoch,
+                key: None,
+            });
+        }
         let value = parse(line).map_err(|error| format!("invalid JSON: {error}"))?;
         let query = wire::decode_value(&value)?;
+        key.text.clear();
+        query.write_canonical(Some(key.epoch), &mut key.text);
         Ok(Request {
             query,
             min_epoch: wire::min_epoch_of(&value),
@@ -288,12 +307,14 @@ fn answer_request_obs(
 
 /// The loop's half of the data path: answer a decoded request if that
 /// takes no execution — the fence refusal, or the result already
-/// resident on `lane` — and hand a miss back with the key it was probed
-/// under, for the worker it must go to. The rendering and the trace are
-/// exactly [`answer_request_obs`]'s for the same outcome.
+/// resident on `lane` under `key`, the key [`Request::decode`] wrote —
+/// and hand a miss back with a copy of that key, for the worker it must
+/// go to. The rendering and the trace are exactly
+/// [`answer_request_obs`]'s for the same outcome.
 fn answer_resident_obs(
     mut request: Request,
     engine: &QueryEngine,
+    key: &CacheKey,
     lane: u64,
     clock: &dyn Clock,
     rt: &mut ReqTrace,
@@ -301,7 +322,7 @@ fn answer_resident_obs(
     if let Some(refusal) = request.fenced_off(engine) {
         return Ok(refusal);
     }
-    match engine.resident_lane_obs(&request.query, lane, clock) {
+    match engine.resident_lane_obs(key, lane, clock) {
         Ok((response, obs)) => Ok(rendered(response, obs, rt)),
         Err(key) => {
             request.key = Some(key);
@@ -403,6 +424,11 @@ impl ShardSeed {
         // Scratch for draining flushed traces; its capacity is recycled
         // across connections and iterations.
         let mut flushed_scratch: Vec<Box<ReqTrace>> = Vec::new();
+        // The cache key each data line decodes into, reused likewise.
+        let mut key = CacheKey {
+            epoch: 0,
+            text: String::new(),
+        };
 
         loop {
             report.iterations += 1;
@@ -532,6 +558,7 @@ impl ShardSeed {
                         id,
                         conn,
                         config.max_inflight,
+                        &mut key,
                         &mut reserved,
                         &mut new_jobs,
                     );
@@ -754,13 +781,14 @@ impl ShardSeed {
     /// [`answer_inline`](ShardSeed::answer_inline)); `stats`, `metrics`
     /// and `slowlog` requests are only *reserved* (sequence number +
     /// origin) and the loop renders one document for all of each kind
-    /// afterwards. Returns true if a `shutdown` control query was
-    /// accepted.
+    /// afterwards. `key` is the shard's reused cache-key buffer. Returns
+    /// true if a `shutdown` control query was accepted.
     fn pump_frames(
         &self,
         id: u64,
         conn: &mut Conn,
         max_inflight: usize,
+        key: &mut CacheKey,
         reserved: &mut ControlRequests,
         new_jobs: &mut Vec<Job>,
     ) -> bool {
@@ -834,14 +862,25 @@ impl ShardSeed {
                             self.shared.queries.fetch_add(1, Ordering::Relaxed);
                             // Begin the request's span trace: from the
                             // arrival of its bytes to this decode is
-                            // the `accept` stage.
+                            // the `accept` stage. The engine is fetched
+                            // for this request alone, as a worker
+                            // would, and first: the key is tagged with
+                            // its epoch.
                             let mut trace = ReqTrace::begin(conn.arrived_ns);
-                            let decoded = Request::decode(line);
+                            let engine = self.source.engine();
+                            key.epoch = engine.epoch();
+                            let decoded = Request::decode(line, key);
                             let accepted_ns = self.clock.now_ns();
                             trace.trace.stamp(Stage::Accept, accepted_ns);
                             let work = match decoded {
                                 Ok(request) => {
-                                    match self.answer_inline(request, accepted_ns, &mut trace) {
+                                    match self.answer_inline(
+                                        request,
+                                        &engine,
+                                        key,
+                                        accepted_ns,
+                                        &mut trace,
+                                    ) {
                                         Ok(payload) => {
                                             conn.complete_traced(seq, payload, Some(trace));
                                             self.shared.completed.fetch_add(1, Ordering::Relaxed);
@@ -898,12 +937,14 @@ impl ShardSeed {
 
     /// Answer a decoded request on the loop when no execution is
     /// needed: a deadline already past, a fence refusal, or a result
-    /// resident on this shard's cache lane. The engine is fetched for
-    /// this request alone, as a worker would. Hands the request back
-    /// on a cache miss, carrying the key it was probed under.
+    /// resident under `key` on this shard's cache lane of `engine`.
+    /// Hands the request back on a cache miss, carrying a copy of the
+    /// key it was probed under.
     fn answer_inline(
         &self,
         request: Request,
+        engine: &QueryEngine,
+        key: &CacheKey,
         accepted_ns: u64,
         rt: &mut ReqTrace,
     ) -> Result<Payload, Request> {
@@ -917,10 +958,9 @@ impl ShardSeed {
                 self.config.retry_hint_ms,
             ))
         } else {
-            let engine = self.source.engine();
             rt.epoch = engine.epoch();
             let lane = self.id as u64;
-            answer_resident_obs(request, &engine, lane, self.clock.as_ref(), rt)?
+            answer_resident_obs(request, engine, key, lane, self.clock.as_ref(), rt)?
         };
         rt.trace.stamp(Stage::Execute, self.clock.now_ns());
         Ok(payload)
@@ -1083,6 +1123,10 @@ mod tests {
             "{\"query\": \"mystery\"}",
             "{\"query\": \"catalog\", \"min_epoch\": 0}", // fence passes at epoch 0
             "{\"query\": \"catalog\", \"min_epoch\": 5}", // fence refuses: stale_epoch
+            // Undecided by the single pass, decoded through the tree:
+            "{\"query\": \"transitions\", \"min_hops\": 2.0}",
+            "{\"qu\\u0065ry\": \"catalog\"}",
+            "{\"query\": \"transitions\", \"min_hops\": 1e400}",
         ] {
             // Warm the cache first: both renderings below then take the
             // cached=true path, so the `cached` flag cannot differ by
@@ -1092,8 +1136,17 @@ mod tests {
             let scalar = answer_line(line, &engine);
             let clock = lfp_obs::ManualClock::new(0);
             let mut rt = ReqTrace::begin(0);
-            let payload = match Request::decode(line) {
-                Ok(request) => answer_request_obs(request, &engine, 0, &clock, &mut rt),
+            let mut key = CacheKey {
+                epoch: engine.epoch(),
+                text: String::new(),
+            };
+            let payload = match Request::decode(line, &mut key) {
+                Ok(request) => {
+                    // Whichever decoder took the line, the key is the
+                    // engine's canonical form of what it decoded.
+                    assert_eq!(key, engine.key(&request.query), "line {line}");
+                    answer_request_obs(request, &engine, 0, &clock, &mut rt)
+                }
                 Err(error) => Payload::Owned(wire::error_envelope(&error)),
             };
             let rendered = flatten(payload);
@@ -1101,9 +1154,10 @@ mod tests {
             // The loop's inline answer is the same bytes and the same
             // trace outcome, for everything it can answer without
             // executing (every decodable line here is resident by now).
-            if let Ok(request) = Request::decode(line) {
+            if let Ok(request) = Request::decode(line, &mut key) {
                 let mut inline_rt = ReqTrace::begin(0);
-                let Ok(inline) = answer_resident_obs(request, &engine, 0, &clock, &mut inline_rt)
+                let Ok(inline) =
+                    answer_resident_obs(request, &engine, &key, 0, &clock, &mut inline_rt)
                 else {
                     panic!("warmed line {line} is not resident");
                 };
@@ -1147,11 +1201,15 @@ mod tests {
         };
         let clock = lfp_obs::ManualClock::new(0);
         let line = "{\"query\": \"transitions\", \"min_hops\": 3}";
-        let request = Request::decode(line).unwrap();
+        let mut key = CacheKey {
+            epoch: old.epoch(),
+            text: String::new(),
+        };
+        let request = Request::decode(line, &mut key).unwrap();
         let query = request.query.clone();
 
         let mut rt = ReqTrace::begin(0);
-        let Err(request) = answer_resident_obs(request, &old, 0, &clock, &mut rt) else {
+        let Err(request) = answer_resident_obs(request, &old, &key, 0, &clock, &mut rt) else {
             panic!("a cold cache cannot answer inline");
         };
         assert_eq!(request.key, Some(old.key(&query)));
@@ -1167,7 +1225,7 @@ mod tests {
             reply.replace("\"cached\": false", "\"cached\": true"),
             direct
         );
-        assert!(new.resident_lane_obs(&query, 0, &clock).is_ok());
-        assert!(old.resident_lane_obs(&query, 0, &clock).is_err());
+        assert!(new.resident_lane_obs(&new.key(&query), 0, &clock).is_ok());
+        assert!(old.resident_lane_obs(&old.key(&query), 0, &clock).is_err());
     }
 }
