@@ -12,6 +12,7 @@ use lfp_analysis::json::escape_into;
 use lfp_analysis::path_corpus::LabelSource;
 use lfp_analysis::us_study::UsSlice;
 use lfp_topo::Continent;
+use std::fmt::Write as _;
 
 /// Row filters shared by every path-level query. All fields optional;
 /// an empty selection means "every path in the corpus".
@@ -43,11 +44,11 @@ impl Selection {
     fn write_canonical_fields(&self, out: &mut String) {
         if let Some(src_as) = self.src_as {
             out.push_str(",\"src_as\":");
-            push_integer(out, src_as.into());
+            let _ = write!(out, "{src_as}");
         }
         if let Some(dst_as) = self.dst_as {
             out.push_str(",\"dst_as\":");
-            push_integer(out, dst_as.into());
+            let _ = write!(out, "{dst_as}");
         }
         if let Some(source) = &self.source {
             out.push_str(",\"source\":\"");
@@ -56,11 +57,11 @@ impl Selection {
         }
         if let Some(min_hops) = self.min_hops {
             out.push_str(",\"min_hops\":");
-            push_integer(out, min_hops.into());
+            let _ = write!(out, "{min_hops}");
         }
         if let Some(max_hops) = self.max_hops {
             out.push_str(",\"max_hops\":");
-            push_integer(out, max_hops.into());
+            let _ = write!(out, "{max_hops}");
         }
         if let Some(slice) = self.slice {
             out.push_str(",\"slice\":\"");
@@ -145,7 +146,7 @@ impl Query {
         match self {
             Query::VendorMixAs { as_id, method } => {
                 out.push_str("vendor_mix\",\"as\":");
-                push_integer(out, (*as_id).into());
+                let _ = write!(out, "{as_id}");
                 out.push_str(",\"method\":\"");
                 out.push_str(method_name(*method));
                 out.push('"');
@@ -173,26 +174,9 @@ impl Query {
         }
         if let Some(epoch) = epoch {
             out.push_str(",\"epoch\":");
-            push_integer(out, epoch);
+            let _ = write!(out, "{epoch}");
         }
         out.push('}');
-    }
-}
-
-/// Append `value` in decimal.
-fn push_integer(out: &mut String, mut value: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
-    }
-    for &digit in &digits[start..] {
-        out.push(char::from(digit));
     }
 }
 
@@ -318,15 +302,6 @@ mod tests {
         // Distinct epochs never share a cache key.
         assert_ne!(query.canonical_at(0), query.canonical_at(1));
         assert_ne!(query.canonical(), query.canonical_at(0));
-    }
-
-    #[test]
-    fn integer_pushes_spell_numbers_like_display() {
-        for value in [0, 1, 9, 10, 99, 100, 4_294_967_295, 1 << 53, u64::MAX] {
-            let mut out = String::from("x");
-            push_integer(&mut out, value);
-            assert_eq!(out, format!("x{value}"));
-        }
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! key `Query::canonical_at` writes. Every other line stays undecided, so
 //! the tree words every error.
 //!
-//! * **Real traffic is decided:** every line of the load generator's
-//!   mix and every cold-mix-shaped line takes the single pass.
 //! * **Spellings:** JSON whitespace and field order are decided; escapes
 //!   and the number spellings on which integer and `f64` parsing part
 //!   ways (`3.0`, `3e0`, `03`, `-0`, `1e400`, 2^53+1, u32::MAX+1) are not.
@@ -19,18 +17,22 @@
 //!
 //! Every canonical form over the planner's selection grid is checked in
 //! `src/wire.rs` (`decode_to_key_decides_every_canonical_form_the_tree_accepts`),
-//! where the crate-private grid lives.
+//! where the crate-private grid lives; that both benchmark mixes take the
+//! single pass is checked beside the load generator, in
+//! `crates/bench/tests/mix_decoding.rs`.
 
 use lfp_analysis::json::{parse, JsonValue};
 use lfp_analysis::path_corpus::LabelSource;
 use lfp_analysis::us_study::UsSlice;
+use lfp_analysis::World;
 use lfp_query::query::{method_name, slice_name};
 use lfp_query::wire::{self, Decoded};
 use lfp_query::{Query, QueryEngine, Selection};
-use lfp_topo::Continent;
+use lfp_topo::{Continent, Scale};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, OnceLock};
 
 /// The tree decoder's verdict on a line: the serving loop's fallback.
 fn tree(line: &str) -> Result<Decoded, String> {
@@ -55,9 +57,13 @@ fn single_pass(line: &str, epoch: u64) -> Option<Decoded> {
     Some(decoded)
 }
 
-fn tiny_catalog() -> JsonValue {
-    let engine = QueryEngine::new(lfp_bench::shared_tiny_world());
-    parse(&engine.execute(&Query::Catalog).unwrap().payload).unwrap()
+/// The tiny world's catalog, built once for the whole binary.
+fn tiny_catalog() -> &'static JsonValue {
+    static CATALOG: OnceLock<JsonValue> = OnceLock::new();
+    CATALOG.get_or_init(|| {
+        let engine = QueryEngine::new(Arc::new(World::build(Scale::tiny())));
+        parse(&engine.execute(&Query::Catalog).unwrap().payload).unwrap()
+    })
 }
 
 fn catalog_strings(catalog: &JsonValue, key: &str) -> Vec<String> {
@@ -68,78 +74,6 @@ fn catalog_strings(catalog: &JsonValue, key: &str) -> Vec<String> {
         .iter()
         .map(|item| item.as_str().unwrap().to_string())
         .collect()
-}
-
-fn catalog_numbers(catalog: &JsonValue, key: &str) -> Vec<u64> {
-    catalog
-        .get(key)
-        .and_then(JsonValue::as_array)
-        .unwrap()
-        .iter()
-        .map(|item| item.as_u64().unwrap())
-        .collect()
-}
-
-/// The cold mix's pool, spelled as the benchmark spells it: both
-/// scan-heavy kinds over source × slice × hop range, and a
-/// `path_diversity` pair on every fourth filter.
-fn cold_shaped_lines(catalog: &JsonValue) -> Vec<String> {
-    let mut sources = vec![None];
-    sources.extend(catalog_strings(catalog, "sources").into_iter().map(Some));
-    let mut slices = vec![None];
-    slices.extend(catalog_strings(catalog, "slices").into_iter().map(Some));
-    let (src_ases, dst_ases) = (
-        catalog_numbers(catalog, "src_ases"),
-        catalog_numbers(catalog, "dst_ases"),
-    );
-    let mut lines = Vec::new();
-    let mut index = 0usize;
-    for source in &sources {
-        for slice in &slices {
-            for min_hops in 0..=10u16 {
-                for max_hops in min_hops.max(4)..=24 {
-                    let mut fields = String::new();
-                    if let Some(source) = source {
-                        fields.push_str(&format!(",\"source\":\"{source}\""));
-                    }
-                    if min_hops > 0 {
-                        fields.push_str(&format!(",\"min_hops\":{min_hops}"));
-                    }
-                    if max_hops < 24 {
-                        fields.push_str(&format!(",\"max_hops\":{max_hops}"));
-                    }
-                    if let Some(slice) = slice {
-                        fields.push_str(&format!(",\"slice\":\"{slice}\""));
-                    }
-                    lines.push(format!("{{\"query\":\"transitions\"{fields}}}"));
-                    lines.push(format!("{{\"query\":\"longest_runs\"{fields}}}"));
-                    if index.is_multiple_of(4) {
-                        let src = src_ases[(index / 4) % src_ases.len()];
-                        let dst = dst_ases[(index / 4 / src_ases.len()) % dst_ases.len()];
-                        lines.push(format!(
-                            "{{\"query\":\"path_diversity\",\"src_as\":{src},\"dst_as\":{dst}{fields}}}"
-                        ));
-                    }
-                    index += 1;
-                }
-            }
-        }
-    }
-    lines
-}
-
-#[test]
-fn every_line_of_both_benchmark_mixes_takes_the_single_pass() {
-    let catalog = tiny_catalog();
-    let warm = lfp_bench::mix::build_mix(&catalog, 64).expect("catalog lists ASes");
-    let cold = cold_shaped_lines(&catalog);
-    assert!(cold.len() > 1_000, "{}", cold.len());
-    for (epoch, line) in warm.iter().chain(&cold).enumerate() {
-        assert!(
-            single_pass(line, epoch as u64).is_some(),
-            "undecided: {line}"
-        );
-    }
 }
 
 #[test]
@@ -525,7 +459,7 @@ fn mess_up(rng: &mut SmallRng, fields: &mut Vec<(String, String)>) {
 }
 
 fn sources() -> Vec<String> {
-    catalog_strings(&tiny_catalog(), "sources")
+    catalog_strings(tiny_catalog(), "sources")
 }
 
 proptest! {
