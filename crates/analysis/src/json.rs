@@ -2,11 +2,11 @@
 //! protocol.
 //!
 //! The build environment has no serde, so the handful of places that emit
-//! JSON (per-experiment report files, `BENCH_campaign.json`, the
-//! `vendor-queryd` line protocol) share this order-preserving object
-//! builder, and the places that *consume* JSON (the query daemon, the
-//! load generator merging `BENCH_campaign.json`) share the [`parse`]
-//! function and its [`JsonValue`] tree. Output is always valid JSON:
+//! JSON (per-experiment report files, the `vendor-queryd` line protocol)
+//! share this order-preserving object builder, and the places that
+//! *consume* JSON (the query daemon, the load client reading the
+//! daemon's `catalog`) share the [`parse`] function and its [`JsonValue`]
+//! tree. Output is always valid JSON:
 //! strings are escaped per RFC 8259 and non-finite floats become `null`.
 //! Because query strings are echoed back over the wire, [`escape`] also
 //! escapes U+2028/U+2029 (valid raw in JSON, but line terminators to
@@ -161,9 +161,7 @@ impl JsonBuilder {
 /// A parsed JSON document.
 ///
 /// Objects preserve insertion order (mirroring [`JsonBuilder`]), so a
-/// parse → edit → [`JsonValue::render`] round trip keeps field order —
-/// which is what lets the query load generator splice a `query_engine`
-/// phase into an existing `BENCH_campaign.json` without reshuffling it.
+/// parse → [`JsonValue::render`] round trip keeps field order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -240,21 +238,6 @@ impl JsonValue {
     pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
         match self {
             JsonValue::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    /// Mutable field lookup / insertion on an object: replaces the value
-    /// of an existing key or appends a new field. `None` for non-objects.
-    pub fn set(&mut self, key: &str, value: JsonValue) -> Option<()> {
-        match self {
-            JsonValue::Object(fields) => {
-                match fields.iter_mut().find(|(name, _)| name == key) {
-                    Some((_, slot)) => *slot = value,
-                    None => fields.push((key.to_string(), value)),
-                }
-                Some(())
-            }
             _ => None,
         }
     }
@@ -654,14 +637,5 @@ mod tests {
     fn parse_decodes_surrogate_pairs() {
         assert_eq!(parse("\"\\ud83e\\udd80\"").unwrap().as_str(), Some("🦀"));
         assert_eq!(parse("\"\\u00e9\"").unwrap().as_str(), Some("é"));
-    }
-
-    #[test]
-    fn set_replaces_or_appends_fields() {
-        let mut value = parse(r#"{"a": 1, "b": 2}"#).unwrap();
-        value.set("b", JsonValue::Number(9.0)).unwrap();
-        value.set("c", JsonValue::String("new".into())).unwrap();
-        assert_eq!(value.render(), r#"{"a": 1, "b": 9, "c": "new"}"#);
-        assert!(JsonValue::Null.set("x", JsonValue::Null).is_none());
     }
 }

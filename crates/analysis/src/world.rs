@@ -365,14 +365,8 @@ impl World {
         Arc::clone(corpus)
     }
 
-    /// The corpus if it has been built, without triggering a build (for
-    /// reporting harnesses that must not distort timings).
-    pub fn path_corpus_if_built(&self) -> Option<&PathCorpus> {
-        self.path_corpus.get().map(|(corpus, _)| &**corpus)
-    }
-
     /// Wall-clock seconds the corpus build took (0 when not yet built) —
-    /// the `path_corpus` phase of `BENCH_campaign.json`.
+    /// the `path_corpus` entry of [`CampaignTimings`].
     pub fn path_corpus_seconds(&self) -> f64 {
         self.path_corpus
             .get()

@@ -1,8 +1,8 @@
 //! Path-corpus benchmarks: the build fold (single-shard vs parallel) and
 //! the query families the §6 figures and the ordered-path experiments
-//! lean on. The build is the `path_corpus` phase `BENCH_campaign.json`
-//! tracks; the queries show why a build-once store beats re-walking the
-//! trace list per figure. The ordered folds are timed over the whole
+//! lean on. The build is the repo benchmark's `analysis.corpus_build_s`;
+//! the queries show why a build-once store beats re-walking the trace
+//! list per figure. The ordered folds are timed over the whole
 //! corpus *and* over planned selections (dataset + hop range + slice,
 //! and one AS pair) — the shapes the repo benchmark's `serve-cold`
 //! workload sends.

@@ -2,26 +2,19 @@
 //!
 //! ```text
 //! experiments [--scale tiny|small|paper|path-stress|query-stress|ingest-stress] [--serial] [--json DIR]
-//!             [--markdown FILE] [--bench-json FILE] [ids…|all]
+//!             [--markdown FILE] [ids…|all]
 //! ```
 //!
 //! Builds one fully measured `World` at the requested scale, runs the
-//! selected experiments (default: all), prints each report, and optionally
-//! writes per-experiment JSON plus a combined Markdown summary (the body
-//! of EXPERIMENTS.md).
-//!
-//! Every run also emits `BENCH_campaign.json` with wall-clock seconds per
-//! campaign phase (generate / collect / scan / finalize / classify /
-//! path_corpus / experiments), so successive PRs have a performance
-//! trajectory. The `path_corpus` phase times the build-once columnar
-//! path store behind the §6 figures — warm builds pay it up front, lazy
-//! runs on first use inside an experiment.
+//! selected experiments (default: all), prints each report to stdout,
+//! and optionally writes per-experiment JSON plus a combined Markdown
+//! summary (the body of EXPERIMENTS.md). Nothing else is written: the
+//! per-phase build timings go to stderr, and the timed campaign is the
+//! repo benchmark's `campaign-paper` workload.
 //! `--serial` forces the single-threaded single-shard reference path —
 //! the baseline the parallel campaign's speedup is measured against.
 
 use lfp_analysis::experiments::{all_ids, run_all_parallel, run_by_id, EXPERIMENTS};
-use lfp_analysis::json::JsonBuilder;
-use lfp_analysis::world::CampaignTimings;
 use lfp_analysis::{Report, World};
 use lfp_topo::Scale;
 use std::io::Write;
@@ -34,7 +27,6 @@ fn main() {
     let mut parallel = true;
     let mut json_dir: Option<String> = None;
     let mut markdown: Option<String> = None;
-    let mut bench_json = "BENCH_campaign.json".to_string();
     let mut run_all_requested = false;
     let mut ids: Vec<String> = Vec::new();
 
@@ -51,12 +43,6 @@ fn main() {
             "--serial" => parallel = false,
             "--json" => json_dir = args.next(),
             "--markdown" => markdown = args.next(),
-            "--bench-json" => {
-                bench_json = args.next().unwrap_or_else(|| {
-                    eprintln!("--bench-json needs a path");
-                    std::process::exit(2);
-                })
-            }
             "--list" => {
                 for experiment in EXPERIMENTS {
                     println!("{:<22} {}", experiment.id, experiment.title);
@@ -128,16 +114,6 @@ fn main() {
         },
     );
 
-    write_bench_json(
-        &bench_json,
-        &scale_name,
-        parallel,
-        &timings,
-        experiments_secs,
-        reports.len(),
-        &world,
-    );
-
     if let Some(dir) = json_dir {
         std::fs::create_dir_all(&dir).expect("create json dir");
         for report in &reports {
@@ -191,66 +167,4 @@ fn main() {
         }
         eprintln!("wrote markdown summary to {path}");
     }
-}
-
-/// Emit the per-phase timing artefact (`BENCH_campaign.json`).
-#[allow(clippy::too_many_arguments)]
-fn write_bench_json(
-    path: &str,
-    scale_name: &str,
-    parallel: bool,
-    timings: &CampaignTimings,
-    experiments_secs: f64,
-    experiment_count: usize,
-    world: &World,
-) {
-    // Warm builds pay the corpus up front (timings.path_corpus); lazy
-    // subset runs build it inside the first path experiment, so that
-    // wall-clock is carved out of the `experiments` phase to keep the
-    // phases summing to `total`.
-    let corpus_secs = world.path_corpus_seconds();
-    let lazy_corpus_secs = corpus_secs - timings.path_corpus;
-    let experiments_only_secs = (experiments_secs - lazy_corpus_secs).max(0.0);
-    let mut phases = JsonBuilder::object();
-    phases.number("generate", timings.generate);
-    phases.number("collect", timings.collect);
-    phases.number("scan", timings.scan);
-    phases.number("finalize", timings.finalize);
-    phases.number("classify", timings.classify);
-    phases.number("path_corpus", corpus_secs);
-    phases.number("experiments", experiments_only_secs);
-    phases.number(
-        "total",
-        timings.total() + lazy_corpus_secs + experiments_only_secs,
-    );
-
-    let mut sizes = JsonBuilder::object();
-    sizes.integer("routers", world.internet.routers().len() as u64);
-    sizes.integer(
-        "interfaces",
-        world.internet.network().interface_count() as u64,
-    );
-    sizes.integer("datasets", (world.ripe_scans.len() + 1) as u64);
-    sizes.integer("unique_signatures", world.set.unique_count() as u64);
-    sizes.integer("non_unique_signatures", world.set.non_unique_count() as u64);
-    if let Some(corpus) = world.path_corpus_if_built() {
-        sizes.integer("paths", corpus.len() as u64);
-        sizes.integer("path_sequences", corpus.distinct_sequences() as u64);
-    }
-    sizes.integer("experiments", experiment_count as u64);
-
-    let mut json = JsonBuilder::object();
-    json.string("artifact", "BENCH_campaign");
-    json.string("scale", scale_name);
-    json.string("mode", if parallel { "parallel" } else { "serial" });
-    json.integer(
-        "threads",
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(1),
-    );
-    json.raw("phases_seconds", phases.finish());
-    json.raw("campaign", sizes.finish());
-    std::fs::write(path, json.finish_pretty() + "\n").expect("write bench json");
-    eprintln!("wrote phase timings to {path}");
 }

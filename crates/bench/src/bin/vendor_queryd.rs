@@ -10,8 +10,7 @@
 //!               [--fault-seed N] [--fault-profile quiet|light|aggressive]
 //!               [--cache-shards N] [--cache-capacity N]
 //!               [--slowlog-size N] [--metrics-dump]
-//!               [--store PATH] [--ingest DIR] [--bench-json FILE]
-//!               [--compact-after N]
+//!               [--store PATH] [--ingest DIR] [--compact-after N]
 //!               [--follow ADDR] [--serve-replicas]
 //! ```
 //!
@@ -42,7 +41,7 @@
 //! [`FaultPolicy`](lfp_serve::FaultPolicy) between the event loop and
 //! the kernel — the daemon then injects short reads/writes, `EINTR`,
 //! spurious wakeups, resets and write stalls against itself, which is
-//! what `query-load --chaos` drives in CI. Each shard runs an
+//! what `query-load --chaos` is built to survive. Each shard runs an
 //! **independent lane** of the seeded schedule (`seed ⊕ shard_id`) and
 //! the acceptor runs one more for `accept` (see the determinism
 //! contract in `lfp_serve::policy`), so multi-loop chaos runs stay
@@ -70,8 +69,7 @@
 //! **drains every accepted request on every connection**, then exits;
 //! an EOF or `quit` line ends one connection (after its pipelined
 //! responses flush). `--metrics-dump` prints the final exposition to
-//! stdout after the drain — the scrape CI archives next to the bench
-//! artefact.
+//! stdout after the drain, once every counter has quiesced.
 //!
 //! ## Persistence and ingestion
 //!
@@ -88,9 +86,8 @@
 //! `--ingest DIR` then folds every `*.delta` file in `DIR` (sorted by
 //! file name; written by `store-tool deltas`) into the serving state as
 //! one epoch per snapshot before the listener opens, and re-persists the
-//! store when `--store` is set. `--bench-json FILE` records the
-//! `store` phase — rebuild seconds on the first run, load seconds and
-//! the rebuild/load speedup on a restart.
+//! store when `--store` is set. The readiness line reports the epoch
+//! serving starts at.
 //!
 //! ## Segmented store and background compaction
 //!
@@ -109,9 +106,7 @@
 //! epoch** — one segment file per delta instead of rewriting the world
 //! after every poll.
 
-use lfp_analysis::json::{parse, JsonBuilder, JsonValue};
 use lfp_analysis::World;
-use lfp_bench::{merge_bench_phase, read_bench_phase};
 use lfp_serve::{DirectIo, EngineSource, FaultPlan, FaultPolicy, IoPolicy, ServeConfig, Server};
 use lfp_store::{
     follow_once, follow_once_persistent, CompactionPolicy, Compactor, ReplClient, ReplSource,
@@ -133,7 +128,6 @@ fn main() {
     let mut cache_capacity = 4096usize;
     let mut store_path: Option<String> = None;
     let mut ingest_dir: Option<String> = None;
-    let mut bench_json: Option<String> = None;
     let mut follow_addr: Option<String> = None;
     let mut serve_replicas = false;
     let mut compact_after: Option<usize> = None;
@@ -202,12 +196,6 @@ fn main() {
                         .unwrap_or_else(|| usage("--ingest needs a directory")),
                 )
             }
-            "--bench-json" => {
-                bench_json = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--bench-json needs a path")),
-                )
-            }
             "--follow" => {
                 follow_addr = Some(
                     args.next()
@@ -242,7 +230,6 @@ fn main() {
             segmented,
             cache_shards,
             cache_capacity,
-            bench_json.as_deref(),
         )),
     };
 
@@ -390,7 +377,7 @@ fn serve_event_loop(
     if let Some(compactor) = compactor.as_ref() {
         server.set_stats_source(Arc::new(CompactionStats(Arc::clone(compactor))));
     }
-    // The readiness line clients and CI wait for — keep it stable.
+    // The readiness line clients and tests wait for — keep it stable.
     println!(
         "vendor-queryd listening on {} (scale {scale_name}, {} paths, epoch {}, \
          event loop, {} loops, {} workers)",
@@ -406,7 +393,7 @@ fn serve_event_loop(
     let report = server.run();
     if metrics_dump {
         // The drained daemon's final exposition: every counter has
-        // quiesced, so this is the scrape CI reconciles and archives.
+        // quiesced, so this is the scrape to reconcile against.
         print!("{}", obs.metrics(&store.engine()));
         std::io::stdout().flush().ok();
     }
@@ -579,8 +566,7 @@ fn spawn_follower_poller(
 }
 
 /// Open the serving store: load from `--store` when the file exists,
-/// else build (and persist, when `--store` was given). Records the
-/// `store` bench phase either way.
+/// else build (and persist, when `--store` was given).
 fn open_store(
     scale: Scale,
     scale_name: &str,
@@ -588,7 +574,6 @@ fn open_store(
     segmented: bool,
     cache_shards: usize,
     cache_capacity: usize,
-    bench_json: Option<&str>,
 ) -> Store {
     if let Some(path) = store_path {
         if Path::new(path).exists() {
@@ -611,9 +596,6 @@ fn open_store(
                 report.epoch,
                 store.engine().corpus().len(),
             );
-            if let Some(bench) = bench_json {
-                record_store_phase(bench, scale_name, None, Some(report.seconds), report.bytes);
-            }
             return store;
         }
     }
@@ -631,60 +613,15 @@ fn open_store(
         store.engine().corpus().len(),
         store.engine().corpus().distinct_sequences(),
     );
-    let mut bytes = 0u64;
     if let Some(path) = store_path {
         match persist_store(&store, path, segmented) {
             Ok((saved, seconds)) => {
-                bytes = saved;
-                eprintln!("saved store to {path} ({saved} bytes in {seconds:.3}s)");
+                eprintln!("saved store to {path} ({saved} bytes in {seconds:.3}s)")
             }
             Err(error) => eprintln!("warning: could not save store to {path}: {error}"),
         }
     }
-    if let Some(bench) = bench_json {
-        record_store_phase(bench, scale_name, Some(rebuild_seconds), None, bytes);
-    }
     store
-}
-
-/// Merge the `store` phase into the bench artefact. Rebuild and load
-/// runs each contribute their half; once both halves are present the
-/// phase carries the cold-start speedup CI asserts on.
-fn record_store_phase(
-    path: &str,
-    scale_name: &str,
-    rebuild_seconds: Option<f64>,
-    load_seconds: Option<f64>,
-    bytes: u64,
-) {
-    let previous = read_bench_phase(path, "store");
-    let field = |name: &str| -> Option<f64> {
-        previous
-            .as_ref()
-            .and_then(|phase| phase.get(name))
-            .and_then(JsonValue::as_f64)
-    };
-    let rebuild = rebuild_seconds.or_else(|| field("rebuild_seconds"));
-    let load = load_seconds.or_else(|| field("load_seconds"));
-
-    let mut phase = JsonBuilder::object();
-    phase.string("scale", scale_name);
-    if let Some(rebuild) = rebuild {
-        phase.number("rebuild_seconds", rebuild);
-    }
-    if let Some(load) = load {
-        phase.number("load_seconds", load);
-    }
-    if bytes > 0 {
-        phase.integer("store_bytes", bytes);
-    }
-    if let (Some(rebuild), Some(load)) = (rebuild, load) {
-        phase.number("speedup", rebuild / load.max(1e-9));
-    }
-    let seconds = load_seconds.or(rebuild_seconds);
-    let phase = parse(&phase.finish()).expect("phase JSON is valid");
-    merge_bench_phase(path, "store", phase, seconds);
-    eprintln!("recorded store phase in {path}");
 }
 
 /// Ingest every `*.delta` file in a directory, sorted by file name, one
@@ -748,7 +685,6 @@ fn usage(message: &str) -> ! {
          [--cache-shards N] [--cache-capacity N] \
          [--slowlog-size N] [--metrics-dump] \
          [--store PATH] [--ingest DIR] [--compact-after N] \
-         [--bench-json FILE] \
          [--follow ADDR] [--serve-replicas]"
     );
     std::process::exit(2);

@@ -6,8 +6,8 @@
 //! * [`build_mix`] — the deterministic request mix bootstrapped from
 //!   the daemon's `catalog` answer (the repo benchmark borrows it too);
 //! * [`Connection`] / [`request`] — a blocking line-protocol client for
-//!   bootstrap, probes and the cluster scenario's one-at-a-time fenced
-//!   round trips;
+//!   bootstrap, control queries and the process-level tests'
+//!   one-at-a-time fenced round trips;
 //! * [`run_fleet`] — the load generator proper: **one** nonblocking
 //!   connection state machine and **one** `poll(2)` loop, which
 //!   `query-load` runs in every mode. Request slots move `pending →

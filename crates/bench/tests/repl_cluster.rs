@@ -13,105 +13,18 @@
 //!   resyncs the epochs it missed, and converges;
 //! * at equal epochs, warm replies are byte-identical across replicas.
 
+mod common;
+
+use common::{Daemon, Scratch};
 use lfp_analysis::json::{parse, JsonValue};
-use lfp_analysis::World;
+use lfp_bench::measure_deltas;
 use lfp_bench::mix::{build_mix, connect_with_retry, request, Connection};
-use lfp_core::pipeline::scan_dataset;
 use lfp_query::wire;
-use lfp_store::{SnapshotDelta, Store};
-use lfp_topo::datasets::{measure_ripe_snapshot, plan_ripe_snapshots_extended};
-use std::io::{BufRead, BufReader};
-use std::net::Ipv4Addr;
+use lfp_store::Store;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(30);
-
-/// Measure `count` snapshot deltas beyond the base campaign — the same
-/// churn chain `store-tool deltas` ships to disk.
-fn measure_deltas(world: &World, count: usize) -> Vec<SnapshotDelta> {
-    let internet = &world.internet;
-    let base = internet.scale.snapshots;
-    let plans = plan_ripe_snapshots_extended(internet, base + count);
-    plans[base..]
-        .iter()
-        .map(|plan| {
-            let snapshot = measure_ripe_snapshot(internet, &internet.network().fork(), plan);
-            let targets: Vec<Ipv4Addr> = snapshot.router_ips.iter().copied().collect();
-            let scan = scan_dataset(&internet.network().fork(), &snapshot.name, &targets, 4);
-            SnapshotDelta::from_measurement(&snapshot, &scan)
-        })
-        .collect()
-}
-
-/// A spawned daemon that is killed on drop (so a failing assert never
-/// leaks listeners across test runs).
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn spawn(args: &[&str]) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_vendor-queryd"))
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn vendor-queryd");
-        // The readiness line carries the ephemeral address.
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read readiness line");
-        let addr = line
-            .split("listening on ")
-            .nth(1)
-            .and_then(|rest| rest.split_whitespace().next())
-            .unwrap_or_else(|| panic!("no address in readiness line: {line:?}"))
-            .to_string();
-        Daemon { child, addr }
-    }
-
-    fn shutdown(mut self) {
-        if let Ok(mut conn) = connect_with_retry(&self.addr, Duration::from_secs(2)) {
-            let _ = request(&mut conn, "{\"query\":\"shutdown\"}");
-        }
-        let _ = self.child.wait();
-        // Disarm the drop kill: the child is already gone.
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new() -> Scratch {
-        let dir = std::env::temp_dir().join(format!("lfp-repl-cluster-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn fenced(line: &str, floor: u64) -> String {
     let body = line.trim_end().strip_suffix('}').expect("JSON object line");
@@ -183,7 +96,7 @@ fn wait_for_epoch(addr: &str, target: u64, who: &str) -> Connection {
 
 #[test]
 fn cluster_survives_follower_kill_and_serves_identical_epochs() {
-    let scratch = Scratch::new();
+    let scratch = Scratch::new("repl-cluster");
 
     // -- fixture: a tiny store plus two delta files to churn with ---
     let world = lfp_bench::shared_tiny_world();

@@ -267,8 +267,8 @@ impl ServerHandle {
 /// Answer one already-framed protocol line against an engine: the
 /// whole per-request data path, as one owned string. Callers that need
 /// the serving core's answer without a socket use it (the repo
-/// benchmark's byte-identity oracle, `query-load`'s in-process
-/// compaction soak); the shards run the segmented equivalent — decode
+/// benchmark's byte-identity oracle, the in-process test servers); the
+/// shards run the segmented equivalent — decode
 /// once on the loop, then `shard::answer_resident_obs` inline or
 /// `shard::answer_request_obs` in a worker — whose rendering is tested
 /// identical.

@@ -56,7 +56,7 @@ struct IngestedEpoch {
     lfp: Arc<HashMap<Ipv4Addr, Vendor>>,
 }
 
-/// What a load cost (the `store` phase of `BENCH_campaign.json`).
+/// What a load cost (the benchmark's `store.load_s`).
 #[derive(Debug, Clone, Copy)]
 pub struct LoadReport {
     /// Wall-clock seconds from bytes to a serving engine.

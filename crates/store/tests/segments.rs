@@ -58,6 +58,7 @@ fn segmented_load_is_byte_identical_to_monolithic_across_the_catalog() {
 
     // Each ingest seals exactly one new segment — never a base rewrite.
     let deltas = util::measure_deltas(&world, 2);
+    let mut last_save_bytes = 0;
     for (index, delta) in deltas.into_iter().enumerate() {
         store.ingest(delta).expect("ingest");
         let report = store.save_segmented(&seg_dir).expect("per-epoch save");
@@ -68,13 +69,21 @@ fn segmented_load_is_byte_identical_to_monolithic_across_the_catalog() {
         );
         assert_eq!(report.segments_written, 1);
         assert_eq!(report.epoch, index as u64 + 1);
+        last_save_bytes = report.segment_bytes;
     }
     // Idempotent save at a covered epoch seals nothing.
     let idle = store.save_segmented(&seg_dir).expect("idempotent save");
     assert_eq!(idle.segments_written, 0);
     assert!(!idle.base_rewritten);
 
-    store.save(&mono).expect("monolithic save");
+    // The O(delta) claim: the epoch-2 segmented save wrote one delta's
+    // segment, a monolithic save of the same epoch rewrites the world.
+    let mono_report = store.save(&mono).expect("monolithic save");
+    assert!(
+        last_save_bytes < mono_report.bytes,
+        "segmented save wrote {last_save_bytes} bytes, monolithic {}",
+        mono_report.bytes
+    );
     let expected = util::mix_responses(&store);
 
     // `Store::load` dispatches on the path shape: directory → segment

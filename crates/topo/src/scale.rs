@@ -101,8 +101,8 @@ impl Scale {
     /// many vantages with deep destination lists, so the campaign yields
     /// far more traces per router than `small` does. Collection and
     /// scanning stay cheap while the path-corpus build (classify, intern
-    /// and index every trace) dominates — the workload
-    /// `BENCH_campaign.json`'s `path_corpus` phase is meant to track.
+    /// and index every trace) dominates — the corpus the repo
+    /// benchmark's `serve-cold` workload queries.
     pub fn path_stress() -> Self {
         Scale {
             ases: 320,
@@ -124,10 +124,10 @@ impl Scale {
     /// Query-serving stress preset: a campaign sized so the *measurement*
     /// finishes in seconds while still yielding a path corpus with enough
     /// distinct AS pairs, lengths and slices to exercise every index the
-    /// query planner lowers onto. This is the preset `vendor-queryd` and
-    /// the `query-load` load generator run in CI: world build is a small
-    /// fixed cost, and the serving layer (cache hits, planner scans,
-    /// protocol round trips) dominates the benchmark.
+    /// query planner lowers onto. This is `vendor-queryd`'s default
+    /// preset and the world of the repo benchmark's `serve-warm`
+    /// workload: world build is a small fixed cost, and the serving layer
+    /// (cache hits, planner scans, protocol round trips) dominates.
     pub fn query_stress() -> Self {
         Scale {
             ases: 140,
@@ -151,8 +151,8 @@ impl Scale {
     /// follow-up snapshot deltas — planned beyond the base by continuing
     /// the churn chain (see
     /// `lfp_topo::datasets::plan_ripe_snapshots_extended`) — carry
-    /// thousands of new traces each. This is the preset the store CI job
-    /// uses: build a base world, persist it, restart from the store, and
+    /// thousands of new traces each. This is the world of the repo
+    /// benchmark's `epochs` workload: build a base world, persist it, and
     /// fold delta snapshots in as epochs.
     pub fn ingest_stress() -> Self {
         Scale {
