@@ -102,7 +102,9 @@ use lfp_net::scanner::{scan, ScanConfig};
 use lfp_stack::vendor::Vendor;
 use lfp_topo::datasets::{derive_itdk_traces, TraceRecord};
 use lfp_topo::Internet;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -160,18 +162,25 @@ struct TraceItem<'a> {
     snmp: &'a HashMap<Ipv4Addr, Vendor>,
 }
 
-/// Per-trace worker output: everything the serial interning fold needs.
-struct EncodedPath {
+/// One row's columns, everything but its hop sequence.
+#[derive(Debug, Clone, Copy)]
+struct RowFields {
     source: u16,
     src_as: u32,
     dst_as: u32,
     effective_len: u16,
     snmp_identified: u16,
     slice: UsSlice,
-    codes: Vec<u8>,
     edge_vendors: u8,
     core_vendors: u8,
     as_segments: u16,
+}
+
+/// Per-trace worker output: everything the serial interning fold needs.
+struct EncodedPath {
+    fields: RowFields,
+    /// The classified hop codes, run-length encoded.
+    runs: Vec<(u8, u16)>,
 }
 
 /// Side of the dense vendor×vendor transition matrix (one row and one
@@ -456,14 +465,62 @@ impl OpenGroups {
     }
 }
 
-/// The state of one interning fold (a build or an extension): the
-/// sequence and vendor-set dedup tables, and the group folds of the
-/// sources being appended.
-#[derive(Debug, Default)]
+/// The interning arenas' dedup tables: hop sequence → sequence id and
+/// vendor set (as a bit mask over vendor codes) → set id. A pure
+/// function of the arenas, kept beside them so that extending a corpus
+/// interns only the new rows. Sequences are keyed by a hash of their
+/// runs and confirmed against the arena, so the table holds no copy of
+/// a sequence: it is a few words per id, and cloning it copies no heap
+/// objects.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Interner {
-    seqs: HashMap<Vec<(u8, u16)>, u32>,
-    sets: HashMap<Vec<Vendor>, u32>,
-    groups: OpenGroups,
+    /// Sequence id by [`seq_hash`]: the first sequence with that hash.
+    seqs: HashMap<u64, u32>,
+    /// The sequences whose hash an earlier, different sequence took.
+    colliding: HashMap<Vec<(u8, u16)>, u32>,
+    sets: HashMap<u64, u32>,
+}
+
+impl Interner {
+    fn add_seq(&mut self, runs: &[(u8, u16)], id: u32) {
+        match self.seqs.entry(seq_hash(runs)) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            Entry::Occupied(_) => {
+                self.colliding.insert(runs.to_vec(), id);
+            }
+        }
+    }
+}
+
+/// The key a hop sequence is interned under (a fixed-key hash, so equal
+/// arenas give equal tables).
+fn seq_hash(runs: &[(u8, u16)]) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    runs.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The identified vendors of a hop sequence as a bit mask over vendor
+/// codes; ascending bits are ascending `Vendor: Ord`.
+fn vendor_mask(runs: &[(u8, u16)]) -> u64 {
+    const _: () = assert!(MATRIX_SIDE <= 64, "vendor codes fit a u64 mask");
+    runs.iter()
+        .filter(|&&(code, _)| code != UNKNOWN_HOP)
+        .fold(0, |mask, &(code, _)| mask | 1 << code)
+}
+
+/// Run-length encode hop codes (runs cap at `u16::MAX` hops).
+fn run_length(codes: &[u8]) -> Vec<(u8, u16)> {
+    let mut runs: Vec<(u8, u16)> = Vec::new();
+    for &code in codes {
+        match runs.last_mut() {
+            Some((last, count)) if *last == code && *count < u16::MAX => *count += 1,
+            _ => runs.push((code, 1)),
+        }
+    }
+    runs
 }
 
 /// One source's sealed group folds (or the whole corpus's). Every
@@ -643,6 +700,8 @@ pub struct PathCorpus {
     set_labels: Vec<String>,
     /// What each sequence id contributes to the ordered analyses.
     summaries: SequenceSummaries,
+    /// The arenas' dedup tables.
+    interner: Interner,
 
     // -- group folds (see the module docs) --------------------------
     /// One sealed table per source id, shared by every corpus extended
@@ -727,11 +786,11 @@ impl PathCorpus {
 
         // Phase 2 — serial interning fold over the ordered stream.
         let mut corpus = PathCorpus::with_capacity(sources, ripe_source_count, encoded.len());
-        let mut interner = Interner::default();
+        let mut groups = OpenGroups::default();
         for path in encoded {
-            corpus.intern(path, &mut interner);
+            corpus.intern(path.fields, &path.runs, &mut groups);
         }
-        corpus.seal_groups(&interner.groups);
+        corpus.seal_groups(&groups);
         corpus
     }
 
@@ -760,6 +819,7 @@ impl PathCorpus {
             sets: Vec::new(),
             set_labels: Vec::new(),
             summaries: SequenceSummaries::default(),
+            interner: Interner::default(),
             groups: Vec::new(),
             total: GroupTable::default(),
             by_src_as: HashMap::new(),
@@ -771,83 +831,106 @@ impl PathCorpus {
     }
 
     /// Append one path as the next row. Its group fold stays open in
-    /// `interner` until [`seal_groups`](PathCorpus::seal_groups).
-    fn intern(&mut self, path: EncodedPath, interner: &mut Interner) {
-        let Interner {
-            seqs: seq_intern,
-            sets: set_intern,
-            groups,
-        } = interner;
+    /// `groups` until [`seal_groups`](PathCorpus::seal_groups).
+    fn intern(&mut self, fields: RowFields, runs: &[(u8, u16)], groups: &mut OpenGroups) {
         let row = self.source.len() as u32;
-
-        let mut runs: Vec<(u8, u16)> = Vec::new();
-        for &code in &path.codes {
-            match runs.last_mut() {
-                Some((last, count)) if *last == code && *count < u16::MAX => *count += 1,
-                _ => runs.push((code, 1)),
+        let seq_id = match self.interned_seq(runs) {
+            Some(id) => id,
+            None => {
+                let id = self.seq_spans.len() as u32;
+                self.seq_spans
+                    .push((self.runs.len() as u32, runs.len() as u32));
+                self.runs.extend_from_slice(runs);
+                self.summaries.push(runs);
+                self.by_seq.push(Vec::new());
+                self.interner.add_seq(runs, id);
+                id
             }
-        }
-        let seq_id = *seq_intern.entry(runs.clone()).or_insert_with(|| {
-            let id = self.seq_spans.len() as u32;
-            let offset = self.runs.len() as u32;
-            self.runs.extend(runs.iter().copied());
-            self.seq_spans.push((offset, runs.len() as u32));
-            self.summaries.push(&runs);
-            self.by_seq.push(Vec::new());
-            id
-        });
+        };
 
-        let set: Vec<Vendor> = path
-            .codes
-            .iter()
-            .filter(|&&code| code != UNKNOWN_HOP)
-            .filter_map(|&code| code_vendor(code))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let set_id = *set_intern.entry(set.clone()).or_insert_with(|| {
-            let id = self.sets.len() as u32;
-            let label = set
-                .iter()
-                .map(|vendor| vendor.name().to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            self.sets.push(set.clone());
-            self.set_labels.push(label);
-            self.by_set.push(Vec::new());
-            id
-        });
+        let mask = vendor_mask(runs);
+        let set_id = match self.interner.sets.get(&mask) {
+            Some(&id) => id,
+            None => {
+                let id = self.sets.len() as u32;
+                let set: Vec<Vendor> = Vendor::ALL
+                    .iter()
+                    .copied()
+                    .filter(|&vendor| mask >> vendor_code(vendor) & 1 == 1)
+                    .collect();
+                let label = set
+                    .iter()
+                    .map(|vendor| vendor.name().to_string())
+                    .collect::<Vec<_>>()
+                    .join(", ");
+                self.sets.push(set);
+                self.set_labels.push(label);
+                self.by_set.push(Vec::new());
+                self.interner.sets.insert(mask, id);
+                id
+            }
+        };
 
-        let identified = path.codes.iter().filter(|&&c| c != UNKNOWN_HOP).count() as u16;
-        let router_hops = path.codes.len() as u16;
+        let (router_hops, identified) =
+            runs.iter()
+                .fold((0u16, 0u16), |(hops, known), &(code, len)| {
+                    let identified = if code == UNKNOWN_HOP { 0 } else { len };
+                    (hops.wrapping_add(len), known.wrapping_add(identified))
+                });
 
-        self.source.push(path.source);
-        self.src_as.push(path.src_as);
-        self.dst_as.push(path.dst_as);
-        self.effective_len.push(path.effective_len);
+        self.source.push(fields.source);
+        self.src_as.push(fields.src_as);
+        self.dst_as.push(fields.dst_as);
+        self.effective_len.push(fields.effective_len);
         self.router_hops.push(router_hops);
         self.identified.push(identified);
-        self.snmp_identified.push(path.snmp_identified);
-        self.slice.push(path.slice);
+        self.snmp_identified.push(fields.snmp_identified);
+        self.slice.push(fields.slice);
         self.set_id.push(set_id);
         self.seq_id.push(seq_id);
-        self.edge_vendors.push(path.edge_vendors);
-        self.core_vendors.push(path.core_vendors);
-        self.as_segments.push(path.as_segments);
+        self.edge_vendors.push(fields.edge_vendors);
+        self.core_vendors.push(fields.core_vendors);
+        self.as_segments.push(fields.as_segments);
 
-        self.by_source[path.source as usize].push(row);
-        self.by_src_as.entry(path.src_as).or_default().push(row);
-        self.by_dst_as.entry(path.dst_as).or_default().push(row);
+        self.by_source[fields.source as usize].push(row);
+        self.by_src_as.entry(fields.src_as).or_default().push(row);
+        self.by_dst_as.entry(fields.dst_as).or_default().push(row);
         self.by_length.entry(router_hops).or_default().push(row);
         self.by_set[set_id as usize].push(row);
         self.by_seq[seq_id as usize].push(row);
         groups.add(
-            path.source,
-            path.slice,
+            fields.source,
+            fields.slice,
             router_hops,
             self.summaries.longest_run[seq_id as usize],
             self.summaries.cells_of(seq_id),
         );
+    }
+
+    /// The id `runs` is interned under, if any.
+    fn interned_seq(&self, runs: &[(u8, u16)]) -> Option<u32> {
+        let &id = self.interner.seqs.get(&seq_hash(runs))?;
+        let (offset, len) = self.seq_spans[id as usize];
+        if &self.runs[offset as usize..(offset + len) as usize] == runs {
+            Some(id)
+        } else {
+            self.interner.colliding.get(runs).copied()
+        }
+    }
+
+    /// A row's columns, as [`intern`](PathCorpus::intern) takes them.
+    fn fields_of(&self, row: usize) -> RowFields {
+        RowFields {
+            source: self.source[row],
+            src_as: self.src_as[row],
+            dst_as: self.dst_as[row],
+            effective_len: self.effective_len[row],
+            snmp_identified: self.snmp_identified[row],
+            slice: self.slice[row],
+            edge_vendors: self.edge_vendors[row],
+            core_vendors: self.core_vendors[row],
+            as_segments: self.as_segments[row],
+        }
     }
 
     /// Seal the open group folds into one table per source that has none
@@ -1475,6 +1558,7 @@ impl PathCorpus {
             sets,
             set_labels,
             summaries: SequenceSummaries::default(),
+            interner: Interner::default(),
             groups: Vec::new(),
             total: GroupTable::default(),
             by_src_as: HashMap::new(),
@@ -1484,6 +1568,13 @@ impl PathCorpus {
             by_seq: Vec::new(),
         };
         corpus.by_seq = vec![Vec::new(); corpus.seq_spans.len()];
+        // The dedup tables, inserted in id order (as interning would).
+        for (id, set) in corpus.sets.iter().enumerate() {
+            let mask = set
+                .iter()
+                .fold(0u64, |mask, &vendor| mask | 1 << vendor_code(vendor));
+            corpus.interner.sets.insert(mask, id as u32);
+        }
 
         // Per-sequence pass: hop totals (which must fit the u16 columns
         // and bound the summaries' weights) and the derived summaries.
@@ -1501,6 +1592,7 @@ impl PathCorpus {
                 .sum();
             seq_hops.push((hops as u16, identified as u16));
             corpus.summaries.push(runs);
+            corpus.interner.add_seq(runs, seq_id as u32);
         }
 
         // Per-row validation + derived columns + index rebuild + group
@@ -1551,27 +1643,28 @@ impl PathCorpus {
         Ok(corpus)
     }
 
-    /// Fold new snapshot sources into a copy of this corpus without
+    /// Fold new snapshot sources into this corpus in place, without
     /// touching any existing row: per-trace classification of the *new*
     /// traces fans out through [`scan`] (the same determinism contract as
     /// [`PathCorpus::build`]), then the serial interning fold appends
-    /// them as fresh sources. The interning tables are re-derived from
-    /// the arenas, so appended rows share sequence/set ids with the base
-    /// corpus — and a one-source-at-a-time chain of calls produces a
-    /// corpus equal to one call carrying every source (regression-tested
-    /// by `lfp-store`).
-    pub fn extended_with(
-        &self,
+    /// them as fresh sources. The interning tables live in the corpus
+    /// and only grow, so appended rows share sequence/set ids with the
+    /// existing ones and the cost is the new traces' alone — and a
+    /// one-source-at-a-time chain of calls produces a corpus equal to
+    /// one call carrying every source (regression-tested by
+    /// `lfp-store`). The additions are validated before anything is
+    /// mutated: on an error the corpus is unchanged.
+    pub fn extend(
+        &mut self,
         internet: &Internet,
         additions: &[NewPathSource<'_>],
         shards: NonZeroUsize,
-    ) -> Result<PathCorpus, String> {
-        let mut corpus = self.clone();
+    ) -> Result<(), String> {
         // Names must be fresh against the corpus *and* unique within the
         // batch — otherwise one call could build a corpus whose persisted
         // form `from_parts` would reject forever.
         for (index, addition) in additions.iter().enumerate() {
-            if corpus.sources.iter().any(|name| name == &addition.name)
+            if self.sources.iter().any(|name| name == &addition.name)
                 || additions[..index]
                     .iter()
                     .any(|prior| prior.name == addition.name)
@@ -1579,28 +1672,19 @@ impl PathCorpus {
                 return Err(format!("source '{}' already in corpus", addition.name));
             }
         }
-        if corpus.sources.len() + additions.len() > u16::MAX as usize {
+        if self.sources.len() + additions.len() > u16::MAX as usize {
             return Err("source id space exhausted".to_string());
-        }
-        // Re-derive the interning tables from the arenas (cheap relative
-        // to classification; the arenas are append-only so ids persist).
-        let mut interner = Interner::default();
-        for (id, &(offset, len)) in corpus.seq_spans.iter().enumerate() {
-            let key = corpus.runs[offset as usize..(offset + len) as usize].to_vec();
-            interner.seqs.insert(key, id as u32);
-        }
-        for (id, set) in corpus.sets.iter().enumerate() {
-            interner.sets.insert(set.clone(), id as u32);
         }
 
         let config = ScanConfig {
             shards,
             pacing: 0.0,
         };
+        let mut groups = OpenGroups::default();
         for addition in additions {
-            let source_id = corpus.sources.len();
-            corpus.sources.push(addition.name.clone());
-            corpus.by_source.push(Vec::new());
+            let source_id = self.sources.len();
+            self.sources.push(addition.name.clone());
+            self.by_source.push(Vec::new());
             let items: Vec<TraceItem> = addition
                 .traces
                 .iter()
@@ -1620,14 +1704,57 @@ impl PathCorpus {
                 |item, _ctx| encode_path(internet, item),
             );
             for path in encoded {
-                corpus.intern(path, &mut interner);
+                self.intern(path.fields, &path.runs, &mut groups);
             }
             if addition.is_ripe_snapshot {
-                corpus.latest_ripe = source_id;
+                self.latest_ripe = source_id;
             }
         }
-        corpus.seal_groups(&interner.groups);
+        self.seal_groups(&groups);
+        Ok(())
+    }
+
+    /// [`extend`](PathCorpus::extend) a copy of this corpus.
+    pub fn extended_with(
+        &self,
+        internet: &Internet,
+        additions: &[NewPathSource<'_>],
+        shards: NonZeroUsize,
+    ) -> Result<PathCorpus, String> {
+        let mut corpus = self.clone();
+        corpus.extend(internet, additions, shards)?;
         Ok(corpus)
+    }
+
+    /// Append the sources and rows `newer` holds past this corpus's
+    /// end, re-interning rows `newer` already classified and encoded —
+    /// no trace is classified again, and the work is the appended rows'
+    /// alone. `newer` must be an extension of this corpus: this is
+    /// checked (sources, per-source row counts) before anything is
+    /// mutated, and on an error the corpus is unchanged. Afterwards the
+    /// two compare equal.
+    pub fn catch_up(&mut self, newer: &PathCorpus) -> Result<(), String> {
+        let (sources, rows) = (self.sources.len(), self.len());
+        let extends = newer.sources.len() >= sources
+            && newer.sources[..sources] == self.sources[..]
+            && newer.ripe_source_count == self.ripe_source_count
+            && (0..sources).all(|source| {
+                newer.rows_of_source(source).len() == self.rows_of_source(source).len()
+            });
+        if !extends {
+            return Err("the newer corpus does not extend this one".to_string());
+        }
+        let mut groups = OpenGroups::default();
+        for name in &newer.sources[sources..] {
+            self.sources.push(name.clone());
+            self.by_source.push(Vec::new());
+        }
+        for row in rows..newer.len() {
+            self.intern(newer.fields_of(row), newer.runs_of(row as u32), &mut groups);
+        }
+        self.latest_ripe = newer.latest_ripe;
+        self.seal_groups(&groups);
+        Ok(())
     }
 }
 
@@ -1776,16 +1903,18 @@ fn encode_path(internet: &Internet, item: &TraceItem) -> EncodedPath {
         .collect();
     let (edge_vendors, core_vendors, as_segments) = segment_diversity(&codes, &hop_as);
     EncodedPath {
-        source: item.source,
-        src_as: item.trace.src_as,
-        dst_as: item.trace.dst_as,
-        effective_len: item.trace.effective_length() as u16,
-        snmp_identified,
-        slice: slice_of(internet, item.trace),
-        codes,
-        edge_vendors,
-        core_vendors,
-        as_segments,
+        fields: RowFields {
+            source: item.source,
+            src_as: item.trace.src_as,
+            dst_as: item.trace.dst_as,
+            effective_len: item.trace.effective_length() as u16,
+            snmp_identified,
+            slice: slice_of(internet, item.trace),
+            edge_vendors,
+            core_vendors,
+            as_segments,
+        },
+        runs: run_length(&codes),
     }
 }
 
@@ -1900,23 +2029,22 @@ mod tests {
         }
         let sources = vec!["S-1".to_string(), "S-derived".to_string()];
         let mut corpus = PathCorpus::with_capacity(sources, 1, paths.len());
-        let mut interner = Interner::default();
+        let mut groups = OpenGroups::default();
         for (index, codes) in paths.into_iter().enumerate() {
-            let path = EncodedPath {
+            let fields = RowFields {
                 source: (index % 2) as u16,
                 src_as: (index % 7) as u32,
                 dst_as: (index % 5) as u32,
                 effective_len: codes.len() as u16,
                 snmp_identified: 0,
                 slice: UsSlice::ALL[index % 3],
-                codes,
                 edge_vendors: 0,
                 core_vendors: 0,
                 as_segments: 0,
             };
-            corpus.intern(path, &mut interner);
+            corpus.intern(fields, &run_length(&codes), &mut groups);
         }
-        corpus.seal_groups(&interner.groups);
+        corpus.seal_groups(&groups);
         assert!(corpus.distinct_sequences() < corpus.len());
         corpus
     }
@@ -2123,10 +2251,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chained_extension_equals_batch_extension() {
-        let world = crate::world::World::build(lfp_topo::Scale::tiny());
-        let corpus = world.path_corpus();
+    /// Run `body` over every base snapshot of `world` again, as new
+    /// sources under fresh names.
+    fn with_repeated_snapshots<T>(
+        world: &World,
+        body: impl FnOnce(&[NewPathSource<'_>]) -> T,
+    ) -> T {
         let maps: Vec<_> = world
             .ripe_scans
             .iter()
@@ -2146,33 +2276,110 @@ mod tests {
             })
             .collect();
         assert!(additions.len() >= 2);
+        body(&additions)
+    }
+
+    #[test]
+    fn sequences_sharing_a_hash_still_intern_apart() {
+        let mut corpus = synthetic_corpus();
+        let runs_of = |corpus: &PathCorpus, id: u32| {
+            let (offset, len) = corpus.seq_spans[id as usize];
+            corpus.runs[offset as usize..(offset + len) as usize].to_vec()
+        };
+        let (a, b, c) = (
+            runs_of(&corpus, 4),
+            runs_of(&corpus, 5),
+            runs_of(&corpus, 6),
+        );
+        // As if sequence 4 had hashed like 5 and 6: the first to arrive
+        // holds the key, the later ones are found through `colliding`.
+        corpus.interner = Interner::default();
+        corpus.interner.seqs.insert(seq_hash(&b), 4);
+        corpus.interner.seqs.insert(seq_hash(&c), 4);
+        corpus.interner.add_seq(&b, 5);
+        corpus.interner.add_seq(&c, 6);
+        assert_eq!(corpus.interner.colliding.len(), 2);
+        assert_eq!(corpus.interned_seq(&b), Some(5));
+        assert_eq!(corpus.interned_seq(&c), Some(6));
+        assert_eq!(
+            corpus.interned_seq(&a),
+            None,
+            "4 was never added under its own hash"
+        );
+    }
+
+    #[test]
+    fn in_place_extension_and_catch_up_equal_the_copying_path() {
+        let world = World::build(lfp_topo::Scale::tiny());
+        let corpus = world.path_corpus();
         let shards = NonZeroUsize::new(2).unwrap();
-        let batch = corpus
-            .extended_with(&world.internet, &additions, shards)
-            .unwrap();
-        let mut chained = corpus.clone();
-        for addition in &additions {
-            chained = chained
-                .extended_with(&world.internet, std::slice::from_ref(addition), shards)
+        with_repeated_snapshots(&world, |additions| {
+            let (first, rest) = additions.split_at(1);
+            let copied = corpus
+                .extended_with(&world.internet, first, shards)
                 .unwrap();
-        }
-        // Equal group folds included (`PartialEq` covers them).
-        assert_eq!(chained, batch);
-        assert_eq!(
-            batch.summaries.longest_run.len(),
-            batch.distinct_sequences()
-        );
-        // Extending shares the base's tables instead of copying them,
-        // and the total is the sum of every source's table.
-        assert_eq!(batch.groups.len(), batch.sources().len());
-        for (base, extended) in corpus.groups.iter().zip(&batch.groups) {
-            assert!(Arc::ptr_eq(base, extended));
-        }
-        assert_eq!(
-            batch.total,
-            GroupTable::sum(batch.groups.iter().map(|table| &**table))
-        );
-        assert_group_folds_match_row_folds(&batch);
+            let mut in_place = corpus.clone();
+            in_place.extend(&world.internet, first, shards).unwrap();
+            assert_eq!(in_place, copied);
+
+            // A corpus two extensions behind catches up without
+            // classifying a trace, to exactly the newer corpus.
+            let newer = copied.extended_with(&world.internet, rest, shards).unwrap();
+            let mut behind = corpus.clone();
+            behind.catch_up(&newer).unwrap();
+            assert_eq!(behind, newer);
+            assert_group_folds_match_row_folds(&behind);
+            // Catching up to itself is a no-op.
+            behind.catch_up(&newer).unwrap();
+            assert_eq!(behind, newer);
+
+            // Validation comes before any mutation.
+            let before = in_place.clone();
+            assert!(in_place.extend(&world.internet, first, shards).is_err());
+            assert_eq!(in_place, before);
+            let mut unrelated = synthetic_corpus();
+            let untouched = unrelated.clone();
+            assert!(unrelated.catch_up(&newer).is_err());
+            assert_eq!(unrelated, untouched);
+            let mut ahead = newer.clone();
+            assert!(ahead.catch_up(corpus).is_err());
+            assert_eq!(ahead, newer);
+        });
+    }
+
+    #[test]
+    fn chained_extension_equals_batch_extension() {
+        let world = crate::world::World::build(lfp_topo::Scale::tiny());
+        let corpus = world.path_corpus();
+        let shards = NonZeroUsize::new(2).unwrap();
+        with_repeated_snapshots(&world, |additions| {
+            let batch = corpus
+                .extended_with(&world.internet, additions, shards)
+                .unwrap();
+            let mut chained = corpus.clone();
+            for addition in additions {
+                chained = chained
+                    .extended_with(&world.internet, std::slice::from_ref(addition), shards)
+                    .unwrap();
+            }
+            // Equal group folds included (`PartialEq` covers them).
+            assert_eq!(chained, batch);
+            assert_eq!(
+                batch.summaries.longest_run.len(),
+                batch.distinct_sequences()
+            );
+            // Extending shares the base's tables instead of copying them,
+            // and the total is the sum of every source's table.
+            assert_eq!(batch.groups.len(), batch.sources().len());
+            for (base, extended) in corpus.groups.iter().zip(&batch.groups) {
+                assert!(Arc::ptr_eq(base, extended));
+            }
+            assert_eq!(
+                batch.total,
+                GroupTable::sum(batch.groups.iter().map(|table| &**table))
+            );
+            assert_group_folds_match_row_folds(&batch);
+        });
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! writing, so `encode(decode(bytes)) == bytes` (round-trip tested).
 
 use crate::error::StoreError;
-use crate::format::{FileReader, FileWriter, Reader, Writer, DELTA_MAGIC, MAGIC};
+use crate::format::{FileReader, FileWriter, Reader, Sealed, Writer, DELTA_MAGIC, MAGIC};
 use lfp_analysis::path_corpus::{code_vendor, vendor_code, CorpusParts};
 use lfp_core::features::{FeatureVector, InitialTtl, IpidClass};
 use lfp_core::pipeline::DatasetScan;
@@ -85,13 +85,17 @@ impl SnapshotDelta {
         Ok(())
     }
 
-    /// Serialize as a standalone, checksummed delta file.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut file = FileWriter::new(DELTA_MAGIC);
+    /// The delta's encoded body: the one section of a delta file, and
+    /// what a store file's epoch section holds per ingested epoch.
+    pub(crate) fn encode_body(&self) -> Vec<u8> {
         let mut body = Writer::new();
         put_delta(&mut body, self);
-        file.section(DELT_TAG, body);
-        file.finish()
+        body.into_bytes()
+    }
+
+    /// Serialize as a standalone, checksummed delta file.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        delta_file(&self.encode_body())
     }
 
     /// Decode a standalone delta file.
@@ -103,6 +107,14 @@ impl SnapshotDelta {
         delta.validate()?;
         Ok(delta)
     }
+}
+
+/// A standalone delta file around a body [`SnapshotDelta::encode_body`]
+/// wrote: the bytes [`SnapshotDelta::to_bytes`] returns.
+pub(crate) fn delta_file(body: &[u8]) -> Vec<u8> {
+    let mut file = FileWriter::new(DELTA_MAGIC);
+    file.section_with(DELT_TAG, |out| out.raw(body));
+    file.finish()
 }
 
 /// Borrowed view of everything a save encodes — the encode-side twin of
@@ -124,8 +136,10 @@ pub struct CampaignRefs<'a> {
     pub lfp_maps: Vec<&'a HashMap<Ipv4Addr, Vendor>>,
     /// The dumped path corpus.
     pub corpus: &'a CorpusParts,
-    /// Ingested snapshot deltas, in epoch order.
-    pub deltas: Vec<&'a SnapshotDelta>,
+    /// Ingested snapshot deltas' encoded bodies
+    /// (`SnapshotDelta::encode_body`), in epoch order: a save copies
+    /// them instead of encoding every epoch again.
+    pub deltas: Vec<&'a [u8]>,
 }
 
 /// Everything a store file decodes to, before world assembly.
@@ -147,63 +161,59 @@ pub struct StoredCampaign {
     pub corpus: CorpusParts,
     /// Ingested snapshot deltas, in epoch order.
     pub deltas: Vec<SnapshotDelta>,
+    /// The encoded body of each delta, exactly as the file holds it.
+    pub delta_bodies: Vec<Vec<u8>>,
 }
 
-/// Serialize a whole campaign into store-file bytes.
-pub fn encode_campaign(campaign: &CampaignRefs<'_>) -> Vec<u8> {
-    let mut file = FileWriter::new(MAGIC);
-
-    let mut meta = Writer::new();
-    put_scale(&mut meta, &campaign.scale);
-    meta.u64(campaign.epoch);
-    meta.count(campaign.ripe.len());
-    meta.count(campaign.deltas.len());
-    file.section(META_TAG, meta);
-
-    let mut ripe = Writer::new();
-    ripe.count(campaign.ripe.len());
-    for snapshot in campaign.ripe {
-        put_snapshot(&mut ripe, snapshot);
-    }
-    file.section(RIPE_TAG, ripe);
-
-    let mut itdk = Writer::new();
-    put_itdk(&mut itdk, campaign.itdk);
-    file.section(ITDK_TAG, itdk);
-
-    let mut scans = Writer::new();
-    scans.count(campaign.scans.len());
-    for scan in &campaign.scans {
-        put_scan(&mut scans, scan);
-    }
-    file.section(SCAN_TAG, scans);
-
-    let mut vmaps = Writer::new();
-    vmaps.count(campaign.lfp_maps.len());
-    for map in &campaign.lfp_maps {
-        put_vendor_map(&mut vmaps, map);
-    }
-    file.section(VMAP_TAG, vmaps);
-
-    let mut corpus = Writer::new();
-    put_corpus(&mut corpus, campaign.corpus);
-    file.section(CORP_TAG, corpus);
-
-    let mut deltas = Writer::new();
-    deltas.count(campaign.deltas.len());
-    for delta in &campaign.deltas {
-        put_delta(&mut deltas, delta);
-    }
-    file.section(EPOC_TAG, deltas);
-
-    file.finish()
+/// Serialize a whole campaign into store-file bytes, with their
+/// whole-file checksum. Every section is written straight into
+/// `buffer`, which is cleared first.
+pub fn encode_campaign(campaign: &CampaignRefs<'_>, buffer: Vec<u8>) -> Sealed {
+    let mut file = FileWriter::reusing(MAGIC, buffer);
+    file.section_with(META_TAG, |meta| {
+        put_scale(meta, &campaign.scale);
+        meta.u64(campaign.epoch);
+        meta.count(campaign.ripe.len());
+        meta.count(campaign.deltas.len());
+    });
+    file.section_with(RIPE_TAG, |ripe| {
+        ripe.count(campaign.ripe.len());
+        for snapshot in campaign.ripe {
+            put_snapshot(ripe, snapshot);
+        }
+    });
+    file.section_with(ITDK_TAG, |itdk| put_itdk(itdk, campaign.itdk));
+    file.section_with(SCAN_TAG, |scans| {
+        scans.count(campaign.scans.len());
+        for scan in &campaign.scans {
+            put_scan(scans, scan);
+        }
+    });
+    file.section_with(VMAP_TAG, |vmaps| {
+        vmaps.count(campaign.lfp_maps.len());
+        for map in &campaign.lfp_maps {
+            put_vendor_map(vmaps, map);
+        }
+    });
+    file.section_with(CORP_TAG, |corpus| put_corpus(corpus, campaign.corpus));
+    file.section_with(EPOC_TAG, |deltas| {
+        deltas.count(campaign.deltas.len());
+        for body in &campaign.deltas {
+            deltas.raw(body);
+        }
+    });
+    file.seal()
 }
 
 /// Decode store-file bytes back into a campaign, validating framing,
 /// checksums, and cross-section consistency.
 pub fn decode_campaign(bytes: &[u8]) -> Result<StoredCampaign, StoreError> {
-    let file = FileReader::parse(bytes, MAGIC)?;
+    decode_parsed_campaign(&FileReader::parse(bytes, MAGIC)?)
+}
 
+/// [`decode_campaign`] over a store file whose framing and checksums
+/// were already verified.
+pub(crate) fn decode_parsed_campaign(file: &FileReader<'_>) -> Result<StoredCampaign, StoreError> {
     let mut meta = file.section(META_TAG, "meta")?;
     let scale = get_scale(&mut meta)?;
     let epoch = meta.u64()?;
@@ -271,12 +281,14 @@ pub fn decode_campaign(bytes: &[u8]) -> Result<StoredCampaign, StoreError> {
         )));
     }
     let mut deltas = Vec::with_capacity(count);
+    let mut delta_bodies = Vec::with_capacity(count);
     for _ in 0..count {
-        let delta = get_delta(&mut delta_reader)?;
+        let (delta, body) = delta_reader.spanned(get_delta)?;
         delta
             .validate()
             .map_err(|error| StoreError::Corrupt(error.to_string()))?;
         deltas.push(delta);
+        delta_bodies.push(body.to_vec());
     }
     delta_reader.done()?;
     if epoch != deltas.len() as u64 {
@@ -295,6 +307,7 @@ pub fn decode_campaign(bytes: &[u8]) -> Result<StoredCampaign, StoreError> {
         lfp_maps,
         corpus,
         deltas,
+        delta_bodies,
     })
 }
 
@@ -867,27 +880,19 @@ fn put_corpus(writer: &mut Writer, parts: &CorpusParts) {
     writer.u32(parts.ripe_source_count);
     writer.u32(parts.latest_ripe);
     writer.count(parts.source.len());
-    for &value in &parts.source {
-        writer.u16(value);
-    }
+    writer.u16s(&parts.source);
     for column in [&parts.src_as, &parts.dst_as, &parts.set_id, &parts.seq_id] {
-        for &value in column.iter() {
-            writer.u32(value);
-        }
+        writer.u32s(column);
     }
     for column in [
         &parts.effective_len,
         &parts.snmp_identified,
         &parts.as_segments,
     ] {
-        for &value in column.iter() {
-            writer.u16(value);
-        }
+        writer.u16s(column);
     }
     for column in [&parts.slice, &parts.edge_vendors, &parts.core_vendors] {
-        for &value in column.iter() {
-            writer.u8(value);
-        }
+        writer.raw(column);
     }
     writer.count(parts.runs.len());
     for &(code, len) in &parts.runs {

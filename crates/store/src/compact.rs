@@ -5,8 +5,11 @@
 //! [`Store::log_status`](crate::Store::log_status) and, when the
 //! [`CompactionPolicy`] says the log has grown shaggy, folds it with
 //! [`Store::compact_log`](crate::Store::compact_log) — off the serving
-//! threads, never holding the ingest lock across disk I/O (that
-//! guarantee lives in `compact_log` itself).
+//! threads. The fold takes the ingest lock only for its snapshot and
+//! the log lock only to reserve the new base's name and to publish; it
+//! encodes, writes and fsyncs the base holding neither, so ingest and
+//! saves never wait on it (that guarantee lives in `compact_log`
+//! itself).
 //!
 //! The thread is condvar-driven: it sleeps until a
 //! [`nudge`](Compactor::nudge) (the daemon pokes it after every ingest

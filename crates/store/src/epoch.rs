@@ -9,13 +9,22 @@
 //!    world's frozen signature set (fanning out through
 //!    [`lfp_net::scanner::scan`], the same determinism contract every
 //!    other classification pass in the repo rides),
-//! 2. folds the new traces into an *extended copy* of the serving
-//!    corpus ([`PathCorpus::extended_with`]) — existing rows, interned
-//!    sequences and indexes are reused, never recomputed,
+//! 2. folds the new traces into the next epoch's corpus without copying
+//!    the live one: the store keeps the corpus the previous engine
+//!    served as a spare, one epoch behind. Once nothing else holds it,
+//!    the ingest re-interns the previous delta's already-encoded rows
+//!    into it ([`PathCorpus::catch_up`]) and then the new traces
+//!    ([`PathCorpus::extend`]), so an epoch costs O(delta). While a
+//!    reader still holds the spare, it falls back to extending a copy
+//!    ([`PathCorpus::extended_with`]),
 //! 3. builds a new engine at `epoch + k` sharing the result cache, and
 //! 4. atomically swaps it in. In-flight requests finish against the old
 //!    engine's `Arc`; the epoch-tagged cache keys guarantee no answer
 //!    rendered at an old epoch is ever served at a new one.
+//!
+//! Encodes (a save, a replication snapshot, a compaction fold) take a
+//! [`Snapshot`] under the epochs lock — the epoch, the corpus columns
+//! and `Arc`s of the ingested epochs — and encode it with no lock held.
 //!
 //! The signature set is frozen at the base build: epochs extend the
 //! *path corpus* and move the vendor-mix aggregates to the newest
@@ -25,13 +34,17 @@
 //! one call land on identical state — a regression test holds the two
 //! paths byte-identical across the full query catalog.
 
-use crate::codec::{decode_campaign, encode_campaign, CampaignRefs, SnapshotDelta, StoredCampaign};
-use crate::error::StoreError;
-use crate::segment::{
-    base_file_name, decode_segment, encode_segment, segment_file_name, write_sealed, DurableLog,
-    EpochLog, LogFaults, Manifest, SegmentMeta,
+use crate::codec::{
+    decode_campaign, decode_parsed_campaign, delta_file, encode_campaign, CampaignRefs,
+    SnapshotDelta, StoredCampaign,
 };
-use lfp_analysis::path_corpus::NewPathSource;
+use crate::error::StoreError;
+use crate::format::{Sealed, MAGIC};
+use crate::segment::{
+    base_file_name, encode_segment, segment_file_name, write_sealed, DurableLog, EpochLog,
+    LogFaults, Manifest, SegmentMeta,
+};
+use lfp_analysis::path_corpus::{CorpusParts, NewPathSource, PathCorpus};
 use lfp_analysis::World;
 use lfp_core::signature::SignatureSet;
 use lfp_core::FeatureVector;
@@ -50,10 +63,34 @@ use std::time::Instant;
 const DEFAULT_CACHE_SHARDS: usize = 16;
 const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// One ingested epoch, retained so the store can be re-persisted.
+/// One ingested epoch, retained so the store can be re-persisted;
+/// `Arc`-shared with encodes running outside the epochs lock. The delta
+/// is kept encoded: every save copies these bytes rather than encoding
+/// the epoch again, and they are smaller than the decoded delta.
 struct IngestedEpoch {
-    delta: SnapshotDelta,
-    lfp: Arc<HashMap<Ipv4Addr, Vendor>>,
+    /// [`SnapshotDelta::encode_body`] of the ingested delta.
+    body: Vec<u8>,
+    lfp: HashMap<Ipv4Addr, Vendor>,
+}
+
+/// What the epochs lock guards.
+#[derive(Default)]
+struct History {
+    /// Every ingested epoch, in order.
+    epochs: Vec<Arc<IngestedEpoch>>,
+    /// The corpus the previous engine served, one epoch behind the live
+    /// one: the next ingest extends it in place when nothing else holds
+    /// it.
+    spare: Option<Arc<PathCorpus>>,
+}
+
+/// Everything an encode of the store needs, taken under the epochs lock
+/// and encoded with none held. It holds no engine and no corpus `Arc`,
+/// so a long encode never keeps the spare corpus from being reused.
+struct Snapshot {
+    epoch: u64,
+    corpus: CorpusParts,
+    epochs: Vec<Arc<IngestedEpoch>>,
 }
 
 /// What a load cost (the benchmark's `store.load_s`).
@@ -85,6 +122,9 @@ pub struct IngestReport {
     pub new_paths: usize,
     /// Names of the ingested snapshot sources.
     pub sources: Vec<String>,
+    /// Whether the corpus was extended in place (the spare corpus was
+    /// free) rather than copied first.
+    pub in_place: bool,
     /// Wall-clock seconds for classify + fold + swap.
     pub seconds: f64,
 }
@@ -142,11 +182,17 @@ pub struct LogStatus {
 pub struct Store {
     world: Arc<World>,
     engine: RwLock<Arc<QueryEngine>>,
-    epochs: Mutex<Vec<IngestedEpoch>>,
+    /// The epochs lock: serialises ingests, and pins the state a save
+    /// or snapshot reads.
+    history: Mutex<History>,
     /// The segmented log this store persists into, once one is attached
     /// by [`Store::save_segmented`] or a segmented load. Lock order:
-    /// `epochs` before `log`, always.
+    /// `history` before `log`, always; neither is held across an encode
+    /// or a compaction's base write.
     log: Mutex<Option<EpochLog>>,
+    /// The last fold's file buffer, handed to the next fold so that
+    /// its pages are already mapped.
+    fold_buffer: Mutex<Vec<u8>>,
 }
 
 impl std::fmt::Debug for Store {
@@ -172,8 +218,9 @@ impl Store {
         Store {
             world,
             engine: RwLock::new(Arc::new(engine)),
-            epochs: Mutex::new(Vec::new()),
+            history: Mutex::new(History::default()),
             log: Mutex::new(None),
+            fold_buffer: Mutex::default(),
         }
     }
 
@@ -210,89 +257,105 @@ impl Store {
         }
         let start = Instant::now();
         // The epochs lock serialises ingests; readers keep serving.
-        let mut epochs = self.epochs.lock().expect("epoch lock poisoned");
+        let mut history = self.history.lock().expect("epoch lock poisoned");
         let engine = self.engine();
 
         for delta in &deltas {
             delta.validate()?;
         }
-        let prepared: Vec<IngestedEpoch> = deltas
-            .into_iter()
-            .map(|delta| {
-                let lfp = classify_population(&self.world.set, &delta.targets, &delta.vectors);
-                IngestedEpoch {
-                    delta,
-                    lfp: Arc::new(lfp),
-                }
-            })
-            .collect();
-
-        let snmp_maps: Vec<HashMap<Ipv4Addr, Vendor>> = prepared
+        let lfp_maps: Vec<HashMap<Ipv4Addr, Vendor>> = deltas
             .iter()
-            .map(|epoch| snmp_map(&epoch.delta))
+            .map(|delta| classify_population(&self.world.set, &delta.targets, &delta.vectors))
             .collect();
-        let additions: Vec<NewPathSource<'_>> = prepared
+        let snmp_maps: Vec<HashMap<Ipv4Addr, Vendor>> = deltas.iter().map(snmp_map).collect();
+        let additions: Vec<NewPathSource<'_>> = deltas
             .iter()
+            .zip(&lfp_maps)
             .zip(&snmp_maps)
-            .map(|(epoch, snmp)| NewPathSource {
-                name: epoch.delta.name.clone(),
-                traces: &epoch.delta.traces,
-                lfp: &epoch.lfp,
+            .map(|((delta, lfp), snmp)| NewPathSource {
+                name: delta.name.clone(),
+                traces: &delta.traces,
+                lfp,
                 snmp,
                 is_ripe_snapshot: true,
             })
             .collect();
-        let base = engine.corpus_arc();
-        let extended = base
-            .extended_with(
-                &self.world.internet,
-                &additions,
-                ScanConfig::default().shards,
-            )
-            .map_err(StoreError::Ingest)?;
-        let new_paths = extended.len() - base.len();
+        let live = engine.corpus_arc();
+        let (extended, in_place) = self.next_corpus(history.spare.take(), &live, &additions)?;
+        let new_paths = extended.len() - live.len();
 
-        let epoch = engine.epoch() + prepared.len() as u64;
-        let last = prepared.last().expect("at least one delta");
+        let epoch = engine.epoch() + deltas.len() as u64;
+        let last = deltas.len() - 1;
         let next = QueryEngine::for_epoch(
             Arc::clone(&self.world),
-            Arc::new(extended),
-            &last.delta.targets,
-            &last.lfp,
-            snmp_maps.last().expect("at least one delta"),
+            extended,
+            &deltas[last].targets,
+            &lfp_maps[last],
+            &snmp_maps[last],
             engine.cache_handle(),
             epoch,
         );
-        let sources = prepared
-            .iter()
-            .map(|epoch| epoch.delta.name.clone())
-            .collect();
         *self.engine.write().expect("engine lock poisoned") = Arc::new(next);
-        epochs.extend(prepared);
+        history.spare = Some(live);
+        let sources = deltas.iter().map(|delta| delta.name.clone()).collect();
+        history
+            .epochs
+            .extend(deltas.iter().zip(lfp_maps).map(|(delta, lfp)| {
+                Arc::new(IngestedEpoch {
+                    body: delta.encode_body(),
+                    lfp,
+                })
+            }));
         Ok(IngestReport {
             epoch,
             new_paths,
+            in_place,
             sources,
             seconds: start.elapsed().as_secs_f64(),
         })
     }
 
+    /// The next epoch's corpus: `spare` caught up to `live` and extended
+    /// in place when nothing else holds it (O(delta)), else a copy of
+    /// `live`, extended. The flag says which.
+    fn next_corpus(
+        &self,
+        spare: Option<Arc<PathCorpus>>,
+        live: &PathCorpus,
+        additions: &[NewPathSource<'_>],
+    ) -> Result<(Arc<PathCorpus>, bool), StoreError> {
+        let (internet, shards) = (&self.world.internet, ScanConfig::default().shards);
+        if let Some(mut spare) = spare {
+            if let Some(corpus) = Arc::get_mut(&mut spare) {
+                if corpus.catch_up(live).is_ok() {
+                    corpus
+                        .extend(internet, additions, shards)
+                        .map_err(StoreError::Ingest)?;
+                    return Ok((spare, true));
+                }
+            }
+        }
+        let copy = live
+            .extended_with(internet, additions, shards)
+            .map_err(StoreError::Ingest)?;
+        Ok((Arc::new(copy), false))
+    }
+
     /// Serialize the current state (base campaign + every ingested
-    /// epoch) to store-file bytes. Everything borrows from the live
-    /// state — no deep copies of snapshots, observations or deltas;
-    /// only the corpus columns are dumped into an owned `CorpusParts`.
+    /// epoch) to store-file bytes. Only the corpus columns are copied,
+    /// under the epochs lock; the encode borrows everything else and
+    /// runs with no lock held.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let epochs = self.epochs.lock().expect("epoch lock poisoned");
-        self.encode_locked(&epochs)
+        self.encode(&self.snapshot(), Vec::new()).bytes
     }
 
     /// [`to_bytes`](Store::to_bytes) plus the epoch those bytes
-    /// describe, read under the same lock — the pair a replication
+    /// describe, taken in the same snapshot — the pair a replication
     /// primary hands out, guaranteed internally consistent even if an
     /// ingest lands the instant the lock drops.
     pub fn snapshot_segment(&self) -> (u64, Vec<u8>) {
-        let epochs = self.epochs.lock().expect("epoch lock poisoned");
-        (self.engine().epoch(), self.encode_locked(&epochs))
+        let snapshot = self.snapshot();
+        (snapshot.epoch, self.encode(&snapshot, Vec::new()).bytes)
     }
 
     /// The replication log: the serialized delta that produced `epoch`
@@ -312,8 +375,11 @@ impl Store {
         if let Some(bytes) = self.delta_from_log(epoch) {
             return Some(bytes);
         }
-        let epochs = self.epochs.lock().expect("epoch lock poisoned");
-        epochs.get(index).map(|entry| entry.delta.to_bytes())
+        let history = self.history.lock().expect("epoch lock poisoned");
+        history
+            .epochs
+            .get(index)
+            .map(|entry| delta_file(&entry.body))
     }
 
     /// Read epoch `epoch`'s delta bytes out of the attached log's
@@ -321,18 +387,35 @@ impl Store {
     fn delta_from_log(&self, epoch: u64) -> Option<Vec<u8>> {
         let guard = self.log.try_lock().ok()?;
         let log = guard.as_ref()?;
-        let manifest = log.read_manifest().ok()?;
-        let meta = manifest.segments.iter().find(|meta| meta.epoch == epoch)?;
-        let sealed = log.read_verified(meta).ok()?;
-        let (sealed_epoch, delta) = decode_segment(&sealed).ok()?;
-        (sealed_epoch == epoch).then_some(delta)
+        let meta = log
+            .manifest()?
+            .segments
+            .iter()
+            .find(|meta| meta.epoch == epoch)?;
+        log.read_segment(meta).ok()
     }
 
-    fn encode_locked(&self, epochs: &[IngestedEpoch]) -> Vec<u8> {
-        // The caller holds the epochs lock, so the engine cannot be
-        // swapped out from under the encode: `ingest_many` publishes a
-        // new engine only while holding that same lock.
+    /// What an encode needs, taken under the epochs lock.
+    fn snapshot(&self) -> Snapshot {
+        self.snapshot_locked(&self.history.lock().expect("epoch lock poisoned"))
+    }
+
+    /// [`snapshot`](Store::snapshot) for a caller already holding the
+    /// epochs lock: the engine cannot be swapped out from under it,
+    /// because `ingest_many` publishes a new engine only while holding
+    /// that same lock.
+    fn snapshot_locked(&self, history: &History) -> Snapshot {
         let engine = self.engine();
+        Snapshot {
+            epoch: engine.epoch(),
+            corpus: engine.corpus().to_parts(),
+            epochs: history.epochs.clone(),
+        }
+    }
+
+    /// Encode a snapshot as a sealed store file into `buffer`; takes no
+    /// lock.
+    fn encode(&self, snapshot: &Snapshot, buffer: Vec<u8>) -> Sealed {
         let world = &self.world;
         // The per-dataset maps are memoised `Arc`s; hold them so the
         // encode below can borrow plain references.
@@ -343,20 +426,23 @@ impl Store {
         let lfp_maps: Vec<&HashMap<Ipv4Addr, Vendor>> = base_maps
             .iter()
             .map(Arc::as_ref)
-            .chain(epochs.iter().map(|epoch| epoch.lfp.as_ref()))
+            .chain(snapshot.epochs.iter().map(|epoch| &epoch.lfp))
             .collect();
-        let corpus = engine.corpus().to_parts();
         let campaign = CampaignRefs {
             scale: world.scale,
-            epoch: engine.epoch(),
+            epoch: snapshot.epoch,
             ripe: &world.ripe,
             itdk: &world.itdk,
             scans: world.all_scans().collect(),
             lfp_maps,
-            corpus: &corpus,
-            deltas: epochs.iter().map(|epoch| &epoch.delta).collect(),
+            corpus: &snapshot.corpus,
+            deltas: snapshot
+                .epochs
+                .iter()
+                .map(|epoch| epoch.body.as_slice())
+                .collect(),
         };
-        encode_campaign(&campaign)
+        encode_campaign(&campaign, buffer)
     }
 
     /// Persist to a file, crash-durably, through the one sealed-write
@@ -412,27 +498,27 @@ impl Store {
         let start = Instant::now();
         // The epochs lock pins the state being persisted and orders
         // this save against compaction publishes (lock order: epochs,
-        // then log). Queries never touch either lock.
-        let epochs = self.epochs.lock().expect("epoch lock poisoned");
+        // then log). Queries never touch either lock; a compaction
+        // holds neither while it writes its base.
+        let history = self.history.lock().expect("epoch lock poisoned");
         let mut log_guard = self.log.lock().expect("log lock poisoned");
         if log_guard.as_ref().is_none_or(|log| log.dir() != dir) {
             *log_guard = Some(EpochLog::create(dir)?);
         }
-        let log = log_guard.as_ref().expect("log just attached");
+        let log = log_guard.as_mut().expect("log just attached");
         let epoch = self.engine().epoch();
 
         // A published manifest is reusable when it describes a prefix
         // of our history and its base file is still present — then
         // this save only seals the segments it is missing.
-        let existing = log
-            .has_manifest()
-            .then(|| log.read_manifest().ok())
-            .flatten();
-        let usable = existing.filter(|manifest| {
-            manifest.base.epoch <= epoch
-                && manifest.covered() <= epoch
-                && log.dir().join(&manifest.base.file).is_file()
-        });
+        let usable = log
+            .manifest()
+            .filter(|manifest| {
+                manifest.base.epoch <= epoch
+                    && manifest.covered() <= epoch
+                    && log.dir().join(&manifest.base.file).is_file()
+            })
+            .cloned();
 
         let mut report = SegmentedSaveReport {
             seconds: 0.0,
@@ -448,28 +534,28 @@ impl Store {
                 report.base_bytes = manifest.base.bytes;
                 for target in manifest.covered() + 1..=epoch {
                     let index = usize::try_from(target - 1).expect("epoch fits usize");
-                    let entry = epochs.get(index).ok_or_else(|| {
+                    let entry = history.epochs.get(index).ok_or_else(|| {
                         StoreError::Log(format!("epoch {target} is not in this store's history"))
                     })?;
-                    let sealed = encode_segment(target, &entry.delta.to_bytes());
+                    let sealed = encode_segment(target, &delta_file(&entry.body));
                     let name = segment_file_name(target);
-                    log.write_sealed(&name, &sealed, faults)?;
+                    log.write_sealed(&name, &sealed.bytes, faults)?;
                     manifest
                         .segments
-                        .push(SegmentMeta::describing(target, name, &sealed));
+                        .push(SegmentMeta::sealed(target, name, &sealed));
                     report.segments_written += 1;
-                    report.segment_bytes += sealed.len() as u64;
+                    report.segment_bytes += sealed.bytes.len() as u64;
                 }
                 manifest
             }
             None => {
-                let bytes = self.encode_locked(&epochs);
+                let sealed = self.encode(&self.snapshot_locked(&history), Vec::new());
                 let name = base_file_name(epoch);
-                log.write_sealed(&name, &bytes, faults)?;
+                log.write_sealed(&name, &sealed.bytes, faults)?;
                 report.base_rewritten = true;
-                report.base_bytes = bytes.len() as u64;
+                report.base_bytes = sealed.bytes.len() as u64;
                 Manifest {
-                    base: SegmentMeta::describing(epoch, name, &bytes),
+                    base: SegmentMeta::sealed(epoch, name, &sealed),
                     segments: Vec::new(),
                 }
             }
@@ -481,25 +567,34 @@ impl Store {
             report.seconds = start.elapsed().as_secs_f64();
             return Ok(report);
         }
-        log.publish(&manifest, faults)?;
-        log.prune(&manifest);
+        log.publish(manifest, faults)?;
+        log.prune();
         report.seconds = start.elapsed().as_secs_f64();
         Ok(report)
     }
 
     /// Fold the attached log into a single freshly-sealed base at the
-    /// current epoch, then publish a segment-free manifest and sweep
-    /// the folded files. Returns `Ok(None)` when there is nothing to
+    /// current epoch, then publish a manifest listing it (plus any
+    /// segments saved past it meanwhile) and remove the folded files.
+    /// Returns `Ok(None)` when there is nothing to
     /// fold (no log attached, no manifest published, or the base is
     /// already at the live epoch with no trailing segments).
     ///
-    /// Concurrency contract: the fold is encoded under the ingest lock
-    /// (the same hold a monolithic [`Store::to_bytes`] takes), but the
-    /// disk writes and the manifest swap happen **after** that lock is
-    /// released — ingest, queries and replication all proceed while
-    /// the new base is being sealed. A save that lands segments in
-    /// that window is preserved: its segments past the fold point are
-    /// carried into the new manifest.
+    /// What is locked, and when:
+    /// - the epochs lock, only while the fold takes its snapshot
+    ///   (the epoch, the corpus columns, `Arc`s of the ingested epochs);
+    /// - the log lock, briefly before that, to check there is something
+    ///   to fold and reserve the new base's name, which
+    ///   [`EpochLog::prune`] then spares;
+    /// - nothing while the snapshot is encoded and the base (whose name
+    ///   is unique per epoch) is written and fsynced;
+    /// - the log lock again to publish the manifest; the superseded
+    ///   base and folded segments are removed after it is released.
+    ///
+    /// So ingest, saves, queries and replication all proceed mid-fold.
+    /// A save that lands segments in that window is preserved: its
+    /// segments past the fold point are carried into the new manifest.
+    /// At most one fold is in flight; a second returns `Ok(None)`.
     pub fn compact_log(&self) -> Result<Option<CompactReport>, StoreError> {
         self.compact_log_with(&mut DurableLog)
     }
@@ -511,64 +606,83 @@ impl Store {
         faults: &mut dyn LogFaults,
     ) -> Result<Option<CompactReport>, StoreError> {
         let start = Instant::now();
-        let (epoch, bytes) = {
-            let epochs = self.epochs.lock().expect("epoch lock poisoned");
-            {
-                let log_guard = self.log.lock().expect("log lock poisoned");
-                let Some(log) = log_guard.as_ref() else {
+        let (snapshot, dir, name) = {
+            let history = self.history.lock().expect("epoch lock poisoned");
+            let epoch = self.engine().epoch();
+            let (dir, name) = {
+                let mut log_guard = self.log.lock().expect("log lock poisoned");
+                let Some(log) = log_guard.as_mut() else {
                     return Ok(None);
                 };
-                let Ok(manifest) = log.read_manifest() else {
-                    return Ok(None);
-                };
-                if manifest.segments.is_empty() && manifest.base.epoch == self.engine().epoch() {
+                if log
+                    .manifest()
+                    .is_none_or(|manifest| manifest.base.epoch >= epoch)
+                {
                     return Ok(None);
                 }
-            }
-            (self.engine().epoch(), self.encode_locked(&epochs))
+                let name = base_file_name(epoch);
+                if !log.reserve(&name) {
+                    return Ok(None);
+                }
+                (log.dir().to_path_buf(), name)
+            };
+            (self.snapshot_locked(&history), dir, name)
         };
-        let log_guard = self.log.lock().expect("log lock poisoned");
-        let Some(log) = log_guard.as_ref() else {
-            return Ok(None);
+        let epoch = snapshot.epoch;
+        let buffer = std::mem::take(&mut *self.fold_buffer.lock().expect("buffer lock poisoned"));
+        let sealed = self.encode(&snapshot, buffer);
+        drop(snapshot);
+        let written = write_sealed(&dir.join(&name), &sealed.bytes, faults);
+        let base = SegmentMeta::sealed(epoch, name, &sealed);
+        *self.fold_buffer.lock().expect("buffer lock poisoned") = sealed.bytes;
+
+        let mut log_guard = self.log.lock().expect("log lock poisoned");
+        let Some(log) = log_guard.as_mut().filter(|log| log.dir() == dir) else {
+            // A save moved the store to another log mid-fold.
+            return written.map(|()| None);
         };
-        let current = log.read_manifest()?;
-        if current.base.epoch >= epoch {
-            // A concurrent fold got further than our encode; keep it.
-            return Ok(None);
-        }
-        let name = base_file_name(epoch);
-        log.write_sealed(&name, &bytes, faults)?;
-        let folded = current
-            .segments
-            .iter()
-            .filter(|meta| meta.epoch <= epoch)
-            .count();
-        let carried: Vec<SegmentMeta> = current
-            .segments
-            .iter()
-            .filter(|meta| meta.epoch > epoch)
+        log.release();
+        written?;
+        let Some(current) = log
+            .manifest()
+            .filter(|current| current.base.epoch < epoch)
             .cloned()
-            .collect();
-        let manifest = Manifest {
-            base: SegmentMeta::describing(epoch, name, &bytes),
-            segments: carried,
+        else {
+            return Ok(None);
         };
-        log.publish(&manifest, faults)?;
-        log.prune(&manifest);
+        let (folded, carried): (Vec<SegmentMeta>, Vec<SegmentMeta>) = current
+            .segments
+            .into_iter()
+            .partition(|meta| meta.epoch <= epoch);
+        let base_bytes = base.bytes;
+        log.publish(
+            Manifest {
+                base,
+                segments: carried,
+            },
+            faults,
+        )?;
+        drop(log_guard);
+        // What the fold superseded can go without the lock: epochs only
+        // grow, so no later save or fold writes these names again. Any
+        // other orphan waits for the next save's prune.
+        for meta in std::iter::once(&current.base).chain(&folded) {
+            let _ = std::fs::remove_file(dir.join(&meta.file));
+        }
         Ok(Some(CompactReport {
             seconds: start.elapsed().as_secs_f64(),
             epoch,
-            folded,
-            base_bytes: bytes.len() as u64,
+            folded: folded.len(),
+            base_bytes,
         }))
     }
 
     /// The attached log's published shape, or `None` when no log is
-    /// attached (or no manifest has been published yet).
+    /// attached (or no manifest has been published yet). Read from the
+    /// log's in-memory manifest: no disk access.
     pub fn log_status(&self) -> Option<LogStatus> {
         let guard = self.log.lock().expect("log lock poisoned");
-        let log = guard.as_ref()?;
-        let manifest = log.read_manifest().ok()?;
+        let manifest = guard.as_ref()?.manifest()?;
         Some(LogStatus {
             segments: manifest.segments.len(),
             segment_bytes: manifest.segment_bytes(),
@@ -592,7 +706,15 @@ impl Store {
         shards: usize,
         capacity: usize,
     ) -> Result<Store, StoreError> {
-        let campaign = decode_campaign(bytes)?;
+        Self::from_campaign(decode_campaign(bytes)?, shards, capacity)
+    }
+
+    /// Assemble a serving store from a decoded campaign.
+    fn from_campaign(
+        campaign: StoredCampaign,
+        shards: usize,
+        capacity: usize,
+    ) -> Result<Store, StoreError> {
         let StoredCampaign {
             scale,
             epoch,
@@ -601,7 +723,8 @@ impl Store {
             mut scans,
             lfp_maps,
             corpus,
-            deltas,
+            mut deltas,
+            delta_bodies,
         } = campaign;
         let internet = Internet::generate(scale);
         let itdk_scan = scans.pop().expect("decode guarantees snapshots + ITDK");
@@ -612,10 +735,7 @@ impl Store {
             let map = lfp_maps.next().expect("decode validated map count");
             world.seed_lfp_vendor_map(slot, Arc::new(map));
         }
-        let corpus = Arc::new(
-            lfp_analysis::path_corpus::PathCorpus::from_parts(corpus)
-                .map_err(StoreError::Corrupt)?,
-        );
+        let corpus = Arc::new(PathCorpus::from_parts(corpus).map_err(StoreError::Corrupt)?);
         if corpus.sources().len() != base_slots + deltas.len() {
             return Err(StoreError::Corrupt(format!(
                 "corpus holds {} sources, campaign implies {}",
@@ -626,34 +746,32 @@ impl Store {
         world.seed_path_corpus(Arc::clone(&corpus), 0.0);
         let world = Arc::new(world);
 
-        let epochs: Vec<IngestedEpoch> = deltas
+        let epochs: Vec<Arc<IngestedEpoch>> = delta_bodies
             .into_iter()
             .zip(lfp_maps)
-            .map(|(delta, lfp)| IngestedEpoch {
-                delta,
-                lfp: Arc::new(lfp),
-            })
+            .map(|(body, lfp)| Arc::new(IngestedEpoch { body, lfp }))
             .collect();
-        let engine = match epochs.last() {
-            None => QueryEngine::with_cache(Arc::clone(&world), shards, capacity),
-            Some(last) => {
-                let snmp = snmp_map(&last.delta);
-                QueryEngine::for_epoch(
-                    Arc::clone(&world),
-                    corpus,
-                    &last.delta.targets,
-                    &last.lfp,
-                    &snmp,
-                    Arc::new(lfp_query::ShardedLru::new(shards, capacity)),
-                    epoch,
-                )
-            }
+        let engine = match (deltas.pop(), epochs.last()) {
+            (Some(delta), Some(last)) => QueryEngine::for_epoch(
+                Arc::clone(&world),
+                corpus,
+                &delta.targets,
+                &last.lfp,
+                &snmp_map(&delta),
+                Arc::new(lfp_query::ShardedLru::new(shards, capacity)),
+                epoch,
+            ),
+            _ => QueryEngine::with_cache(Arc::clone(&world), shards, capacity),
         };
         Ok(Store {
             world,
             engine: RwLock::new(Arc::new(engine)),
-            epochs: Mutex::new(epochs),
+            history: Mutex::new(History {
+                epochs,
+                spare: None,
+            }),
             log: Mutex::new(None),
+            fold_buffer: Mutex::default(),
         })
     }
 
@@ -689,7 +807,9 @@ impl Store {
     }
 
     /// Reopen a segmented log directory: verified base, verified
-    /// segments, ingest replay, log attachment.
+    /// segments, ingest replay, log attachment. Each file is checked
+    /// against both its manifest checksum and its section checksums in
+    /// one pass.
     fn load_segmented_with_cache(
         dir: &Path,
         shards: usize,
@@ -697,15 +817,17 @@ impl Store {
     ) -> Result<(Store, LoadReport), StoreError> {
         let start = Instant::now();
         let log = EpochLog::open(dir)?;
-        if !log.has_manifest() {
+        let Some(manifest) = log.manifest().cloned() else {
             return Err(StoreError::Log(format!(
                 "no manifest published in {}",
                 dir.display()
             )));
-        }
-        let manifest = log.read_manifest()?;
-        let base_bytes = log.read_verified(&manifest.base)?;
-        let store = Self::from_bytes_with_cache(&base_bytes, shards, capacity)?;
+        };
+        let store = {
+            let bytes = log.read_listed(&manifest.base)?;
+            let file = EpochLog::verify(&manifest.base, &bytes, MAGIC)?;
+            Self::from_campaign(decode_parsed_campaign(&file)?, shards, capacity)?
+        };
         if store.epoch() != manifest.base.epoch {
             return Err(StoreError::Log(format!(
                 "base {} resumed at epoch {} but the manifest seals it at {}",
@@ -714,23 +836,15 @@ impl Store {
                 manifest.base.epoch
             )));
         }
-        let mut total = base_bytes.len() as u64;
+        let mut total = manifest.base.bytes;
         for meta in &manifest.segments {
-            let sealed = log.read_verified(meta)?;
-            total += sealed.len() as u64;
-            let (epoch, delta) = decode_segment(&sealed)?;
-            if epoch != meta.epoch {
-                return Err(StoreError::Log(format!(
-                    "{} seals epoch {epoch} but the manifest lists it as {}",
-                    meta.file, meta.epoch
-                )));
-            }
-            let delta = SnapshotDelta::from_bytes(&delta)?;
+            let delta = SnapshotDelta::from_bytes(&log.read_segment(meta)?)?;
+            total += meta.bytes;
             let report = store.ingest(delta)?;
-            if report.epoch != epoch {
+            if report.epoch != meta.epoch {
                 return Err(StoreError::Log(format!(
-                    "segment {} replayed to epoch {} instead of {epoch}",
-                    meta.file, report.epoch
+                    "segment {} replayed to epoch {} instead of {}",
+                    meta.file, report.epoch, meta.epoch
                 )));
             }
         }

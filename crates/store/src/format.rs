@@ -36,14 +36,44 @@ pub const VERSION: u32 = 1;
 /// Tag of the mandatory terminating section.
 pub const END_TAG: [u8; 4] = *b"END!";
 
-/// FNV-1a, 64-bit — the per-section payload checksum.
+/// FNV-1a's 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a, 64-bit — the per-section payload checksum, and (over the
+/// whole file) the manifest's outer checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv_extend(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a hash over more bytes.
+fn fnv_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// Hash a section payload on its own and continue the whole-file hash
+/// over it, in one pass: the two multiply chains are independent, so
+/// the second costs next to nothing beside the first.
+fn fnv_section(file: u64, payload: &[u8]) -> (u64, u64) {
+    let (mut section, mut file) = (FNV_OFFSET, file);
+    for &byte in payload {
+        section = (section ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        file = (file ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
+    (section, file)
+}
+
+/// A finished container and its whole-file [`fnv1a64`], computed while
+/// the sections were framed.
+#[derive(Debug, Clone)]
+pub struct Sealed {
+    /// The file bytes.
+    pub bytes: Vec<u8>,
+    /// [`fnv1a64`] over `bytes`.
+    pub checksum: u64,
 }
 
 /// An append-only little-endian byte sink for one section payload.
@@ -110,41 +140,113 @@ impl Writer {
         self.count(value.len());
         self.buf.extend_from_slice(value);
     }
+
+    /// Append bytes already encoded, with no prefix.
+    pub(crate) fn raw(&mut self, value: &[u8]) {
+        self.buf.extend_from_slice(value);
+    }
+
+    /// Append a column of little-endian u16s in one step.
+    pub(crate) fn u16s(&mut self, values: &[u16]) {
+        self.column(values, |value, out: &mut [u8; 2]| {
+            *out = value.to_le_bytes()
+        });
+    }
+
+    /// Append a column of little-endian u32s in one step.
+    pub(crate) fn u32s(&mut self, values: &[u32]) {
+        self.column(values, |value, out: &mut [u8; 4]| {
+            *out = value.to_le_bytes()
+        });
+    }
+
+    /// Grow once, then fill `N` bytes per value: no per-value capacity
+    /// check, so the loop vectorises.
+    fn column<T: Copy, const N: usize>(&mut self, values: &[T], put: impl Fn(T, &mut [u8; N])) {
+        let start = self.buf.len();
+        self.buf.resize(start + values.len() * N, 0);
+        for (out, &value) in self.buf[start..].chunks_exact_mut(N).zip(values) {
+            put(value, out.try_into().expect("N bytes"));
+        }
+    }
 }
 
-/// Writes a whole store file: header once, then framed sections.
+/// Writes a whole store file: header once, then framed sections. The
+/// whole-file checksum runs alongside, so sealing never re-reads the
+/// bytes.
 pub struct FileWriter {
     buf: Vec<u8>,
     sections: u64,
+    checksum: u64,
 }
 
 impl FileWriter {
     /// Start a file with the given magic at the current version.
     pub fn new(magic: [u8; 4]) -> FileWriter {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&magic);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        FileWriter { buf, sections: 0 }
+        Self::reusing(magic, Vec::new())
+    }
+
+    /// [`new`](FileWriter::new), writing into `buffer` (cleared first):
+    /// a writer sealing file after file can hand each one's buffer to
+    /// the next, whose pages are then already mapped.
+    pub(crate) fn reusing(magic: [u8; 4], mut buffer: Vec<u8>) -> FileWriter {
+        buffer.clear();
+        let mut file = FileWriter {
+            buf: buffer,
+            sections: 0,
+            checksum: FNV_OFFSET,
+        };
+        file.append(&magic);
+        file.append(&VERSION.to_le_bytes());
+        file
+    }
+
+    fn append(&mut self, bytes: &[u8]) {
+        self.checksum = fnv_extend(self.checksum, bytes);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Append one framed, checksummed section.
     pub fn section(&mut self, tag: [u8; 4], payload: Writer) {
-        let payload = payload.into_bytes();
-        self.buf.extend_from_slice(&tag);
-        self.buf
-            .extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let checksum = fnv1a64(&payload);
-        self.buf.extend_from_slice(&payload);
-        self.buf.extend_from_slice(&checksum.to_le_bytes());
+        self.section_with(tag, |writer| writer.raw(&payload.buf));
+    }
+
+    /// Append one framed, checksummed section whose payload `body`
+    /// writes straight into the file: no payload buffer, no copy. The
+    /// length is patched in afterwards, and both checksums then run
+    /// over the payload in one pass.
+    pub(crate) fn section_with(&mut self, tag: [u8; 4], body: impl FnOnce(&mut Writer)) {
+        self.append(&tag);
+        let at = self.buf.len();
+        let mut writer = Writer {
+            buf: std::mem::take(&mut self.buf),
+        };
+        writer.u64(0);
+        body(&mut writer);
+        self.buf = writer.buf;
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        let file = fnv_extend(self.checksum, &self.buf[at..at + 8]);
+        let (section, file) = fnv_section(file, &self.buf[at + 8..]);
+        self.checksum = file;
+        self.append(&section.to_le_bytes());
         self.sections += 1;
     }
 
+    /// Append the terminating section and return the file bytes with
+    /// their whole-file checksum.
+    pub fn seal(mut self) -> Sealed {
+        let sections = self.sections;
+        self.section_with(END_TAG, |end| end.u64(sections));
+        Sealed {
+            bytes: self.buf,
+            checksum: self.checksum,
+        }
+    }
+
     /// Append the terminating section and return the file bytes.
-    pub fn finish(mut self) -> Vec<u8> {
-        let mut end = Writer::new();
-        end.u64(self.sections);
-        self.section(END_TAG, end);
-        self.buf
+    pub fn finish(self) -> Vec<u8> {
+        self.seal().bytes
     }
 }
 
@@ -254,6 +356,16 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
+    /// Run `read`, returning its value and the bytes it consumed.
+    pub(crate) fn spanned<T>(
+        &mut self,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, StoreError>,
+    ) -> Result<(T, &'a [u8]), StoreError> {
+        let start = self.pos;
+        let value = read(self)?;
+        Ok((value, &self.data[start..self.pos]))
+    }
+
     /// Assert the payload was consumed exactly (catches framing drift).
     pub fn done(&self) -> Result<(), StoreError> {
         if self.remaining() != 0 {
@@ -277,6 +389,15 @@ impl<'a> FileReader<'a> {
     /// Parse and verify the container framing: magic, version, every
     /// section checksum, and the terminating section count.
     pub fn parse(data: &'a [u8], magic: [u8; 4]) -> Result<FileReader<'a>, StoreError> {
+        Self::parse_hashed(data, magic).map(|(file, _)| file)
+    }
+
+    /// [`parse`](FileReader::parse), also returning [`fnv1a64`] over the
+    /// whole file, computed in the same pass that verifies the sections.
+    pub(crate) fn parse_hashed(
+        data: &'a [u8],
+        magic: [u8; 4],
+    ) -> Result<(FileReader<'a>, u64), StoreError> {
         if data.len() < 8 {
             return Err(StoreError::Truncated { context: "header" });
         }
@@ -288,6 +409,7 @@ impl<'a> FileReader<'a> {
             return Err(StoreError::UnsupportedVersion(version));
         }
         let mut sections: Vec<([u8; 4], &[u8])> = Vec::new();
+        let mut whole = fnv1a64(&data[..8]);
         let mut pos = 8usize;
         loop {
             if data.len() - pos < 12 {
@@ -297,6 +419,7 @@ impl<'a> FileReader<'a> {
             }
             let tag: [u8; 4] = data[pos..pos + 4].try_into().expect("4 bytes");
             let len = u64::from_le_bytes(data[pos + 4..pos + 12].try_into().expect("8 bytes"));
+            whole = fnv_extend(whole, &data[pos..pos + 12]);
             pos += 12;
             let len = usize::try_from(len).map_err(|_| StoreError::Truncated {
                 context: "section length",
@@ -312,10 +435,12 @@ impl<'a> FileReader<'a> {
                 });
             }
             let payload = &data[pos..pos + len];
+            let (section, next) = fnv_section(whole, payload);
             pos += len;
             let recorded = u64::from_le_bytes(data[pos..pos + 8].try_into().expect("8 bytes"));
+            whole = fnv_extend(next, &data[pos..pos + 8]);
             pos += 8;
-            if fnv1a64(payload) != recorded {
+            if section != recorded {
                 return Err(StoreError::ChecksumMismatch {
                     section: String::from_utf8_lossy(&tag).into_owned(),
                 });
@@ -336,7 +461,7 @@ impl<'a> FileReader<'a> {
                         data.len() - pos
                     )));
                 }
-                return Ok(FileReader { sections });
+                return Ok((FileReader { sections }, whole));
             }
             sections.push((tag, payload));
         }
@@ -400,6 +525,19 @@ mod tests {
             2,
             "end section is framing, not content"
         );
+    }
+
+    #[test]
+    fn the_whole_file_checksum_rides_along_both_ways() {
+        let mut file = FileWriter::new(MAGIC);
+        let mut a = Writer::new();
+        a.str("one pass");
+        file.section(*b"AAAA", a);
+        file.section(*b"EMPT", Writer::new());
+        let sealed = file.seal();
+        assert_eq!(sealed.checksum, fnv1a64(&sealed.bytes));
+        let (_, parsed) = FileReader::parse_hashed(&sealed.bytes, MAGIC).unwrap();
+        assert_eq!(parsed, sealed.checksum);
     }
 
     #[test]

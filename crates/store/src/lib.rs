@@ -16,7 +16,7 @@
 //!   re-classification` on load — only the deterministic Internet
 //!   generation re-runs), and [`Store::ingest`] — epoch-based
 //!   incremental ingestion that classifies *only* the new snapshot,
-//!   folds it into an extended corpus, and atomically swaps a new
+//!   folds it into the corpus in O(delta), and atomically swaps a new
 //!   epoch-tagged [`QueryEngine`](lfp_query::QueryEngine) under the
 //!   running daemon,
 //! * [`repl`] — primary/follower replication: a primary ships its

@@ -548,43 +548,36 @@ fn ok_result(build: impl FnOnce(&mut JsonBuilder)) -> String {
 pub mod b64 {
     const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
-    /// Encode bytes as padded base64.
+    /// Encode bytes as padded base64. Every whole 3-byte group becomes
+    /// one 4-byte store into a buffer sized up front; a primary encodes
+    /// each delta it ships, once per epoch, on its serving threads.
     pub fn encode(bytes: &[u8]) -> String {
-        let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-        for chunk in bytes.chunks(3) {
-            let b0 = u32::from(chunk[0]);
-            let b1 = u32::from(chunk.get(1).copied().unwrap_or(0));
-            let b2 = u32::from(chunk.get(2).copied().unwrap_or(0));
-            let triple = (b0 << 16) | (b1 << 8) | b2;
-            out.push(ALPHABET[(triple >> 18) as usize & 63] as char);
-            out.push(ALPHABET[(triple >> 12) as usize & 63] as char);
-            out.push(if chunk.len() > 1 {
-                ALPHABET[(triple >> 6) as usize & 63] as char
-            } else {
-                '='
-            });
-            out.push(if chunk.len() > 2 {
-                ALPHABET[triple as usize & 63] as char
-            } else {
-                '='
-            });
+        let quad =
+            |triple: u32| [18, 12, 6, 0].map(|shift| ALPHABET[(triple >> shift) as usize & 63]);
+        let mut out = vec![0u8; bytes.len().div_ceil(3) * 4];
+        let groups = bytes.chunks_exact(3);
+        let tail = groups.remainder();
+        for (slot, group) in out.chunks_exact_mut(4).zip(groups) {
+            let triple = u32::from(group[0]) << 16 | u32::from(group[1]) << 8 | u32::from(group[2]);
+            slot.copy_from_slice(&quad(triple));
         }
-        out
+        if !tail.is_empty() {
+            let triple =
+                u32::from(tail[0]) << 16 | tail.get(1).map_or(0, |&byte| u32::from(byte) << 8);
+            let mut last = quad(triple);
+            last[3] = b'=';
+            if tail.len() == 1 {
+                last[2] = b'=';
+            }
+            let at = out.len() - 4;
+            out[at..].copy_from_slice(&last);
+        }
+        String::from_utf8(out).expect("the base64 alphabet is ASCII")
     }
 
     /// Decode padded base64; rejects bad lengths, bytes outside the
     /// alphabet and misplaced padding.
     pub fn decode(text: &str) -> Result<Vec<u8>, String> {
-        fn sextet(byte: u8) -> Result<u32, String> {
-            match byte {
-                b'A'..=b'Z' => Ok(u32::from(byte - b'A')),
-                b'a'..=b'z' => Ok(u32::from(byte - b'a') + 26),
-                b'0'..=b'9' => Ok(u32::from(byte - b'0') + 52),
-                b'+' => Ok(62),
-                b'/' => Ok(63),
-                other => Err(format!("byte {other:#04x} outside the base64 alphabet")),
-            }
-        }
         let bytes = text.as_bytes();
         if !bytes.len().is_multiple_of(4) {
             return Err(format!("base64 length {} not a multiple of 4", bytes.len()));
@@ -592,25 +585,45 @@ pub mod b64 {
         let quads = bytes.len() / 4;
         let mut out = Vec::with_capacity(quads * 3);
         for (index, quad) in bytes.chunks_exact(4).enumerate() {
+            let [a, b, c, d] = [0, 1, 2, 3].map(|at| SEXTETS[usize::from(quad[at])]);
+            if (a | b | c | d) & NOT_BASE64 == 0 {
+                let triple = u32::from(a) << 18 | u32::from(b) << 12 | u32::from(c) << 6;
+                out.extend_from_slice(&(triple | u32::from(d)).to_be_bytes()[1..]);
+                continue;
+            }
+            // Padding, or a byte outside the alphabet.
             let pads = quad.iter().rev().take_while(|&&byte| byte == b'=').count();
             if pads > 2 || (pads > 0 && index + 1 != quads) {
                 return Err("misplaced base64 padding".to_string());
             }
-            let v0 = sextet(quad[0])?;
-            let v1 = sextet(quad[1])?;
-            let v2 = if pads >= 2 { 0 } else { sextet(quad[2])? };
-            let v3 = if pads >= 1 { 0 } else { sextet(quad[3])? };
-            let triple = (v0 << 18) | (v1 << 12) | (v2 << 6) | v3;
-            out.push((triple >> 16) as u8);
-            if pads < 2 {
-                out.push((triple >> 8) as u8);
+            let mut triple = 0u32;
+            for &byte in &quad[..4 - pads] {
+                let sextet = SEXTETS[usize::from(byte)];
+                if sextet == NOT_BASE64 {
+                    return Err(format!("byte {byte:#04x} outside the base64 alphabet"));
+                }
+                triple = triple << 6 | u32::from(sextet);
             }
-            if pads < 1 {
-                out.push(triple as u8);
-            }
+            triple <<= 6 * pads;
+            out.extend_from_slice(&triple.to_be_bytes()[1..4 - pads]);
         }
         Ok(out)
     }
+
+    /// [`SEXTETS`] entry of a byte outside the alphabet: a bit no
+    /// sextet has, so one test covers a whole quad.
+    const NOT_BASE64: u8 = 0x80;
+
+    /// Each byte's value in the alphabet.
+    const SEXTETS: [u8; 256] = {
+        let mut table = [NOT_BASE64; 256];
+        let mut value = 0;
+        while value < ALPHABET.len() {
+            table[ALPHABET[value] as usize] = value as u8;
+            value += 1;
+        }
+        table
+    };
 }
 
 #[cfg(test)]
@@ -624,6 +637,19 @@ mod tests {
             let encoded = b64::encode(&bytes);
             assert_eq!(encoded.len() % 4, 0);
             assert_eq!(b64::decode(&encoded).expect("round trip"), bytes);
+        }
+        // RFC 4648's test vectors pin the wire spelling.
+        for (plain, armored) in [
+            ("", ""),
+            ("f", "Zg=="),
+            ("fo", "Zm8="),
+            ("foo", "Zm9v"),
+            ("foob", "Zm9vYg=="),
+            ("fooba", "Zm9vYmE="),
+            ("foobar", "Zm9vYmFy"),
+        ] {
+            assert_eq!(b64::encode(plain.as_bytes()), armored);
+            assert_eq!(b64::decode(armored).expect("vector"), plain.as_bytes());
         }
     }
 

@@ -29,7 +29,9 @@
 //! so a manifest can never describe a log with a hole in its history.
 
 use crate::error::StoreError;
-use crate::format::{fnv1a64, FileReader, FileWriter, Writer, MANIFEST_MAGIC, SEGMENT_MAGIC};
+use crate::format::{
+    fnv1a64, FileReader, FileWriter, Sealed, Writer, MANIFEST_MAGIC, SEGMENT_MAGIC,
+};
 use std::path::{Path, PathBuf};
 
 /// File name of the manifest inside a log directory.
@@ -89,13 +91,15 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// Meta describing `bytes` about to be sealed as `file` at `epoch`.
-    pub fn describing(epoch: u64, file: String, bytes: &[u8]) -> SegmentMeta {
+    /// Meta describing `sealed` about to be written as `file` at
+    /// `epoch`; the checksum is the one its writer computed, so nothing
+    /// re-reads the bytes.
+    pub fn sealed(epoch: u64, file: String, sealed: &Sealed) -> SegmentMeta {
         SegmentMeta {
             epoch,
             file,
-            checksum: fnv1a64(bytes),
-            bytes: bytes.len() as u64,
+            checksum: sealed.checksum,
+            bytes: sealed.bytes.len() as u64,
         }
     }
 
@@ -194,19 +198,18 @@ pub fn segment_file_name(epoch: u64) -> String {
 
 /// Wrap a serialized [`SnapshotDelta`](crate::SnapshotDelta) as an
 /// `LFPS` segment container sealed at `epoch`.
-pub fn encode_segment(epoch: u64, delta: &[u8]) -> Vec<u8> {
+pub fn encode_segment(epoch: u64, delta: &[u8]) -> Sealed {
     let mut payload = Writer::new();
     payload.u64(epoch);
     payload.bytes(delta);
     let mut file = FileWriter::new(SEGMENT_MAGIC);
     file.section(SEGMENT_TAG, payload);
-    file.finish()
+    file.seal()
 }
 
-/// Unwrap an `LFPS` segment: the epoch it seals plus the delta bytes
-/// (still their own checksummed `LFPD` container).
-pub fn decode_segment(bytes: &[u8]) -> Result<(u64, Vec<u8>), StoreError> {
-    let file = FileReader::parse(bytes, SEGMENT_MAGIC)?;
+/// Unwrap a parsed `LFPS` segment: the epoch it seals plus the delta
+/// bytes (still their own checksummed `LFPD` container).
+fn segment_payload(file: &FileReader<'_>) -> Result<(u64, Vec<u8>), StoreError> {
     let mut reader = file.section(SEGMENT_TAG, "segment")?;
     let epoch = reader.u64()?;
     let delta = reader.bytes()?;
@@ -259,25 +262,46 @@ pub(crate) fn write_sealed(
     Ok(())
 }
 
+/// The manifest published in `dir`, or `None` when there is none yet.
+fn read_published(dir: &Path) -> Result<Option<Manifest>, StoreError> {
+    let path = dir.join(MANIFEST_FILE);
+    if !path.is_file() {
+        return Ok(None);
+    }
+    Manifest::from_bytes(&std::fs::read(path)?).map(Some)
+}
+
 /// A segmented log directory: sealed-file writes, verified reads, the
 /// manifest publish point, and orphan sweeping. Pure I/O — epoch
 /// semantics (what to write, when to fold) live on
 /// [`Store`](crate::Store).
+///
+/// The log is its directory's only writer, so it reads the published
+/// manifest once, when it is opened, and keeps it in memory from then
+/// on, replacing it at every [`publish`](EpochLog::publish).
 #[derive(Debug)]
 pub struct EpochLog {
     dir: PathBuf,
+    manifest: Option<Manifest>,
+    /// A file being sealed while the log is not locked (a compaction's
+    /// new base): [`prune`](EpochLog::prune) spares it and its `.tmp`.
+    in_flight: Option<String>,
 }
 
 impl EpochLog {
-    /// Open (creating if needed) a log directory.
+    /// Open (creating if needed) a log directory. An unreadable
+    /// manifest counts as none: the next save writes a fresh base.
     pub fn create(dir: &Path) -> Result<EpochLog, StoreError> {
         std::fs::create_dir_all(dir)?;
         Ok(EpochLog {
             dir: dir.to_path_buf(),
+            manifest: read_published(dir).unwrap_or(None),
+            in_flight: None,
         })
     }
 
-    /// Wrap an existing log directory.
+    /// Wrap an existing log directory; a manifest that is there but
+    /// does not parse is an error.
     pub fn open(dir: &Path) -> Result<EpochLog, StoreError> {
         if !dir.is_dir() {
             return Err(StoreError::Log(format!(
@@ -287,6 +311,8 @@ impl EpochLog {
         }
         Ok(EpochLog {
             dir: dir.to_path_buf(),
+            manifest: read_published(dir)?,
+            in_flight: None,
         })
     }
 
@@ -295,20 +321,13 @@ impl EpochLog {
         &self.dir
     }
 
-    /// Read and validate the current manifest.
-    pub fn read_manifest(&self) -> Result<Manifest, StoreError> {
-        let bytes = std::fs::read(self.dir.join(MANIFEST_FILE))?;
-        Manifest::from_bytes(&bytes)
+    /// The published manifest, or `None` before the first publish.
+    pub fn manifest(&self) -> Option<&Manifest> {
+        self.manifest.as_ref()
     }
 
-    /// Whether a manifest has ever been published here.
-    pub fn has_manifest(&self) -> bool {
-        self.dir.join(MANIFEST_FILE).is_file()
-    }
-
-    /// Read a listed file and verify its recorded length and whole-file
-    /// checksum before a byte of it is trusted.
-    pub fn read_verified(&self, meta: &SegmentMeta) -> Result<Vec<u8>, StoreError> {
+    /// Read a listed file, checking its recorded length.
+    pub(crate) fn read_listed(&self, meta: &SegmentMeta) -> Result<Vec<u8>, StoreError> {
         let bytes = std::fs::read(self.dir.join(&meta.file))?;
         if bytes.len() as u64 != meta.bytes {
             return Err(StoreError::Log(format!(
@@ -318,13 +337,39 @@ impl EpochLog {
                 meta.bytes
             )));
         }
-        if fnv1a64(&bytes) != meta.checksum {
+        Ok(bytes)
+    }
+
+    /// Parse `bytes`, read for `meta`, as a `magic` container: every
+    /// section checksum and the manifest's whole-file checksum are
+    /// verified in one pass before a byte of it is trusted. A file
+    /// failing both reports the whole-file mismatch.
+    pub(crate) fn verify<'a>(
+        meta: &SegmentMeta,
+        bytes: &'a [u8],
+        magic: [u8; 4],
+    ) -> Result<FileReader<'a>, StoreError> {
+        let mismatch = || StoreError::Log(format!("{} fails its manifest checksum", meta.file));
+        match FileReader::parse_hashed(bytes, magic) {
+            Ok((file, checksum)) if checksum == meta.checksum => Ok(file),
+            Ok(_) => Err(mismatch()),
+            Err(_) if fnv1a64(bytes) != meta.checksum => Err(mismatch()),
+            Err(error) => Err(error),
+        }
+    }
+
+    /// Read and verify a listed segment file: the delta bytes it seals,
+    /// which must be for the epoch the manifest lists it at.
+    pub fn read_segment(&self, meta: &SegmentMeta) -> Result<Vec<u8>, StoreError> {
+        let bytes = self.read_listed(meta)?;
+        let (epoch, delta) = segment_payload(&Self::verify(meta, &bytes, SEGMENT_MAGIC)?)?;
+        if epoch != meta.epoch {
             return Err(StoreError::Log(format!(
-                "{} fails its manifest checksum",
-                meta.file
+                "{} seals epoch {epoch} but the manifest lists it as {}",
+                meta.file, meta.epoch
             )));
         }
-        Ok(bytes)
+        Ok(delta)
     }
 
     /// Seal `bytes` as `<dir>/<name>`, durably, through the module's
@@ -339,23 +384,55 @@ impl EpochLog {
     }
 
     /// Atomically publish `manifest`: seal it as `MANIFEST`. Readers
-    /// switch from the old log state to the new one at the rename.
+    /// switch from the old log state to the new one at the rename. If
+    /// the seal fails, the in-memory manifest is re-read from disk, so
+    /// it stays whatever a load would see.
     pub fn publish(
-        &self,
-        manifest: &Manifest,
+        &mut self,
+        manifest: Manifest,
         faults: &mut dyn LogFaults,
     ) -> Result<(), StoreError> {
-        self.write_sealed(MANIFEST_FILE, &manifest.to_bytes(), faults)
+        match self.write_sealed(MANIFEST_FILE, &manifest.to_bytes(), faults) {
+            Ok(()) => {
+                self.manifest = Some(manifest);
+                Ok(())
+            }
+            Err(error) => {
+                self.manifest = read_published(&self.dir).unwrap_or(None);
+                Err(error)
+            }
+        }
+    }
+
+    /// Mark `file` as being sealed while the log is unlocked, so
+    /// [`prune`](EpochLog::prune) spares it. At most one file is in
+    /// flight: returns `false` (and marks nothing) when another is.
+    pub(crate) fn reserve(&mut self, file: &str) -> bool {
+        if self.in_flight.is_some() {
+            return false;
+        }
+        self.in_flight = Some(file.to_string());
+        true
+    }
+
+    /// Clear the [`reserve`](EpochLog::reserve) mark.
+    pub(crate) fn release(&mut self) {
+        self.in_flight = None;
     }
 
     /// Best-effort sweep of files the published manifest does not
     /// reference — superseded bases, folded segments, `.tmp` partials a
-    /// crash left behind. Failures are ignored: an unswept orphan is
-    /// invisible to loads and gets another chance next publish.
-    pub fn prune(&self, manifest: &Manifest) {
+    /// crash left behind — sparing the reserved file and its `.tmp`.
+    /// Failures are ignored: an unswept orphan is invisible to loads
+    /// and gets another chance next publish.
+    pub fn prune(&self) {
+        let Some(manifest) = &self.manifest else {
+            return;
+        };
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
         };
+        let in_flight = self.in_flight.as_deref();
         for entry in entries.flatten() {
             let path = entry.path();
             let Some(name) = path.file_name().and_then(|name| name.to_str()) else {
@@ -364,6 +441,7 @@ impl EpochLog {
             if name == MANIFEST_FILE
                 || name == manifest.base.file
                 || manifest.segments.iter().any(|meta| meta.file == name)
+                || in_flight.is_some_and(|file| name.strip_suffix(".tmp").unwrap_or(name) == file)
             {
                 continue;
             }
@@ -454,34 +532,59 @@ mod tests {
     #[test]
     fn segment_container_round_trips() {
         let delta = vec![7u8; 1000];
-        let bytes = encode_segment(42, &delta);
-        let (epoch, decoded) = decode_segment(&bytes).expect("round trip");
+        let sealed = encode_segment(42, &delta);
+        assert_eq!(sealed.checksum, fnv1a64(&sealed.bytes));
+        let bytes = sealed.bytes;
+        let parsed = FileReader::parse(&bytes, SEGMENT_MAGIC).expect("round trip");
+        let (epoch, decoded) = segment_payload(&parsed).expect("round trip");
         assert_eq!(epoch, 42);
         assert_eq!(decoded, delta);
-        assert!(decode_segment(&bytes[..bytes.len() - 3]).is_err());
+        assert!(FileReader::parse(&bytes[..bytes.len() - 3], SEGMENT_MAGIC).is_err());
     }
 
     #[test]
     fn sealed_writes_verify_and_prune_sweeps_orphans() {
         let dir = scratch("log");
-        let log = EpochLog::create(&dir).expect("create");
+        let mut log = EpochLog::create(&dir).expect("create");
+        assert!(log.manifest().is_none());
+        let name = segment_file_name(3);
         let payload = vec![9u8; 3000];
-        log.write_sealed("epoch-00000003.seg", &payload, &mut DurableLog)
+        let sealed = encode_segment(3, &payload);
+        log.write_sealed(&name, &sealed.bytes, &mut DurableLog)
             .expect("seal");
-        let meta = SegmentMeta::describing(3, "epoch-00000003.seg".to_string(), &payload);
-        assert_eq!(log.read_verified(&meta).expect("verified read"), payload);
+        let meta = SegmentMeta::sealed(3, name, &sealed);
+        assert_eq!(log.read_segment(&meta).expect("verified read"), payload);
 
+        // A wrong whole-file checksum, or a wrong epoch, is refused.
         let mut flipped = meta.clone();
         flipped.checksum ^= 1;
         assert!(matches!(
-            log.read_verified(&flipped),
+            log.read_segment(&flipped),
             Err(StoreError::Log(_))
         ));
+        let mut misplaced = meta.clone();
+        misplaced.epoch = 4;
+        assert!(matches!(
+            log.read_segment(&misplaced),
+            Err(StoreError::Log(_))
+        ));
+        // A flipped payload byte fails both checksums; the manifest's is
+        // the one reported.
+        let mut torn = sealed.bytes.clone();
+        torn[40] ^= 1;
+        assert_eq!(
+            EpochLog::verify(&meta, &torn, SEGMENT_MAGIC).unwrap_err(),
+            StoreError::Log(format!("{} fails its manifest checksum", meta.file))
+        );
 
-        // Orphans: a stale tmp and an unreferenced segment.
+        // Orphans: a stale tmp and an unreferenced segment; the reserved
+        // base and its tmp survive the sweep until released.
         std::fs::write(dir.join("epoch-00000009.seg.tmp"), b"torn").expect("tmp");
         std::fs::write(dir.join("epoch-00000008.seg"), b"orphan").expect("orphan");
         std::fs::write(dir.join("notes.txt"), b"keep me").expect("notes");
+        std::fs::write(dir.join("base-00000005.lfps.tmp"), b"folding").expect("fold tmp");
+        assert!(log.reserve(&base_file_name(5)));
+        assert!(!log.reserve(&base_file_name(6)), "one file in flight");
         let manifest = Manifest {
             base: SegmentMeta {
                 epoch: 2,
@@ -491,16 +594,26 @@ mod tests {
             },
             segments: vec![meta],
         };
-        log.publish(&manifest, &mut DurableLog).expect("publish");
-        log.prune(&manifest);
+        log.publish(manifest.clone(), &mut DurableLog)
+            .expect("publish");
+        log.prune();
         assert!(!dir.join("epoch-00000009.seg.tmp").exists());
         assert!(!dir.join("epoch-00000008.seg").exists());
         assert!(dir.join("epoch-00000003.seg").exists());
+        assert!(dir.join("base-00000005.lfps.tmp").exists());
         assert!(
             dir.join("notes.txt").exists(),
             "non-log files are not swept"
         );
-        assert_eq!(log.read_manifest().expect("manifest"), manifest);
+        log.release();
+        log.prune();
+        assert!(!dir.join("base-00000005.lfps.tmp").exists());
+
+        // The published manifest is what the log holds and what a fresh
+        // open reads back.
+        assert_eq!(log.manifest(), Some(&manifest));
+        let reopened = EpochLog::open(&dir).expect("open");
+        assert_eq!(reopened.manifest(), Some(&manifest));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

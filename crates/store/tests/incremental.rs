@@ -8,10 +8,14 @@
 
 mod util;
 
+use lfp_analysis::path_corpus::NewPathSource;
 use lfp_query::{wire, Query, QueryEngine, Response};
 use lfp_serve::{EngineSource, ServeConfig, Server};
+use lfp_stack::vendor::Vendor;
 use lfp_store::{Store, StoreError};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -49,6 +53,67 @@ fn one_at_a_time_equals_all_at_once_byte_for_byte() {
         util::mix_responses(&incremental),
         util::mix_responses(&batch)
     );
+}
+
+#[test]
+fn reusing_the_spare_corpus_equals_copying_it() {
+    let world = util::shared_tiny_world();
+    let deltas = util::measure_deltas(&world, 12);
+
+    // The spare is the corpus two epochs back. `free` ingests with
+    // nothing else holding an engine, so from epoch 3 on (epoch 2's
+    // spare is the world's own corpus) every ingest extends in place.
+    // `held` keeps the engines of epochs 4–9 alive, so the ingests of
+    // epochs 6–11 find their spare in use and extend a copy.
+    let free = Store::from_world(Arc::clone(&world));
+    let held = Store::from_world(Arc::clone(&world));
+    let mut pinned = Vec::new();
+    for (index, delta) in deltas.iter().enumerate() {
+        let epoch = index + 1;
+        let report = free.ingest(delta.clone()).expect("ingest");
+        assert_eq!(report.in_place, epoch >= 3, "free store, epoch {epoch}");
+        let report = held.ingest(delta.clone()).expect("ingest");
+        let copied = epoch < 3 || (6..=11).contains(&epoch);
+        assert_eq!(report.in_place, !copied, "held store, epoch {epoch}");
+        if (4..=9).contains(&epoch) {
+            pinned.push(held.engine());
+        }
+    }
+    drop(pinned);
+
+    // Reused or copied, the corpora are equal, and equal to a chain of
+    // copying extensions.
+    assert_eq!(free.engine().corpus(), held.engine().corpus());
+    let shards = lfp_net::ScanConfig::default().shards;
+    let mut chained = world.path_corpus().clone();
+    for delta in &deltas {
+        let lfp: HashMap<Ipv4Addr, Vendor> = delta
+            .targets
+            .iter()
+            .zip(&delta.vectors)
+            .filter_map(|(&ip, vector)| Some((ip, world.set.classify(vector).unique_vendor()?)))
+            .collect();
+        let snmp: HashMap<Ipv4Addr, Vendor> = delta
+            .targets
+            .iter()
+            .zip(&delta.labels)
+            .filter_map(|(&ip, label)| Some((ip, (*label)?)))
+            .collect();
+        let addition = NewPathSource {
+            name: delta.name.clone(),
+            traces: &delta.traces,
+            lfp: &lfp,
+            snmp: &snmp,
+            is_ripe_snapshot: true,
+        };
+        chained = chained
+            .extended_with(&world.internet, &[addition], shards)
+            .expect("fresh source");
+    }
+    assert_eq!(&chained, free.engine().corpus());
+
+    // …and every catalog answer is byte-identical.
+    assert_eq!(util::mix_responses(&free), util::mix_responses(&held));
 }
 
 #[test]

@@ -8,7 +8,8 @@
 mod util;
 
 use lfp_store::{
-    compact_if_due, CompactionPolicy, Compactor, ReplSource, Store, DELTA_CACHE_CAP, MANIFEST_FILE,
+    compact_if_due, CompactionPolicy, Compactor, LogFaults, Manifest, ReplSource, SnapshotDelta,
+    Store, StoreError, DELTA_CACHE_CAP, MANIFEST_FILE,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -195,6 +196,82 @@ fn compaction_folds_the_log_and_preserves_every_response() {
     // incremental saves from there.
     let (reopened, _) = Store::load(&seg_dir).expect("load folded log");
     assert_eq!(reopened.epoch(), 3);
+    assert_eq!(util::mix_responses(&reopened), expected);
+}
+
+/// A fault shim that, when the fold starts writing its new base, ingests
+/// one more delta and seals it — on the fold's own thread, so either
+/// call would deadlock if the fold held the epochs or the log lock
+/// across the write. It records whether the fold's temp file survived
+/// the save's prune.
+struct IngestMidFold<'a> {
+    store: &'a Store,
+    dir: PathBuf,
+    delta: Option<SnapshotDelta>,
+    temp_survived: Option<bool>,
+}
+
+impl LogFaults for IngestMidFold<'_> {
+    fn on_chunk(&mut self, file: &str, _offset: usize, _len: usize) -> Result<(), StoreError> {
+        if file.starts_with("base-") {
+            if let Some(delta) = self.delta.take() {
+                self.store.ingest(delta)?;
+                self.store.save_segmented(&self.dir)?;
+                self.temp_survived = Some(self.dir.join(format!("{file}.tmp")).is_file());
+            }
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn ingest_and_save_complete_while_a_fold_writes_its_base() {
+    let world = util::shared_tiny_world();
+    let store = Store::from_world(world.clone());
+    let scratch = Scratch::new("interleave");
+    let dir = scratch.path("log");
+
+    store.save_segmented(&dir).expect("base save");
+    let mut deltas = util::measure_deltas(&world, 4);
+    let late = deltas.pop().expect("four deltas");
+    for delta in deltas {
+        store.ingest(delta).expect("ingest");
+        store.save_segmented(&dir).expect("per-epoch save");
+    }
+
+    let mut shim = IngestMidFold {
+        store: &store,
+        dir: dir.clone(),
+        delta: Some(late),
+        temp_survived: None,
+    };
+    let report = store
+        .compact_log_with(&mut shim)
+        .expect("fold completes")
+        .expect("there was something to fold");
+    assert_eq!(
+        shim.temp_survived,
+        Some(true),
+        "the save swept the fold's temp"
+    );
+    assert_eq!((report.epoch, report.folded), (3, 3));
+    assert_eq!(store.epoch(), 4);
+
+    // The published manifest is the fold's base plus the segment the
+    // mid-fold save sealed — in memory and on disk alike.
+    let status = store.log_status().expect("log attached");
+    assert_eq!((status.segments, status.covered), (1, 4));
+    let published =
+        Manifest::from_bytes(&std::fs::read(dir.join(MANIFEST_FILE)).expect("read manifest"))
+            .expect("manifest parses");
+    assert_eq!(published.base.epoch, 3);
+    let carried: Vec<u64> = published.segments.iter().map(|meta| meta.epoch).collect();
+    assert_eq!(carried, [4]);
+
+    // The log reloads byte-identically across the catalog.
+    let expected = util::mix_responses(&store);
+    let (reopened, _) = Store::load(&dir).expect("load the interleaved log");
+    assert_eq!(reopened.epoch(), 4);
     assert_eq!(util::mix_responses(&reopened), expected);
 }
 
