@@ -191,6 +191,17 @@ impl JsonValue {
         }
     }
 
+    /// Move one object field out (first match; `None` for non-objects).
+    pub fn into_field(self, key: &str) -> Option<JsonValue> {
+        match self {
+            JsonValue::Object(fields) => fields
+                .into_iter()
+                .find(|(name, _)| name == key)
+                .map(|(_, value)| value),
+            _ => None,
+        }
+    }
+
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -156,31 +156,56 @@ pub struct SegmentSummary {
 /// One trace queued for the parallel classification fan-out.
 struct TraceItem<'a> {
     index: usize,
-    source: u16,
     trace: &'a TraceRecord,
     lfp: &'a HashMap<Ipv4Addr, Vendor>,
     snmp: &'a HashMap<Ipv4Addr, Vendor>,
 }
 
-/// One row's columns, everything but its hop sequence.
-#[derive(Debug, Clone, Copy)]
-struct RowFields {
-    source: u16,
-    src_as: u32,
-    dst_as: u32,
-    effective_len: u16,
-    snmp_identified: u16,
-    slice: UsSlice,
-    edge_vendors: u8,
-    core_vendors: u8,
-    as_segments: u16,
+/// One row's stored columns, everything but its source id (assigned
+/// when the row is appended) and its hop sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowFields {
+    /// Vantage AS.
+    pub src_as: u32,
+    /// Destination AS.
+    pub dst_as: u32,
+    /// Effective path length.
+    pub effective_len: u16,
+    /// SNMPv3-identified hop count.
+    pub snmp_identified: u16,
+    /// US slice of the trace's endpoints.
+    pub slice: UsSlice,
+    /// Distinct identified vendors in the edge segments.
+    pub edge_vendors: u8,
+    /// Distinct identified vendors in the transit core.
+    pub core_vendors: u8,
+    /// AS segment count.
+    pub as_segments: u16,
 }
 
-/// Per-trace worker output: everything the serial interning fold needs.
-struct EncodedPath {
-    fields: RowFields,
-    /// The classified hop codes, run-length encoded.
-    runs: Vec<(u8, u16)>,
+/// One trace classified into a row: everything the serial interning
+/// fold needs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedRow {
+    /// The row's columns.
+    pub fields: RowFields,
+    /// The classified hop codes ([`vendor_code`] or [`UNKNOWN_HOP`]),
+    /// run-length encoded.
+    pub runs: Vec<(u8, u16)>,
+}
+
+/// One new source's rows, encoded and ready to append: what
+/// [`PathCorpus::encode`] computes from traces, and what
+/// [`PathCorpus::append_encoded`] interns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedSource {
+    /// Dataset name the source registers under (must be unused).
+    pub name: String,
+    /// Whether this source is a RIPE-style snapshot (advances
+    /// [`PathCorpus::latest_ripe_source`]).
+    pub is_ripe_snapshot: bool,
+    /// One row per trace, in collection order.
+    pub rows: Vec<EncodedRow>,
 }
 
 /// Side of the dense vendor×vendor transition matrix (one row and one
@@ -749,25 +774,18 @@ impl PathCorpus {
         sources.push("ITDK-derived".to_string());
 
         let mut items: Vec<TraceItem> = Vec::new();
-        for (source, snapshot) in world.ripe.iter().enumerate() {
-            for trace in &snapshot.traces {
+        let mut row_sources: Vec<u16> = Vec::new();
+        let traces = world.ripe.iter().map(|snapshot| &snapshot.traces[..]);
+        for (source, traces) in traces.chain([&derived[..]]).enumerate() {
+            for trace in traces {
                 items.push(TraceItem {
                     index: items.len(),
-                    source: source as u16,
                     trace,
                     lfp: lfp_maps[source].as_ref(),
                     snmp: snmp_maps[source].as_ref(),
                 });
+                row_sources.push(source as u16);
             }
-        }
-        for trace in &derived {
-            items.push(TraceItem {
-                index: items.len(),
-                source: ripe_source_count as u16,
-                trace,
-                lfp: lfp_maps[ripe_source_count].as_ref(),
-                snmp: snmp_maps[ripe_source_count].as_ref(),
-            });
         }
 
         // Phase 1 — parallel classification. Classification is pure, so
@@ -787,8 +805,8 @@ impl PathCorpus {
         // Phase 2 — serial interning fold over the ordered stream.
         let mut corpus = PathCorpus::with_capacity(sources, ripe_source_count, encoded.len());
         let mut groups = OpenGroups::default();
-        for path in encoded {
-            corpus.intern(path.fields, &path.runs, &mut groups);
+        for (source, row) in row_sources.into_iter().zip(encoded) {
+            corpus.intern(source, row.fields, &row.runs, &mut groups);
         }
         corpus.seal_groups(&groups);
         corpus
@@ -830,9 +848,15 @@ impl PathCorpus {
         }
     }
 
-    /// Append one path as the next row. Its group fold stays open in
-    /// `groups` until [`seal_groups`](PathCorpus::seal_groups).
-    fn intern(&mut self, fields: RowFields, runs: &[(u8, u16)], groups: &mut OpenGroups) {
+    /// Append one path as the next row of `source`. Its group fold stays
+    /// open in `groups` until [`seal_groups`](PathCorpus::seal_groups).
+    fn intern(
+        &mut self,
+        source: u16,
+        fields: RowFields,
+        runs: &[(u8, u16)],
+        groups: &mut OpenGroups,
+    ) {
         let row = self.source.len() as u32;
         let seq_id = match self.interned_seq(runs) {
             Some(id) => id,
@@ -878,7 +902,7 @@ impl PathCorpus {
                     (hops.wrapping_add(len), known.wrapping_add(identified))
                 });
 
-        self.source.push(fields.source);
+        self.source.push(source);
         self.src_as.push(fields.src_as);
         self.dst_as.push(fields.dst_as);
         self.effective_len.push(fields.effective_len);
@@ -892,14 +916,14 @@ impl PathCorpus {
         self.core_vendors.push(fields.core_vendors);
         self.as_segments.push(fields.as_segments);
 
-        self.by_source[fields.source as usize].push(row);
+        self.by_source[source as usize].push(row);
         self.by_src_as.entry(fields.src_as).or_default().push(row);
         self.by_dst_as.entry(fields.dst_as).or_default().push(row);
         self.by_length.entry(router_hops).or_default().push(row);
         self.by_set[set_id as usize].push(row);
         self.by_seq[seq_id as usize].push(row);
         groups.add(
-            fields.source,
+            source,
             fields.slice,
             router_hops,
             self.summaries.longest_run[seq_id as usize],
@@ -921,7 +945,6 @@ impl PathCorpus {
     /// A row's columns, as [`intern`](PathCorpus::intern) takes them.
     fn fields_of(&self, row: usize) -> RowFields {
         RowFields {
-            source: self.source[row],
             src_as: self.src_as[row],
             dst_as: self.dst_as[row],
             effective_len: self.effective_len[row],
@@ -1644,74 +1667,129 @@ impl PathCorpus {
     }
 
     /// Fold new snapshot sources into this corpus in place, without
-    /// touching any existing row: per-trace classification of the *new*
-    /// traces fans out through [`scan`] (the same determinism contract as
-    /// [`PathCorpus::build`]), then the serial interning fold appends
-    /// them as fresh sources. The interning tables live in the corpus
-    /// and only grow, so appended rows share sequence/set ids with the
-    /// existing ones and the cost is the new traces' alone — and a
-    /// one-source-at-a-time chain of calls produces a corpus equal to
-    /// one call carrying every source (regression-tested by
-    /// `lfp-store`). The additions are validated before anything is
-    /// mutated: on an error the corpus is unchanged.
+    /// touching any existing row: [`encode`](PathCorpus::encode) the new
+    /// traces, then [`append_encoded`](PathCorpus::append_encoded) them.
+    /// The interning tables live in the corpus and only grow, so
+    /// appended rows share sequence/set ids with the existing ones and
+    /// the cost is the new traces' alone — and a one-source-at-a-time
+    /// chain of calls produces a corpus equal to one call carrying every
+    /// source (regression-tested by `lfp-store`). On an error the corpus
+    /// is unchanged.
     pub fn extend(
         &mut self,
         internet: &Internet,
         additions: &[NewPathSource<'_>],
         shards: NonZeroUsize,
     ) -> Result<(), String> {
-        // Names must be fresh against the corpus *and* unique within the
-        // batch — otherwise one call could build a corpus whose persisted
-        // form `from_parts` would reject forever.
-        for (index, addition) in additions.iter().enumerate() {
-            if self.sources.iter().any(|name| name == &addition.name)
-                || additions[..index]
-                    .iter()
-                    .any(|prior| prior.name == addition.name)
-            {
-                return Err(format!("source '{}' already in corpus", addition.name));
-            }
-        }
-        if self.sources.len() + additions.len() > u16::MAX as usize {
-            return Err("source id space exhausted".to_string());
-        }
+        self.append_encoded(&Self::encode(internet, additions, shards))
+    }
 
+    /// Classify each new source's traces into rows. Per-trace work fans
+    /// out through [`scan`] (the same determinism contract as
+    /// [`PathCorpus::build`]) and reads no corpus state, so the rows can
+    /// be computed once and appended anywhere.
+    pub fn encode(
+        internet: &Internet,
+        additions: &[NewPathSource<'_>],
+        shards: NonZeroUsize,
+    ) -> Vec<EncodedSource> {
         let config = ScanConfig {
             shards,
             pacing: 0.0,
         };
-        let mut groups = OpenGroups::default();
-        for addition in additions {
-            let source_id = self.sources.len();
-            self.sources.push(addition.name.clone());
-            self.by_source.push(Vec::new());
-            let items: Vec<TraceItem> = addition
-                .traces
-                .iter()
-                .enumerate()
-                .map(|(index, trace)| TraceItem {
-                    index,
-                    source: source_id as u16,
-                    trace,
-                    lfp: addition.lfp,
-                    snmp: addition.snmp,
-                })
-                .collect();
-            let encoded = scan(
-                &items,
-                config,
-                |item| splitmix64(item.index as u64 ^ 0x9e37_79b9_7f4a_7c15),
-                |item, _ctx| encode_path(internet, item),
-            );
-            for path in encoded {
-                self.intern(path.fields, &path.runs, &mut groups);
+        additions
+            .iter()
+            .map(|addition| {
+                let items: Vec<TraceItem> = addition
+                    .traces
+                    .iter()
+                    .enumerate()
+                    .map(|(index, trace)| TraceItem {
+                        index,
+                        trace,
+                        lfp: addition.lfp,
+                        snmp: addition.snmp,
+                    })
+                    .collect();
+                EncodedSource {
+                    name: addition.name.clone(),
+                    is_ripe_snapshot: addition.is_ripe_snapshot,
+                    rows: scan(
+                        &items,
+                        config,
+                        |item| splitmix64(item.index as u64 ^ 0x9e37_79b9_7f4a_7c15),
+                        |item, _ctx| encode_path(internet, item),
+                    ),
+                }
+            })
+            .collect()
+    }
+
+    /// Append encoded sources as fresh sources, one row per encoded row,
+    /// through the serial interning fold. Everything is validated before
+    /// anything is mutated — names fresh against the corpus and unique
+    /// within the batch, hop codes known, runs non-empty and every
+    /// sequence within the `u16` hop columns — so rows from an untrusted
+    /// peer produce an error, never a panic, and on an error the corpus
+    /// is unchanged.
+    pub fn append_encoded(&mut self, sources: &[EncodedSource]) -> Result<(), String> {
+        // Names must be fresh against the corpus *and* unique within the
+        // batch — otherwise one call could build a corpus whose persisted
+        // form `from_parts` would reject forever.
+        for (index, source) in sources.iter().enumerate() {
+            if self.sources.iter().any(|name| name == &source.name)
+                || sources[..index]
+                    .iter()
+                    .any(|prior| prior.name == source.name)
+            {
+                return Err(format!("source '{}' already in corpus", source.name));
             }
-            if addition.is_ripe_snapshot {
+            for row in &source.rows {
+                let mut hops = 0usize;
+                for &(code, len) in &row.runs {
+                    if code != UNKNOWN_HOP && code_vendor(code).is_none() {
+                        return Err(format!("invalid vendor code {code} in '{}'", source.name));
+                    }
+                    if len == 0 {
+                        return Err(format!("zero-length run in '{}'", source.name));
+                    }
+                    hops += len as usize;
+                }
+                if hops > u16::MAX as usize {
+                    return Err(format!("a row of '{}' has {hops} hops", source.name));
+                }
+            }
+        }
+        if self.sources.len() + sources.len() > u16::MAX as usize {
+            return Err("source id space exhausted".to_string());
+        }
+
+        let mut groups = OpenGroups::default();
+        for source in sources {
+            let source_id = self.sources.len();
+            self.sources.push(source.name.clone());
+            self.by_source.push(Vec::new());
+            for row in &source.rows {
+                self.intern(source_id as u16, row.fields, &row.runs, &mut groups);
+            }
+            if source.is_ripe_snapshot {
                 self.latest_ripe = source_id;
             }
         }
         self.seal_groups(&groups);
         Ok(())
+    }
+
+    /// The rows of one source as [`append_encoded`](PathCorpus::append_encoded)
+    /// takes them, in row order (empty for an unknown source).
+    pub fn source_rows(&self, source: usize) -> Vec<EncodedRow> {
+        self.rows_of_source(source)
+            .iter()
+            .map(|&row| EncodedRow {
+                fields: self.fields_of(row as usize),
+                runs: self.runs_of(row).to_vec(),
+            })
+            .collect()
     }
 
     /// [`extend`](PathCorpus::extend) a copy of this corpus.
@@ -1750,7 +1828,8 @@ impl PathCorpus {
             self.by_source.push(Vec::new());
         }
         for row in rows..newer.len() {
-            self.intern(newer.fields_of(row), newer.runs_of(row as u32), &mut groups);
+            let (source, fields) = (newer.source[row], newer.fields_of(row));
+            self.intern(source, fields, newer.runs_of(row as u32), &mut groups);
         }
         self.latest_ripe = newer.latest_ripe;
         self.seal_groups(&groups);
@@ -1882,7 +1961,7 @@ fn merge_intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
 
 /// Worker: classify one trace into its encoded row. Pure, so the scanner
 /// may run it on any shard.
-fn encode_path(internet: &Internet, item: &TraceItem) -> EncodedPath {
+fn encode_path(internet: &Internet, item: &TraceItem) -> EncodedRow {
     let hops = item.trace.router_hops();
     let codes: Vec<u8> = hop_vendors(&hops, item.lfp)
         .into_iter()
@@ -1902,9 +1981,8 @@ fn encode_path(internet: &Internet, item: &TraceItem) -> EncodedPath {
         })
         .collect();
     let (edge_vendors, core_vendors, as_segments) = segment_diversity(&codes, &hop_as);
-    EncodedPath {
+    EncodedRow {
         fields: RowFields {
-            source: item.source,
             src_as: item.trace.src_as,
             dst_as: item.trace.dst_as,
             effective_len: item.trace.effective_length() as u16,
@@ -2032,7 +2110,6 @@ mod tests {
         let mut groups = OpenGroups::default();
         for (index, codes) in paths.into_iter().enumerate() {
             let fields = RowFields {
-                source: (index % 2) as u16,
                 src_as: (index % 7) as u32,
                 dst_as: (index % 5) as u32,
                 effective_len: codes.len() as u16,
@@ -2042,7 +2119,8 @@ mod tests {
                 core_vendors: 0,
                 as_segments: 0,
             };
-            corpus.intern(fields, &run_length(&codes), &mut groups);
+            let source = (index % 2) as u16;
+            corpus.intern(source, fields, &run_length(&codes), &mut groups);
         }
         corpus.seal_groups(&groups);
         assert!(corpus.distinct_sequences() < corpus.len());
@@ -2344,6 +2422,46 @@ mod tests {
             let mut ahead = newer.clone();
             assert!(ahead.catch_up(corpus).is_err());
             assert_eq!(ahead, newer);
+        });
+    }
+
+    #[test]
+    fn appending_read_back_rows_equals_extending() {
+        let world = World::build(lfp_topo::Scale::tiny());
+        let corpus = world.path_corpus();
+        let shards = NonZeroUsize::new(2).unwrap();
+        with_repeated_snapshots(&world, |additions| {
+            let extended = corpus
+                .extended_with(&world.internet, additions, shards)
+                .unwrap();
+            // The rows a corpus holds for a source are the rows `encode`
+            // computed for it: appending them reproduces the extension.
+            let encoded = PathCorpus::encode(&world.internet, additions, shards);
+            let first = corpus.sources().len();
+            for (offset, source) in encoded.iter().enumerate() {
+                assert_eq!(extended.source_rows(first + offset), source.rows);
+            }
+            let mut appended = corpus.clone();
+            appended.append_encoded(&encoded).unwrap();
+            assert_eq!(appended, extended);
+
+            // Hostile rows are refused before anything changes.
+            let hostile = |edit: &dyn Fn(&mut EncodedSource)| {
+                let mut sources = encoded.clone();
+                edit(&mut sources[0]);
+                let mut target = corpus.clone();
+                assert!(target.append_encoded(&sources).is_err());
+                assert_eq!(&target, corpus);
+            };
+            let row = encoded[0]
+                .rows
+                .iter()
+                .position(|row| !row.runs.is_empty())
+                .expect("a row with hops");
+            hostile(&|source| source.rows[row].runs[0].0 = 200);
+            hostile(&|source| source.rows[row].runs[0].1 = 0);
+            hostile(&|source| source.rows[row].runs = vec![(0, u16::MAX), (1, 1)]);
+            hostile(&|source| source.name = corpus.sources()[0].clone());
         });
     }
 

@@ -458,7 +458,10 @@ fn open_follower_store(
                     match follow_once(&mut client, &store) {
                         Ok(0) => {}
                         Ok(applied) => {
-                            eprintln!("caught up {applied} epoch(s) → epoch {}", store.epoch())
+                            eprintln!("caught up {applied} epoch(s) → epoch {}", store.epoch());
+                            if let Err(error) = persist_store(&store, path, segmented) {
+                                eprintln!("warning: could not persist catch-up: {error}");
+                            }
                         }
                         Err(error) => eprintln!(
                             "warning: initial catch-up failed ({error}); the poller will retry"

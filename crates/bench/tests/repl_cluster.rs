@@ -215,10 +215,50 @@ fn cluster_survives_follower_kill_and_serves_identical_epochs() {
         assert_eq!(warm(&mut c2, "follower2"), expected, "follower2 diverged");
     }
 
+    // -- replica ≡ primary in the persisted stores --------------------
+    // Followers persist every epoch they apply; wait for the last save
+    // to land before stopping them.
+    for path in [&f1_store, &f2_store] {
+        wait_for_persisted(Path::new(path), 2);
+    }
     drop(p);
     drop(c1);
     drop(c2);
     follower1.shutdown();
     follower2.shutdown();
     primary.shutdown();
+
+    // Reloaded, all three stores hold equal corpora. `repl_ingest` does
+    // not persist the primary, so its state is its store file plus the
+    // same delta files, ingested the way `repl_ingest` ingests them.
+    let primary_state = load_store(&primary_store);
+    for path in &delta_paths {
+        lfp_store::ingest_path(&primary_state, path).expect("replay the primary's ingests");
+    }
+    for path in [&f1_store, &f2_store] {
+        let replica = load_store(Path::new(path));
+        assert_eq!(replica.epoch(), primary_state.epoch(), "{path}");
+        assert_eq!(
+            replica.engine().corpus(),
+            primary_state.engine().corpus(),
+            "{path}: persisted corpus diverged from the primary's"
+        );
+    }
+}
+
+fn load_store(path: &Path) -> Store {
+    Store::load(path).expect("persisted store loads").0
+}
+
+/// Poll a follower's store file until it reloads at `epoch`.
+fn wait_for_persisted(path: &Path, epoch: u64) {
+    let deadline = Instant::now() + WAIT;
+    while !Store::load(path).is_ok_and(|(store, _)| store.epoch() >= epoch) {
+        assert!(
+            Instant::now() < deadline,
+            "{} never persisted epoch {epoch}",
+            path.display()
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }

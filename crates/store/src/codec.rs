@@ -13,8 +13,12 @@
 //! writing, so `encode(decode(bytes)) == bytes` (round-trip tested).
 
 use crate::error::StoreError;
-use crate::format::{FileReader, FileWriter, Reader, Sealed, Writer, DELTA_MAGIC, MAGIC};
-use lfp_analysis::path_corpus::{code_vendor, vendor_code, CorpusParts};
+use crate::format::{
+    FileReader, FileWriter, Reader, Sealed, Writer, APPLY_MAGIC, DELTA_MAGIC, MAGIC, SEGMENT_MAGIC,
+};
+use crate::segment::segment_payload;
+use lfp_analysis::path_corpus::{code_vendor, vendor_code, CorpusParts, EncodedRow, RowFields};
+use lfp_analysis::us_study::UsSlice;
 use lfp_core::features::{FeatureVector, InitialTtl, IpidClass};
 use lfp_core::pipeline::DatasetScan;
 use lfp_core::probe::{ProbeReply, ProtoTag, TargetObservation};
@@ -33,6 +37,7 @@ const VMAP_TAG: [u8; 4] = *b"VMAP";
 const CORP_TAG: [u8; 4] = *b"CORP";
 const EPOC_TAG: [u8; 4] = *b"EPOC";
 const DELT_TAG: [u8; 4] = *b"DELT";
+const APLY_TAG: [u8; 4] = *b"APLY";
 
 /// The ITDK dataset's fixed synthetic collection date.
 const ITDK_DATE: &str = "2022-02-01";
@@ -100,13 +105,121 @@ impl SnapshotDelta {
 
     /// Decode a standalone delta file.
     pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotDelta, StoreError> {
+        Self::from_file(bytes).map(|(delta, _)| delta)
+    }
+
+    /// [`from_bytes`](SnapshotDelta::from_bytes), also returning the
+    /// encoded body exactly as the file holds it.
+    fn from_file(bytes: &[u8]) -> Result<(SnapshotDelta, &[u8]), StoreError> {
         let file = FileReader::parse(bytes, DELTA_MAGIC)?;
         let mut reader = file.section(DELT_TAG, "delta")?;
-        let delta = get_delta(&mut reader)?;
+        let (delta, body) = reader.spanned(get_delta)?;
         reader.done()?;
         delta.validate()?;
-        Ok(delta)
+        Ok((delta, body))
     }
+}
+
+/// What a replication primary ships beside an epoch's segment: the
+/// products of ingesting it — the unique-LFP vendor map its scan
+/// classified to, and the corpus rows its traces encoded to — so a
+/// follower commits the epoch without classifying or encoding anything.
+/// Framed as its own checksummed `LFPA` container.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EpochApply {
+    /// The epoch the segment seals.
+    pub epoch: u64,
+    /// The corpus source the rows belong to (the delta's name).
+    pub source: String,
+    /// ip → vendor for unique LFP verdicts over the delta's population.
+    pub lfp: HashMap<Ipv4Addr, Vendor>,
+    /// One row per trace of the delta, in trace order.
+    pub rows: Vec<EncodedRow>,
+}
+
+impl EpochApply {
+    /// Serialize as an `LFPA` container.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        encode_apply(self.epoch, &self.source, &self.lfp, &self.rows)
+    }
+
+    /// Parse an `LFPA` container: framing, checksums, codes.
+    pub fn from_bytes(bytes: &[u8]) -> Result<EpochApply, StoreError> {
+        let file = FileReader::parse(bytes, APPLY_MAGIC)?;
+        let mut reader = file.section(APLY_TAG, "apply")?;
+        let apply = EpochApply {
+            epoch: reader.u64()?,
+            source: reader.str()?,
+            lfp: get_vendor_map(&mut reader)?,
+            rows: get_rows(&mut reader)?,
+        };
+        reader.done()?;
+        Ok(apply)
+    }
+}
+
+/// [`EpochApply::to_bytes`] over borrowed parts.
+pub(crate) fn encode_apply(
+    epoch: u64,
+    source: &str,
+    lfp: &HashMap<Ipv4Addr, Vendor>,
+    rows: &[EncodedRow],
+) -> Vec<u8> {
+    let mut file = FileWriter::new(APPLY_MAGIC);
+    file.section_with(APLY_TAG, |out| {
+        out.u64(epoch);
+        out.str(source);
+        put_vendor_map(out, lfp);
+        put_rows(out, rows);
+    });
+    file.finish()
+}
+
+/// One epoch as a follower received it, checked and decoded: everything
+/// a commit needs, none of it recomputed.
+pub(crate) struct ShippedEpoch {
+    /// The epoch the segment seals.
+    pub epoch: u64,
+    /// The delta inside the segment.
+    pub delta: SnapshotDelta,
+    /// Its encoded body, exactly as shipped.
+    pub body: Vec<u8>,
+    /// The primary's vendor map and corpus rows for it.
+    pub apply: EpochApply,
+}
+
+/// Check and decode a shipped epoch: `segment` must verify against its
+/// whole-file checksum and its section checksums, and the apply section
+/// must describe the same epoch, the same source and one row per trace.
+pub(crate) fn decode_shipped(segment: &Sealed, apply: &[u8]) -> Result<ShippedEpoch, StoreError> {
+    let (file, checksum) = FileReader::parse_hashed(&segment.bytes, SEGMENT_MAGIC)?;
+    if checksum != segment.checksum {
+        return Err(StoreError::Replication(format!(
+            "segment checksum {checksum:016x}, shipped as {:016x}",
+            segment.checksum
+        )));
+    }
+    let (epoch, delta_file) = segment_payload(&file)?;
+    let (delta, body) = SnapshotDelta::from_file(delta_file)?;
+    let apply = EpochApply::from_bytes(apply)?;
+    if apply.epoch != epoch || apply.source != delta.name || apply.rows.len() != delta.traces.len()
+    {
+        return Err(StoreError::Replication(format!(
+            "apply section (epoch {}, source '{}', {} rows) does not describe its segment \
+             (epoch {epoch}, source '{}', {} traces)",
+            apply.epoch,
+            apply.source,
+            apply.rows.len(),
+            delta.name,
+            delta.traces.len()
+        )));
+    }
+    Ok(ShippedEpoch {
+        epoch,
+        body: body.to_vec(),
+        delta,
+        apply,
+    })
 }
 
 /// A standalone delta file around a body [`SnapshotDelta::encode_body`]
@@ -979,6 +1092,77 @@ fn get_corpus(reader: &mut Reader<'_>) -> Result<CorpusParts, StoreError> {
         seq_spans,
         sets,
     })
+}
+
+// -- encoded corpus rows --------------------------------------------
+
+/// Fixed columns first, then each row's runs behind its own count.
+fn put_rows(writer: &mut Writer, rows: &[EncodedRow]) {
+    writer.count(rows.len());
+    let fields = || rows.iter().map(|row| &row.fields);
+    writer.u32s(&fields().map(|row| row.src_as).collect::<Vec<_>>());
+    writer.u32s(&fields().map(|row| row.dst_as).collect::<Vec<_>>());
+    writer.u16s(&fields().map(|row| row.effective_len).collect::<Vec<_>>());
+    writer.u16s(&fields().map(|row| row.snmp_identified).collect::<Vec<_>>());
+    writer.u16s(&fields().map(|row| row.as_segments).collect::<Vec<_>>());
+    writer.raw(&fields().map(|row| row.slice.code()).collect::<Vec<_>>());
+    writer.raw(&fields().map(|row| row.edge_vendors).collect::<Vec<_>>());
+    writer.raw(&fields().map(|row| row.core_vendors).collect::<Vec<_>>());
+    for row in rows {
+        writer.count(row.runs.len());
+        for &(code, len) in &row.runs {
+            writer.u8(code);
+            writer.u16(len);
+        }
+    }
+}
+
+fn get_rows(reader: &mut Reader<'_>) -> Result<Vec<EncodedRow>, StoreError> {
+    // 2·4 + 3·2 + 3·1 column bytes plus a 4-byte run count per row.
+    let count = reader.count(21)?;
+    let u32_column = |reader: &mut Reader<'_>| -> Result<Vec<u32>, StoreError> {
+        (0..count).map(|_| reader.u32()).collect()
+    };
+    let (src_as, dst_as) = (u32_column(reader)?, u32_column(reader)?);
+    let u16_column = |reader: &mut Reader<'_>| -> Result<Vec<u16>, StoreError> {
+        (0..count).map(|_| reader.u16()).collect()
+    };
+    let effective_len = u16_column(reader)?;
+    let snmp_identified = u16_column(reader)?;
+    let as_segments = u16_column(reader)?;
+    let slices = (0..count)
+        .map(|_| {
+            let code = reader.u8()?;
+            UsSlice::from_code(code)
+                .ok_or_else(|| StoreError::Corrupt(format!("invalid slice code {code}")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let u8_column = |reader: &mut Reader<'_>| -> Result<Vec<u8>, StoreError> {
+        (0..count).map(|_| reader.u8()).collect()
+    };
+    let (edge_vendors, core_vendors) = (u8_column(reader)?, u8_column(reader)?);
+    let mut rows = Vec::with_capacity(count);
+    for index in 0..count {
+        let count = reader.count(3)?;
+        let mut runs = Vec::with_capacity(count);
+        for _ in 0..count {
+            runs.push((reader.u8()?, reader.u16()?));
+        }
+        rows.push(EncodedRow {
+            fields: RowFields {
+                src_as: src_as[index],
+                dst_as: dst_as[index],
+                effective_len: effective_len[index],
+                snmp_identified: snmp_identified[index],
+                slice: slices[index],
+                edge_vendors: edge_vendors[index],
+                core_vendors: core_vendors[index],
+                as_segments: as_segments[index],
+            },
+            runs,
+        });
+    }
+    Ok(rows)
 }
 
 // -- deltas ---------------------------------------------------------

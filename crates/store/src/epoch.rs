@@ -9,18 +9,25 @@
 //!    world's frozen signature set (fanning out through
 //!    [`lfp_net::scanner::scan`], the same determinism contract every
 //!    other classification pass in the repo rides),
-//! 2. folds the new traces into the next epoch's corpus without copying
-//!    the live one: the store keeps the corpus the previous engine
-//!    served as a spare, one epoch behind. Once nothing else holds it,
-//!    the ingest re-interns the previous delta's already-encoded rows
-//!    into it ([`PathCorpus::catch_up`]) and then the new traces
-//!    ([`PathCorpus::extend`]), so an epoch costs O(delta). While a
-//!    reader still holds the spare, it falls back to extending a copy
-//!    ([`PathCorpus::extended_with`]),
+//! 2. encodes the new traces into corpus rows ([`PathCorpus::encode`])
+//!    — steps 1 and 2 read no epoch state and run before the epochs
+//!    lock is taken —, then folds the rows into the next epoch's corpus
+//!    without copying the live one: the store keeps the corpus the
+//!    previous engine served as a spare, one epoch behind. Once nothing
+//!    else holds it, the ingest re-interns the previous delta's
+//!    already-encoded rows into it ([`PathCorpus::catch_up`]) and then
+//!    appends the new ones ([`PathCorpus::append_encoded`]), so an epoch
+//!    costs O(delta). While a reader still holds the spare, it appends
+//!    to a copy instead,
 //! 3. builds a new engine at `epoch + k` sharing the result cache, and
 //! 4. atomically swaps it in. In-flight requests finish against the old
 //!    engine's `Arc`; the epoch-tagged cache keys guarantee no answer
 //!    rendered at an old epoch is ever served at a new one.
+//!
+//! A replication follower skips steps 1 and 2's computing:
+//! [`Store::apply_segment`] takes the vendor map and rows a primary
+//! shipped with the epoch's segment file and runs the same fold, build
+//! and swap.
 //!
 //! Encodes (a save, a replication snapshot, a compaction fold) take a
 //! [`Snapshot`] under the epochs lock — the epoch, the corpus columns
@@ -35,8 +42,8 @@
 //! paths byte-identical across the full query catalog.
 
 use crate::codec::{
-    decode_campaign, decode_parsed_campaign, delta_file, encode_campaign, CampaignRefs,
-    SnapshotDelta, StoredCampaign,
+    decode_campaign, decode_parsed_campaign, decode_shipped, delta_file, encode_apply,
+    encode_campaign, CampaignRefs, SnapshotDelta, StoredCampaign,
 };
 use crate::error::StoreError;
 use crate::format::{Sealed, MAGIC};
@@ -44,7 +51,7 @@ use crate::segment::{
     base_file_name, encode_segment, segment_file_name, write_sealed, DurableLog, EpochLog,
     LogFaults, Manifest, SegmentMeta,
 };
-use lfp_analysis::path_corpus::{CorpusParts, NewPathSource, PathCorpus};
+use lfp_analysis::path_corpus::{CorpusParts, EncodedSource, NewPathSource, PathCorpus};
 use lfp_analysis::World;
 use lfp_core::signature::SignatureSet;
 use lfp_core::FeatureVector;
@@ -82,6 +89,42 @@ struct History {
     /// one: the next ingest extends it in place when nothing else holds
     /// it.
     spare: Option<Arc<PathCorpus>>,
+}
+
+/// One of the latest epochs, kept beside the history under a lock of
+/// its own, so that a replication primary ships it without waiting for
+/// the epochs lock (a compaction holds that while it copies the corpus).
+struct RecentEpoch {
+    epoch: u64,
+    ingested: Arc<IngestedEpoch>,
+    /// Its segment file, once a segmented save sealed it or a primary
+    /// shipped it: a save writes a shipped file instead of encoding the
+    /// epoch again, and a primary ships a sealed one without reading it
+    /// back.
+    segment: Option<Arc<Sealed>>,
+}
+
+/// How many of the latest epochs a store keeps as [`RecentEpoch`]s. An
+/// older epoch ships from the history, its segment file read back from
+/// the log or encoded again to the same bytes.
+const RECENT_KEPT: usize = 8;
+
+/// One epoch ready to commit, wherever its products came from.
+struct PreparedEpoch {
+    delta: SnapshotDelta,
+    /// Its unique-LFP vendor map.
+    lfp: HashMap<Ipv4Addr, Vendor>,
+    /// [`SnapshotDelta::encode_body`] of `delta`.
+    body: Vec<u8>,
+    /// The sealed segment file and the epoch it seals, when a primary
+    /// shipped them.
+    shipped: Option<(u64, Sealed)>,
+}
+
+/// Epochs ready to commit, with their corpus rows index-aligned.
+struct Prepared {
+    epochs: Vec<PreparedEpoch>,
+    sources: Vec<EncodedSource>,
 }
 
 /// Everything an encode of the store needs, taken under the epochs lock
@@ -190,6 +233,9 @@ pub struct Store {
     /// `history` before `log`, always; neither is held across an encode
     /// or a compaction's base write.
     log: Mutex<Option<EpochLog>>,
+    /// The latest epochs, newest last. Lock order: `history` before
+    /// `recent`; `recent` is never held across I/O or an encode.
+    recent: Mutex<Vec<RecentEpoch>>,
     /// The last fold's file buffer, handed to the next fold so that
     /// its pages are already mapped.
     fold_buffer: Mutex<Vec<u8>>,
@@ -220,6 +266,7 @@ impl Store {
             engine: RwLock::new(Arc::new(engine)),
             history: Mutex::new(History::default()),
             log: Mutex::new(None),
+            recent: Mutex::default(),
             fold_buffer: Mutex::default(),
         }
     }
@@ -256,10 +303,47 @@ impl Store {
             return Err(StoreError::Ingest("no deltas to ingest".to_string()));
         }
         let start = Instant::now();
-        // The epochs lock serialises ingests; readers keep serving.
-        let mut history = self.history.lock().expect("epoch lock poisoned");
-        let engine = self.engine();
+        let prepared = self.prepare(deltas)?;
+        self.commit(prepared, start)
+    }
 
+    /// Apply one epoch exactly as a replication primary shipped it: its
+    /// sealed segment file (`segment.checksum` is the whole-file FNV the
+    /// primary recorded) and its apply section ([`EpochApply`]). Nothing
+    /// is classified or encoded: the shipped vendor map and rows go
+    /// through the same commit as a local ingest, the delta body is kept
+    /// as it arrived, and the next [`Store::save_segmented`] seals the
+    /// shipped file itself. Hostile or torn input is a typed error,
+    /// and the store is then unchanged; so is a segment that does not
+    /// seal this store's next epoch.
+    ///
+    /// [`EpochApply`]: crate::codec::EpochApply
+    pub fn apply_segment(&self, segment: Sealed, apply: &[u8]) -> Result<IngestReport, StoreError> {
+        let start = Instant::now();
+        let shipped = decode_shipped(&segment, apply)?;
+        let source = EncodedSource {
+            name: shipped.delta.name.clone(),
+            is_ripe_snapshot: true,
+            rows: shipped.apply.rows,
+        };
+        let epoch = PreparedEpoch {
+            delta: shipped.delta,
+            lfp: shipped.apply.lfp,
+            body: shipped.body,
+            shipped: Some((shipped.epoch, segment)),
+        };
+        let prepared = Prepared {
+            epochs: vec![epoch],
+            sources: vec![source],
+        };
+        self.commit(prepared, start)
+    }
+
+    /// Everything that ingesting `deltas` computes from them alone:
+    /// validation, classification of each scan, the corpus rows of each
+    /// snapshot and the encoded bodies. Reads no epoch state, so it runs
+    /// before the epochs lock is taken.
+    fn prepare(&self, deltas: Vec<SnapshotDelta>) -> Result<Prepared, StoreError> {
         for delta in &deltas {
             delta.validate()?;
         }
@@ -280,65 +364,82 @@ impl Store {
                 is_ripe_snapshot: true,
             })
             .collect();
+        let sources = PathCorpus::encode(
+            &self.world.internet,
+            &additions,
+            ScanConfig::default().shards,
+        );
+        drop(additions);
+        let epochs = deltas
+            .into_iter()
+            .zip(lfp_maps)
+            .map(|(delta, lfp)| PreparedEpoch {
+                body: delta.encode_body(),
+                delta,
+                lfp,
+                shipped: None,
+            })
+            .collect();
+        Ok(Prepared { epochs, sources })
+    }
+
+    /// Fold prepared epochs into the next epoch: one corpus extension,
+    /// one engine swap, the epoch advanced by the number of epochs. The
+    /// one commit path, whether this store computed the epochs or a
+    /// primary shipped them.
+    fn commit(&self, prepared: Prepared, start: Instant) -> Result<IngestReport, StoreError> {
+        let Prepared { epochs, sources } = prepared;
+        // The epochs lock serialises ingests; readers keep serving.
+        let mut history = self.history.lock().expect("epoch lock poisoned");
+        let engine = self.engine();
+        for (offset, prepared) in epochs.iter().enumerate() {
+            let next = engine.epoch() + offset as u64 + 1;
+            if let Some((epoch, _)) = prepared.shipped.as_ref().filter(|(at, _)| *at != next) {
+                return Err(StoreError::Replication(format!(
+                    "shipped segment seals epoch {epoch}, but this store's next epoch is {next}"
+                )));
+            }
+        }
         let live = engine.corpus_arc();
-        let (extended, in_place) = self.next_corpus(history.spare.take(), &live, &additions)?;
+        let (extended, in_place) = next_corpus(history.spare.take(), &live, &sources)?;
         let new_paths = extended.len() - live.len();
 
-        let epoch = engine.epoch() + deltas.len() as u64;
-        let last = deltas.len() - 1;
+        let epoch = engine.epoch() + epochs.len() as u64;
+        let last = epochs.last().expect("at least one epoch");
         let next = QueryEngine::for_epoch(
             Arc::clone(&self.world),
             extended,
-            &deltas[last].targets,
-            &lfp_maps[last],
-            &snmp_maps[last],
+            &last.delta.targets,
+            &last.lfp,
+            &snmp_map(&last.delta),
             engine.cache_handle(),
             epoch,
         );
         *self.engine.write().expect("engine lock poisoned") = Arc::new(next);
         history.spare = Some(live);
-        let sources = deltas.iter().map(|delta| delta.name.clone()).collect();
-        history
-            .epochs
-            .extend(deltas.iter().zip(lfp_maps).map(|(delta, lfp)| {
-                Arc::new(IngestedEpoch {
-                    body: delta.encode_body(),
-                    lfp,
-                })
-            }));
+        let mut recent = self.recent.lock().expect("recent epochs lock poisoned");
+        for (at, prepared) in (engine.epoch() + 1..).zip(epochs) {
+            let ingested = Arc::new(IngestedEpoch {
+                body: prepared.body,
+                lfp: prepared.lfp,
+            });
+            history.epochs.push(Arc::clone(&ingested));
+            if recent.len() >= RECENT_KEPT {
+                recent.remove(0);
+            }
+            recent.push(RecentEpoch {
+                epoch: at,
+                ingested,
+                segment: prepared.shipped.map(|(_, sealed)| Arc::new(sealed)),
+            });
+        }
         Ok(IngestReport {
             epoch,
             new_paths,
             in_place,
-            sources,
+            sources: sources.into_iter().map(|source| source.name).collect(),
             seconds: start.elapsed().as_secs_f64(),
         })
-    }
-
-    /// The next epoch's corpus: `spare` caught up to `live` and extended
-    /// in place when nothing else holds it (O(delta)), else a copy of
-    /// `live`, extended. The flag says which.
-    fn next_corpus(
-        &self,
-        spare: Option<Arc<PathCorpus>>,
-        live: &PathCorpus,
-        additions: &[NewPathSource<'_>],
-    ) -> Result<(Arc<PathCorpus>, bool), StoreError> {
-        let (internet, shards) = (&self.world.internet, ScanConfig::default().shards);
-        if let Some(mut spare) = spare {
-            if let Some(corpus) = Arc::get_mut(&mut spare) {
-                if corpus.catch_up(live).is_ok() {
-                    corpus
-                        .extend(internet, additions, shards)
-                        .map_err(StoreError::Ingest)?;
-                    return Ok((spare, true));
-                }
-            }
-        }
-        let copy = live
-            .extended_with(internet, additions, shards)
-            .map_err(StoreError::Ingest)?;
-        Ok((Arc::new(copy), false))
     }
 
     /// Serialize the current state (base campaign + every ingested
@@ -372,7 +473,7 @@ impl Store {
     /// just falls back to the in-memory encode.
     pub fn delta_segment(&self, epoch: u64) -> Option<Vec<u8>> {
         let index = usize::try_from(epoch.checked_sub(1)?).ok()?;
-        if let Some(bytes) = self.delta_from_log(epoch) {
+        if let Some(bytes) = self.read_from_log(epoch, EpochLog::read_segment) {
             return Some(bytes);
         }
         let history = self.history.lock().expect("epoch lock poisoned");
@@ -382,9 +483,61 @@ impl Store {
             .map(|entry| delta_file(&entry.body))
     }
 
-    /// Read epoch `epoch`'s delta bytes out of the attached log's
-    /// sealed segment file, if there is one and it verifies.
-    fn delta_from_log(&self, epoch: u64) -> Option<Vec<u8>> {
+    /// Epoch `epoch` as a replication primary ships it (`None` when this
+    /// store never ingested it): the sealed segment file — the attached
+    /// log's, as stored, when the manifest lists it, else encoded from
+    /// the history to the bytes a segmented save would seal — and the
+    /// apply section ([`EpochApply`]) holding the epoch's vendor map and
+    /// the corpus rows of its source.
+    ///
+    /// [`EpochApply`]: crate::codec::EpochApply
+    pub fn shipped_segment(&self, epoch: u64) -> Option<(Sealed, Vec<u8>)> {
+        let index = usize::try_from(epoch.checked_sub(1)?).ok()?;
+        let (entry, kept) = match self.recent(epoch) {
+            Some(recent) => recent,
+            None => {
+                let history = self.history.lock().expect("epoch lock poisoned");
+                (Arc::clone(history.epochs.get(index)?), None)
+            }
+        };
+        // An ingest publishes its engine before it records its epochs,
+        // so this engine holds epoch `epoch`; and any one engine's
+        // corpus holds one source per ingested epoch past the base ones.
+        let engine = self.engine();
+        let corpus = engine.corpus();
+        let source = corpus.sources().len() - engine.epoch() as usize + index;
+        let apply = encode_apply(
+            epoch,
+            &corpus.sources()[source],
+            &entry.lfp,
+            &corpus.source_rows(source),
+        );
+        let segment = match kept {
+            Some(sealed) => Sealed::clone(&sealed),
+            None => self
+                .read_from_log(epoch, EpochLog::read_sealed)
+                .unwrap_or_else(|| encode_segment(epoch, &delta_file(&entry.body))),
+        };
+        Some((segment, apply))
+    }
+
+    /// Epoch `epoch`, if it is one of the kept latest: its ingested
+    /// state and, once there is one, its segment file.
+    fn recent(&self, epoch: u64) -> Option<(Arc<IngestedEpoch>, Option<Arc<Sealed>>)> {
+        let recent = self.recent.lock().expect("recent epochs lock poisoned");
+        let kept = recent.iter().find(|kept| kept.epoch == epoch)?;
+        Some((Arc::clone(&kept.ingested), kept.segment.clone()))
+    }
+
+    /// `read` epoch `epoch`'s sealed segment file out of the attached
+    /// log, if the manifest lists one and it verifies. The log is only
+    /// tried, never waited for: a compaction holding it sends the caller
+    /// to the history instead.
+    fn read_from_log<T>(
+        &self,
+        epoch: u64,
+        read: impl FnOnce(&EpochLog, &SegmentMeta) -> Result<T, StoreError>,
+    ) -> Option<T> {
         let guard = self.log.try_lock().ok()?;
         let log = guard.as_ref()?;
         let meta = log
@@ -392,7 +545,7 @@ impl Store {
             .segments
             .iter()
             .find(|meta| meta.epoch == epoch)?;
-        log.read_segment(meta).ok()
+        read(log, meta).ok()
     }
 
     /// What an encode needs, taken under the epochs lock.
@@ -533,11 +686,25 @@ impl Store {
             Some(mut manifest) => {
                 report.base_bytes = manifest.base.bytes;
                 for target in manifest.covered() + 1..=epoch {
-                    let index = usize::try_from(target - 1).expect("epoch fits usize");
-                    let entry = history.epochs.get(index).ok_or_else(|| {
-                        StoreError::Log(format!("epoch {target} is not in this store's history"))
-                    })?;
-                    let sealed = encode_segment(target, &delta_file(&entry.body));
+                    let sealed = match self.recent(target).and_then(|(_, segment)| segment) {
+                        Some(sealed) => sealed,
+                        None => {
+                            let index = usize::try_from(target - 1).expect("epoch fits usize");
+                            let entry = history.epochs.get(index).ok_or_else(|| {
+                                StoreError::Log(format!(
+                                    "epoch {target} is not in this store's history"
+                                ))
+                            })?;
+                            let sealed = Arc::new(encode_segment(target, &delta_file(&entry.body)));
+                            let mut recent =
+                                self.recent.lock().expect("recent epochs lock poisoned");
+                            if let Some(kept) = recent.iter_mut().find(|kept| kept.epoch == target)
+                            {
+                                kept.segment = Some(Arc::clone(&sealed));
+                            }
+                            sealed
+                        }
+                    };
                     let name = segment_file_name(target);
                     log.write_sealed(&name, &sealed.bytes, faults)?;
                     manifest
@@ -771,6 +938,7 @@ impl Store {
                 spare: None,
             }),
             log: Mutex::new(None),
+            recent: Mutex::default(),
             fold_buffer: Mutex::default(),
         })
     }
@@ -856,6 +1024,27 @@ impl Store {
         *store.log.lock().expect("log lock poisoned") = Some(log);
         Ok((store, report))
     }
+}
+
+/// The next epoch's corpus: `spare` caught up to `live` and extended in
+/// place when nothing else holds it (O(delta)), else a copy of `live`,
+/// extended. The flag says which.
+fn next_corpus(
+    spare: Option<Arc<PathCorpus>>,
+    live: &PathCorpus,
+    sources: &[EncodedSource],
+) -> Result<(Arc<PathCorpus>, bool), StoreError> {
+    if let Some(mut spare) = spare {
+        if let Some(corpus) = Arc::get_mut(&mut spare) {
+            if corpus.catch_up(live).is_ok() {
+                corpus.append_encoded(sources).map_err(StoreError::Ingest)?;
+                return Ok((spare, true));
+            }
+        }
+    }
+    let mut copy = live.clone();
+    copy.append_encoded(sources).map_err(StoreError::Ingest)?;
+    Ok((Arc::new(copy), false))
 }
 
 /// Classify one snapshot population against the frozen signature set,

@@ -31,6 +31,10 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"LFPS";
 /// Log-manifest magic: "LFPM" (LFP Manifest) — the segmented log's
 /// atomically-published table of contents.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"LFPM";
+/// Apply-section magic: "LFPA" (LFP Apply) — what a replication primary
+/// ships beside a segment so a follower commits the epoch without
+/// classifying or encoding it again. Never written to disk.
+pub const APPLY_MAGIC: [u8; 4] = *b"LFPA";
 /// Current format version.
 pub const VERSION: u32 = 1;
 /// Tag of the mandatory terminating section.
@@ -352,8 +356,13 @@ impl<'a> Reader<'a> {
 
     /// Read length-prefixed raw bytes.
     pub fn bytes(&mut self) -> Result<Vec<u8>, StoreError> {
+        self.slice().map(<[u8]>::to_vec)
+    }
+
+    /// Read length-prefixed raw bytes, borrowed from the payload.
+    pub(crate) fn slice(&mut self) -> Result<&'a [u8], StoreError> {
         let len = self.count(1)?;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Run `read`, returning its value and the bytes it consumed.

@@ -20,10 +20,15 @@
 //!   epoch-tagged [`QueryEngine`](lfp_query::QueryEngine) under the
 //!   running daemon,
 //! * [`repl`] — primary/follower replication: a primary ships its
-//!   snapshot and per-epoch delta segments over the ordinary serving
-//!   port; followers apply them through the same [`Store::ingest`]
-//!   path and answer with byte-identical replies at equal epochs,
-//!   while `min_epoch` fencing turns the epoch echo into a contract,
+//!   snapshot, then each epoch as one `repl_segment` reply — its sealed
+//!   segment file as stored plus an apply section ([`EpochApply`]: the
+//!   vendor map and corpus rows the primary computed) — over the
+//!   ordinary serving port. Followers commit it with
+//!   [`Store::apply_segment`], the commit [`Store::ingest`] makes,
+//!   without classifying or encoding anything again, seal the same
+//!   segment bytes, and answer with byte-identical replies at equal
+//!   epochs, while `min_epoch` fencing turns the epoch echo into a
+//!   contract,
 //! * [`segment`] — the **segmented epoch log**: one sealed, checksummed
 //!   file per ingested epoch plus a manifest whose rename is the single
 //!   atomic publish point; [`Store::save_segmented`] makes per-epoch
@@ -59,7 +64,7 @@ pub mod format;
 pub mod repl;
 pub mod segment;
 
-pub use codec::{SnapshotDelta, StoredCampaign};
+pub use codec::{EpochApply, SnapshotDelta, StoredCampaign};
 pub use compact::{compact_if_due, CompactionPolicy, Compactor, CompactorStats};
 pub use epoch::{
     CompactReport, IngestReport, LoadReport, LogStatus, SaveReport, SegmentedSaveReport, Store,
@@ -67,7 +72,7 @@ pub use epoch::{
 pub use error::StoreError;
 pub use repl::{
     follow_once, follow_once_persistent, ingest_path, PrimaryStatus, ReplClient, ReplSource,
-    DELTA_CACHE_CAP, REPL_CHUNK,
+    ShippedSegment, DELTA_CACHE_CAP, REPL_CHUNK,
 };
 pub use segment::{
     DurableLog, EpochLog, LogFaults, Manifest, SegmentMeta, MANIFEST_FILE, SAVE_CHUNK,

@@ -3,8 +3,8 @@
 //! One process owns ingest (the **primary**); any number of
 //! **followers** mirror it by shipping the same epoch machinery the
 //! store already has — no second durability format, no new socket
-//! protocol. Replication is four extra line-delimited JSON queries
-//! multiplexed on the ordinary serving port (a
+//! protocol. Replication is a handful of extra line-delimited JSON
+//! queries multiplexed on the ordinary serving port (a
 //! `LineExtension` on the primary answers them ahead of the data
 //! path; everything else still reaches the query engine):
 //!
@@ -13,22 +13,38 @@
 //!   chunks (each reply names the epoch it belongs to, so a transfer
 //!   torn by a mid-sync ingest is detected and restarted; the section
 //!   checksums validate the assembled file before it is trusted),
-//! * `repl_delta` — the serialized [`SnapshotDelta`] that advances a
-//!   follower from its applied epoch to the next one, also chunked,
+//! * `repl_segment` — how a follower advances one epoch: the primary's
+//!   sealed `.seg` file for epoch `have + 1`, exactly as stored, then
+//!   an apply section ([`EpochApply`]: the epoch's vendor map and the
+//!   corpus rows its traces encoded to). The reply's header
+//!   (`epoch`, `delta_epoch`, `total`, `offset`, `segment`, `fnv`)
+//!   precedes one base64 `data` field, so a follower parses the header
+//!   and slices the payload without walking it,
+//! * `repl_delta` — the serialized [`SnapshotDelta`] alone for epoch
+//!   `have + 1`, for clients that ingest it themselves,
 //! * `repl_ingest` — operator-driven churn: the primary ingests delta
-//!   files from disk, which then fan out to followers via `repl_delta`.
+//!   files from disk, which then fan out to followers.
+//!
+//! Every payload travels as offset-addressed chunks of at most
+//! [`REPL_CHUNK`] raw bytes, sized so one epoch's segment fits in one
+//! reply while each reply stays well under the serving layer's
+//! write-buffer cap.
 //!
 //! The follower side is [`ReplClient`]: a blocking line-oriented
-//! client (replies carrying base64 segments routinely exceed the
+//! client (replies carrying base64 payloads routinely exceed the
 //! request-side frame cap, so it reads whole lines, never frames) plus
-//! [`follow_once`], which pulls and applies every outstanding delta
-//! through [`Store::ingest`]'s prepared-epoch path — a follower swaps
-//! engines exactly as local ingest does, and serves every query with
-//! the same bytes the primary would at the same epoch.
+//! [`follow_once`], which pulls every outstanding epoch with one
+//! `repl_segment` round trip each and commits it through
+//! [`Store::apply_segment`]: nothing is classified or encoded again,
+//! the engine swaps exactly as a local ingest's does, and the follower
+//! serves every query with the same bytes the primary would at the
+//! same epoch. A reply whose `delta_epoch` is the primary's `epoch`
+//! ends the poll, so a caught-up follower asks nothing more.
 
 use crate::codec::SnapshotDelta;
 use crate::epoch::{IngestReport, Store};
 use crate::error::StoreError;
+use crate::format::Sealed;
 use lfp_analysis::json::{parse, JsonBuilder, JsonValue};
 use lfp_query::wire;
 use std::io::{BufRead, BufReader, Write};
@@ -36,41 +52,61 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Raw bytes per replication chunk. Base64 inflates by 4/3, so replies
-/// stay around 64 KiB — far under the serving layer's write-buffer
-/// eviction threshold even with a few replies in flight.
-pub const REPL_CHUNK: usize = 48 * 1024;
+#[cfg(doc)]
+use crate::codec::EpochApply;
 
-/// Most delta segments a [`ReplSource`] keeps decoded in RAM. The
-/// store's segment log is the durable tier — a miss here re-reads a
-/// sealed file (or re-encodes from the epoch history), so the cache is
-/// purely a hot-set accelerator and can stay small no matter how many
-/// epochs a long-lived primary accumulates.
+/// Raw bytes per replication chunk, for every transfer. A typical
+/// epoch's segment and apply section (~207 KiB at `ingest-stress`) fit
+/// in one; base64 inflates by 4/3, so a reply stays under 350 KiB, a
+/// third of the serving layer's 1 MiB write-buffer eviction threshold.
+pub const REPL_CHUNK: usize = 256 * 1024;
+
+/// Most payloads of each kind (delta files, shipped segments) a
+/// [`ReplSource`] keeps in RAM. The store's segment log is the durable
+/// tier — a miss here re-reads a sealed file (or re-encodes from the
+/// epoch history), so the cache is purely a hot-set accelerator and can
+/// stay small no matter how many epochs a long-lived primary
+/// accumulates.
 pub const DELTA_CACHE_CAP: usize = 8;
 
-/// A tiny LRU for delta segments: bounded at [`DELTA_CACHE_CAP`]
-/// entries, hit moves to back, insert evicts the front. Linear scans
-/// are fine at this capacity.
-#[derive(Default)]
-struct BoundedCache {
-    entries: Vec<(u64, Arc<Vec<u8>>)>,
+/// The follower's read buffer: a chunk reply arrives in a handful of
+/// reads rather than dozens.
+const REPLY_BUFFER: usize = 64 * 1024;
+
+/// The field a `repl_segment` reply carries its payload in: always the
+/// last one, after the header.
+const DATA_FIELD: &str = ", \"data\": \"";
+
+/// A tiny LRU keyed by epoch: bounded at [`DELTA_CACHE_CAP`] entries,
+/// hit moves to back, insert evicts the front. Linear scans are fine at
+/// this capacity.
+struct BoundedCache<V> {
+    entries: Vec<(u64, V)>,
 }
 
-impl BoundedCache {
-    fn get(&mut self, epoch: u64) -> Option<Arc<Vec<u8>>> {
+impl<V> Default for BoundedCache<V> {
+    fn default() -> Self {
+        BoundedCache {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<V: Clone> BoundedCache<V> {
+    fn get(&mut self, epoch: u64) -> Option<V> {
         let index = self.entries.iter().position(|(key, _)| *key == epoch)?;
         let entry = self.entries.remove(index);
-        let bytes = Arc::clone(&entry.1);
+        let value = entry.1.clone();
         self.entries.push(entry);
-        Some(bytes)
+        Some(value)
     }
 
-    fn insert(&mut self, epoch: u64, bytes: Arc<Vec<u8>>) {
+    fn insert(&mut self, epoch: u64, value: V) {
         self.entries.retain(|(key, _)| *key != epoch);
         if self.entries.len() >= DELTA_CACHE_CAP {
             self.entries.remove(0);
         }
-        self.entries.push((epoch, bytes));
+        self.entries.push((epoch, value));
     }
 
     fn len(&self) -> usize {
@@ -78,16 +114,46 @@ impl BoundedCache {
     }
 }
 
+/// The cached value under `epoch`, or `load`'s, cached. The lock is
+/// *not* held across `load`, so a slow disk never serialises concurrent
+/// followers.
+fn cached<V: Clone>(
+    cache: &Mutex<BoundedCache<V>>,
+    epoch: u64,
+    load: impl FnOnce() -> Option<V>,
+) -> Option<V> {
+    if let Some(value) = cache.lock().expect("replication cache poisoned").get(epoch) {
+        return Some(value);
+    }
+    let value = load()?;
+    cache
+        .lock()
+        .expect("replication cache poisoned")
+        .insert(epoch, value.clone());
+    Some(value)
+}
+
+/// One epoch as `repl_segment` ships it: the sealed segment file, then
+/// the apply section, in one payload.
+struct Shipment {
+    payload: Vec<u8>,
+    /// Length of the segment file at the front of `payload`.
+    segment: usize,
+    /// The segment file's whole-file FNV.
+    fnv: u64,
+}
+
 /// The primary's side of replication: answers `repl_*` lines against a
 /// shared [`Store`]. Snapshot bytes are cached per epoch (one encode
-/// per epoch regardless of follower count); delta segments are served
-/// from the store's segment log with a small bounded LRU in front, so
-/// a primary that lives through hundreds of epochs holds a constant
-/// amount of replication state in RAM.
+/// per epoch regardless of follower count); per-epoch payloads are
+/// served from the store's segment log with a small bounded LRU in
+/// front, so a primary that lives through hundreds of epochs holds a
+/// constant amount of replication state in RAM.
 pub struct ReplSource {
     store: Arc<Store>,
     snapshot: Mutex<Option<(u64, Arc<Vec<u8>>)>>,
-    deltas: Mutex<BoundedCache>,
+    deltas: Mutex<BoundedCache<Arc<Vec<u8>>>>,
+    shipments: Mutex<BoundedCache<Arc<Shipment>>>,
 }
 
 impl ReplSource {
@@ -96,15 +162,18 @@ impl ReplSource {
         ReplSource {
             store,
             snapshot: Mutex::new(None),
-            deltas: Mutex::new(BoundedCache::default()),
+            deltas: Mutex::default(),
+            shipments: Mutex::default(),
         }
     }
 
-    /// Delta segments currently cached in RAM (bounded by
-    /// [`DELTA_CACHE_CAP`]; exposed so tests and operators can hold
-    /// the bound to account).
+    /// Per-epoch payloads currently cached in RAM: delta files plus
+    /// shipped segments, each kind bounded by [`DELTA_CACHE_CAP`]
+    /// (exposed so tests and operators can hold the bound to account).
     pub fn cached_deltas(&self) -> usize {
-        self.deltas.lock().expect("delta cache poisoned").len()
+        let deltas = self.deltas.lock().expect("replication cache poisoned");
+        let shipments = self.shipments.lock().expect("replication cache poisoned");
+        deltas.len() + shipments.len()
     }
 
     /// Answer a replication line, or `None` when the line is not a
@@ -123,6 +192,7 @@ impl ReplSource {
         Some(match kind {
             "repl_status" => self.status(),
             "repl_snapshot" => self.snapshot_chunk(&value),
+            "repl_segment" => self.segment_chunk(&value),
             "repl_delta" => self.delta_chunk(&value),
             "repl_ingest" => self.ingest(&value),
             other => wire::error_envelope(&format!("unknown replication query '{other}'")),
@@ -154,6 +224,61 @@ impl ReplSource {
         })
     }
 
+    /// One chunk of epoch `have + 1`'s shipment. The header is built as
+    /// an ordinary result object; the payload is appended after it as
+    /// the reply's last field, encoded straight into the reply.
+    fn segment_chunk(&self, value: &JsonValue) -> String {
+        let Some(have) = value.get("have").and_then(JsonValue::as_u64) else {
+            return wire::error_envelope("repl_segment requires 'have': the follower's epoch");
+        };
+        let offset = value.get("offset").and_then(JsonValue::as_u64).unwrap_or(0);
+        let current = self.store.epoch();
+        if have > current {
+            return format!(
+                "{{\"ok\": false, \"error\": \"ahead_of_primary\", \"have\": {have}, \
+                 \"epoch\": {current}}}"
+            );
+        }
+        if have == current {
+            return ok_result(|result| {
+                result.integer("epoch", current);
+            });
+        }
+        let target = have + 1;
+        let Some(shipment) = cached(&self.shipments, target, || {
+            let (segment, apply) = self.store.shipped_segment(target)?;
+            let (fnv, len) = (segment.checksum, segment.bytes.len());
+            let mut payload = segment.bytes;
+            payload.extend_from_slice(&apply);
+            Some(Arc::new(Shipment {
+                payload,
+                segment: len,
+                fnv,
+            }))
+        }) else {
+            return wire::error_envelope(&format!("epoch {target} is not in this primary's log"));
+        };
+        let total = shipment.payload.len() as u64;
+        if offset > total {
+            return bad_offset_envelope("segment", offset, total);
+        }
+        let chunk = chunk_at(&shipment.payload, offset);
+        let mut reply = ok_result(|result| {
+            result.integer("epoch", current);
+            result.integer("delta_epoch", target);
+            result.integer("total", total);
+            result.integer("offset", offset);
+            result.integer("segment", shipment.segment as u64);
+            result.string("fnv", &format!("{:016x}", shipment.fnv));
+        });
+        reply.pop(); // the envelope's closing brace
+        reply.reserve(DATA_FIELD.len() + chunk.len().div_ceil(3) * 4 + 2);
+        reply.push_str(DATA_FIELD);
+        b64::encode_into(chunk, &mut reply);
+        reply.push_str("\"}");
+        reply
+    }
+
     fn delta_chunk(&self, value: &JsonValue) -> String {
         let Some(have) = value.get("have").and_then(JsonValue::as_u64) else {
             return wire::error_envelope("repl_delta requires 'have': the follower's epoch");
@@ -167,7 +292,9 @@ impl ReplSource {
             });
         }
         let target = have + 1;
-        let Some(bytes) = self.delta_segment(target) else {
+        let Some(bytes) = cached(&self.deltas, target, || {
+            self.store.delta_segment(target).map(Arc::new)
+        }) else {
             return wire::error_envelope(&format!("epoch {target} is not in this primary's log"));
         };
         let total = bytes.len() as u64;
@@ -209,25 +336,6 @@ impl ReplSource {
         let bytes = Arc::new(bytes);
         *cached = Some((epoch, Arc::clone(&bytes)));
         (epoch, bytes)
-    }
-
-    fn delta_segment(&self, epoch: u64) -> Option<Arc<Vec<u8>>> {
-        {
-            let mut cache = self.deltas.lock().expect("delta cache poisoned");
-            if let Some(bytes) = cache.get(epoch) {
-                return Some(bytes);
-            }
-        }
-        // Miss: let the store serve it — from its sealed segment log
-        // when one is attached, from the epoch history otherwise. The
-        // cache lock is *not* held across this read, so a slow disk
-        // never serialises concurrent followers.
-        let bytes = Arc::new(self.store.delta_segment(epoch)?);
-        self.deltas
-            .lock()
-            .expect("delta cache poisoned")
-            .insert(epoch, Arc::clone(&bytes));
-        Some(bytes)
     }
 }
 
@@ -285,7 +393,7 @@ pub fn ingest_path(store: &Store, path: &Path) -> Result<IngestReport, StoreErro
 
 /// The follower's blocking client to a primary's serving port.
 ///
-/// Replies carrying base64 segments exceed the 64 KiB request frame
+/// Replies carrying base64 payloads exceed the 64 KiB request frame
 /// cap, so the client reads whole lines through a [`BufReader`] — the
 /// cap applies only to what clients *send*. The connection is lazy and
 /// self-healing: the first request after an I/O error reconnects once.
@@ -303,6 +411,21 @@ pub struct PrimaryStatus {
     pub snapshot_bytes: u64,
 }
 
+/// One epoch as a follower received it from `repl_segment`, ready for
+/// [`Store::apply_segment`].
+#[derive(Debug, Clone)]
+pub struct ShippedSegment {
+    /// The primary's epoch when it served the last chunk.
+    pub primary_epoch: u64,
+    /// The epoch this segment advances a follower to.
+    pub epoch: u64,
+    /// The primary's sealed segment file, with the whole-file FNV the
+    /// reply header carried (verified when the segment is applied).
+    pub segment: Sealed,
+    /// The apply section.
+    pub apply: Vec<u8>,
+}
+
 impl ReplClient {
     /// A client for the primary at `addr` (connects lazily).
     pub fn new(addr: impl Into<String>) -> ReplClient {
@@ -312,13 +435,14 @@ impl ReplClient {
         }
     }
 
-    fn request(&mut self, line: &str) -> Result<JsonValue, StoreError> {
+    /// One round trip: the primary's reply line, unparsed.
+    fn exchange(&mut self, line: &str) -> Result<String, StoreError> {
         for attempt in 0..2 {
             if self.conn.is_none() {
                 let stream = TcpStream::connect(&self.addr)
                     .map_err(|error| StoreError::Io(error.to_string()))?;
                 let _ = stream.set_nodelay(true);
-                self.conn = Some(BufReader::new(stream));
+                self.conn = Some(BufReader::with_capacity(REPLY_BUFFER, stream));
             }
             let reader = self.conn.as_mut().expect("connection just established");
             let exchange = (|| -> std::io::Result<String> {
@@ -335,23 +459,7 @@ impl ReplClient {
                 Ok(reply)
             })();
             match exchange {
-                Ok(reply) => {
-                    let value = parse(reply.trim()).map_err(|error| {
-                        StoreError::Replication(format!("unparseable reply: {error:?}"))
-                    })?;
-                    if value.get("ok").and_then(JsonValue::as_bool) != Some(true) {
-                        let message = value
-                            .get("error")
-                            .and_then(JsonValue::as_str)
-                            .unwrap_or("unknown error");
-                        return Err(StoreError::Replication(format!(
-                            "primary refused: {message}"
-                        )));
-                    }
-                    return value.get("result").cloned().ok_or_else(|| {
-                        StoreError::Replication("ok reply without a result".to_string())
-                    });
-                }
+                Ok(reply) => return Ok(reply),
                 Err(error) => {
                     // Stale connection (primary restarted, idle
                     // eviction): reconnect once, then give up.
@@ -363,6 +471,10 @@ impl ReplClient {
             }
         }
         unreachable!("request loop returns within two attempts")
+    }
+
+    fn request(&mut self, line: &str) -> Result<JsonValue, StoreError> {
+        result_of(&self.exchange(line)?)
     }
 
     /// Ask the primary for its epoch and snapshot size.
@@ -438,7 +550,7 @@ impl ReplClient {
     }
 
     /// Fetch the delta that advances a follower past epoch `have`:
-    /// `Ok(Some((epoch, bytes)))` with the serialized segment, or
+    /// `Ok(Some((epoch, bytes)))` with the serialized delta file, or
     /// `Ok(None)` when the primary has nothing newer.
     pub fn fetch_delta(&mut self, have: u64) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
         let mut segment: Vec<u8> = Vec::new();
@@ -480,52 +592,152 @@ impl ReplClient {
             }
         }
     }
+
+    /// Fetch the shipment that advances a follower past epoch `have`
+    /// (`Ok(None)` when the primary has nothing newer). A typical epoch
+    /// is one round trip; a larger one arrives in offset-addressed
+    /// chunks, each of which must describe the same shipment.
+    pub fn fetch_segment(&mut self, have: u64) -> Result<Option<ShippedSegment>, StoreError> {
+        let mut payload: Vec<u8> = Vec::new();
+        let mut shape: Option<[u64; 4]> = None;
+        loop {
+            let offset = payload.len() as u64;
+            let reply = self.exchange(&format!(
+                r#"{{"query": "repl_segment", "have": {have}, "offset": {offset}}}"#
+            ))?;
+            let (result, data) = split_payload(&reply)?;
+            let primary_epoch = field_u64(&result, "epoch")?;
+            let Some(epoch) = result.get("delta_epoch").and_then(JsonValue::as_u64) else {
+                return if payload.is_empty() {
+                    Ok(None) // caught up
+                } else {
+                    Err(StoreError::Replication(
+                        "primary dropped a segment mid-transfer".to_string(),
+                    ))
+                };
+            };
+            let fnv = result
+                .get("fnv")
+                .and_then(JsonValue::as_str)
+                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                .ok_or_else(|| StoreError::Replication("reply missing hex field 'fnv'".into()))?;
+            let this = [
+                epoch,
+                field_u64(&result, "total")?,
+                field_u64(&result, "segment")?,
+                fnv,
+            ];
+            if *shape.get_or_insert(this) != this {
+                return Err(StoreError::Replication(format!(
+                    "segment transfer torn: {:?} became {this:?}",
+                    shape.expect("set above")
+                )));
+            }
+            let [_, total, segment, _] = this;
+            b64::decode_into(data, &mut payload).map_err(StoreError::Replication)?;
+            let received = payload.len() as u64;
+            if received > total || segment > total {
+                return Err(StoreError::Replication(format!(
+                    "segment payload overruns: {received} bytes, segment {segment}, total {total}"
+                )));
+            }
+            if received == total {
+                let apply = payload.split_off(segment as usize);
+                return Ok(Some(ShippedSegment {
+                    primary_epoch,
+                    epoch,
+                    segment: Sealed {
+                        bytes: payload,
+                        checksum: fnv,
+                    },
+                    apply,
+                }));
+            }
+            if data.is_empty() {
+                return Err(StoreError::Replication(
+                    "segment transfer stalled: empty chunk before end".to_string(),
+                ));
+            }
+        }
+    }
 }
 
-/// One follower poll step: fetch and apply every delta the primary has
-/// past the store's epoch, through [`Store::ingest`]'s prepared-epoch
-/// path (decode → validate → classify-only-the-new → atomic engine
-/// swap — byte-identical to a local ingest of the same delta). Returns
-/// how many epochs the store advanced.
-pub fn follow_once(client: &mut ReplClient, store: &Store) -> Result<u64, StoreError> {
-    let mut advanced = 0;
-    while let Some((epoch, bytes)) = client.fetch_delta(store.epoch())? {
-        let delta = SnapshotDelta::from_bytes(&bytes)?;
-        let report = store.ingest(delta)?;
-        if report.epoch != epoch {
-            return Err(StoreError::Replication(format!(
-                "applied delta landed at epoch {} but primary shipped it as {epoch}",
-                report.epoch
-            )));
-        }
-        advanced += 1;
+/// A reply's `result`, moved out, when its `ok` is true; the primary's
+/// refusal as an error otherwise.
+fn result_of(reply: &str) -> Result<JsonValue, StoreError> {
+    let value = parse(reply.trim())
+        .map_err(|error| StoreError::Replication(format!("unparseable reply: {error:?}")))?;
+    if value.get("ok").and_then(JsonValue::as_bool) != Some(true) {
+        let message = value
+            .get("error")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("unknown error");
+        return Err(StoreError::Replication(format!(
+            "primary refused: {message}"
+        )));
     }
-    Ok(advanced)
+    value
+        .into_field("result")
+        .ok_or_else(|| StoreError::Replication("ok reply without a result".to_string()))
+}
+
+/// Split a `repl_segment` reply into its parsed header and its base64
+/// payload. The payload is the reply's last field and the header holds
+/// only numbers and a hex string, so the first [`DATA_FIELD`] is the
+/// payload's key: the tree parser sees the header alone. A reply
+/// without a payload (caught up, refused) is parsed whole.
+fn split_payload(reply: &str) -> Result<(JsonValue, &str), StoreError> {
+    let reply = reply.trim_end();
+    let Some(at) = reply.find(DATA_FIELD) else {
+        return Ok((result_of(reply)?, ""));
+    };
+    let data = reply[at + DATA_FIELD.len()..]
+        .strip_suffix("\"}")
+        .ok_or_else(|| StoreError::Replication("unterminated segment payload".to_string()))?;
+    Ok((result_of(&format!("{}}}", &reply[..at]))?, data))
+}
+
+/// One follower poll step: fetch and apply every epoch the primary has
+/// past the store's, one `repl_segment` shipment each, through
+/// [`Store::apply_segment`] (checksums and cross-checks → the shared
+/// commit → atomic engine swap — byte-identical to a local ingest of
+/// the same delta). Returns how many epochs the store advanced.
+pub fn follow_once(client: &mut ReplClient, store: &Store) -> Result<u64, StoreError> {
+    follow(client, store, None)
 }
 
 /// [`follow_once`] with **incremental durability**: after each applied
-/// delta the store is saved into the segmented log at `dir`, which
-/// seals exactly one new segment file — O(delta) per epoch, where the
-/// pre-segmented follower rewrote its whole world after every poll. A
-/// follower killed between epochs restarts from the last sealed one
-/// and re-fetches only what it missed.
+/// epoch the store is saved into the segmented log at `dir`, which
+/// seals exactly one new segment file — the primary's own bytes, as
+/// shipped. A follower killed between epochs restarts from the last
+/// sealed one and re-fetches only what it missed.
 pub fn follow_once_persistent(
     client: &mut ReplClient,
     store: &Store,
     dir: &Path,
 ) -> Result<u64, StoreError> {
+    follow(client, store, Some(dir))
+}
+
+/// The step both follower loops run: apply, seal when a log directory
+/// is given, and stop once the applied epoch is the primary's.
+fn follow(client: &mut ReplClient, store: &Store, dir: Option<&Path>) -> Result<u64, StoreError> {
     let mut advanced = 0;
-    while let Some((epoch, bytes)) = client.fetch_delta(store.epoch())? {
-        let delta = SnapshotDelta::from_bytes(&bytes)?;
-        let report = store.ingest(delta)?;
-        if report.epoch != epoch {
+    while let Some(shipped) = client.fetch_segment(store.epoch())? {
+        let report = store.apply_segment(shipped.segment, &shipped.apply)?;
+        if report.epoch != shipped.epoch {
             return Err(StoreError::Replication(format!(
-                "applied delta landed at epoch {} but primary shipped it as {epoch}",
-                report.epoch
+                "applied segment landed at epoch {} but primary shipped it as {}",
+                report.epoch, shipped.epoch
             )));
         }
-        store.save_segmented(dir)?;
+        if let Some(dir) = dir {
+            store.save_segmented(dir)?;
+        }
         advanced += 1;
+        if shipped.epoch >= shipped.primary_epoch {
+            break;
+        }
     }
     Ok(advanced)
 }
@@ -550,14 +762,24 @@ pub mod b64 {
 
     /// Encode bytes as padded base64. Every whole 3-byte group becomes
     /// one 4-byte store into a buffer sized up front; a primary encodes
-    /// each delta it ships, once per epoch, on its serving threads.
+    /// each payload it ships, once per chunk, on its serving threads.
     pub fn encode(bytes: &[u8]) -> String {
+        let mut out = String::new();
+        encode_into(bytes, &mut out);
+        out
+    }
+
+    /// [`encode`], appended to `out`.
+    pub(crate) fn encode_into(bytes: &[u8], out: &mut String) {
         let quad =
             |triple: u32| [18, 12, 6, 0].map(|shift| ALPHABET[(triple >> shift) as usize & 63]);
-        let mut out = vec![0u8; bytes.len().div_ceil(3) * 4];
+        let mut buffer = std::mem::take(out).into_bytes();
+        let start = buffer.len();
+        buffer.resize(start + bytes.len().div_ceil(3) * 4, 0);
+        let encoded = &mut buffer[start..];
         let groups = bytes.chunks_exact(3);
         let tail = groups.remainder();
-        for (slot, group) in out.chunks_exact_mut(4).zip(groups) {
+        for (slot, group) in encoded.chunks_exact_mut(4).zip(groups) {
             let triple = u32::from(group[0]) << 16 | u32::from(group[1]) << 8 | u32::from(group[2]);
             slot.copy_from_slice(&quad(triple));
         }
@@ -569,21 +791,28 @@ pub mod b64 {
             if tail.len() == 1 {
                 last[2] = b'=';
             }
-            let at = out.len() - 4;
-            out[at..].copy_from_slice(&last);
+            let at = encoded.len() - 4;
+            encoded[at..].copy_from_slice(&last);
         }
-        String::from_utf8(out).expect("the base64 alphabet is ASCII")
+        *out = String::from_utf8(buffer).expect("the base64 alphabet is ASCII");
     }
 
     /// Decode padded base64; rejects bad lengths, bytes outside the
     /// alphabet and misplaced padding.
     pub fn decode(text: &str) -> Result<Vec<u8>, String> {
+        let mut out = Vec::new();
+        decode_into(text, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`decode`], appended to `out`.
+    pub(crate) fn decode_into(text: &str, out: &mut Vec<u8>) -> Result<(), String> {
         let bytes = text.as_bytes();
         if !bytes.len().is_multiple_of(4) {
             return Err(format!("base64 length {} not a multiple of 4", bytes.len()));
         }
         let quads = bytes.len() / 4;
-        let mut out = Vec::with_capacity(quads * 3);
+        out.reserve(quads * 3);
         for (index, quad) in bytes.chunks_exact(4).enumerate() {
             let [a, b, c, d] = [0, 1, 2, 3].map(|at| SEXTETS[usize::from(quad[at])]);
             if (a | b | c | d) & NOT_BASE64 == 0 {
@@ -607,7 +836,7 @@ pub mod b64 {
             triple <<= 6 * pads;
             out.extend_from_slice(&triple.to_be_bytes()[1..4 - pads]);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// [`SEXTETS`] entry of a byte outside the alphabet: a bit no

@@ -209,10 +209,10 @@ pub fn encode_segment(epoch: u64, delta: &[u8]) -> Sealed {
 
 /// Unwrap a parsed `LFPS` segment: the epoch it seals plus the delta
 /// bytes (still their own checksummed `LFPD` container).
-fn segment_payload(file: &FileReader<'_>) -> Result<(u64, Vec<u8>), StoreError> {
+pub(crate) fn segment_payload<'a>(file: &FileReader<'a>) -> Result<(u64, &'a [u8]), StoreError> {
     let mut reader = file.section(SEGMENT_TAG, "segment")?;
     let epoch = reader.u64()?;
-    let delta = reader.bytes()?;
+    let delta = reader.slice()?;
     reader.done()?;
     Ok((epoch, delta))
 }
@@ -362,7 +362,23 @@ impl EpochLog {
     /// which must be for the epoch the manifest lists it at.
     pub fn read_segment(&self, meta: &SegmentMeta) -> Result<Vec<u8>, StoreError> {
         let bytes = self.read_listed(meta)?;
-        let (epoch, delta) = segment_payload(&Self::verify(meta, &bytes, SEGMENT_MAGIC)?)?;
+        Ok(Self::listed_payload(meta, &bytes)?.to_vec())
+    }
+
+    /// [`read_segment`](EpochLog::read_segment), returning the whole
+    /// sealed file as stored instead of the delta inside it.
+    pub(crate) fn read_sealed(&self, meta: &SegmentMeta) -> Result<Sealed, StoreError> {
+        let bytes = self.read_listed(meta)?;
+        Self::listed_payload(meta, &bytes)?;
+        Ok(Sealed {
+            bytes,
+            checksum: meta.checksum,
+        })
+    }
+
+    /// Verify a segment file read for `meta`: the delta bytes it seals.
+    fn listed_payload<'a>(meta: &SegmentMeta, bytes: &'a [u8]) -> Result<&'a [u8], StoreError> {
+        let (epoch, delta) = segment_payload(&Self::verify(meta, bytes, SEGMENT_MAGIC)?)?;
         if epoch != meta.epoch {
             return Err(StoreError::Log(format!(
                 "{} seals epoch {epoch} but the manifest lists it as {}",

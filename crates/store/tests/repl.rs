@@ -12,7 +12,12 @@ mod util;
 
 use lfp_analysis::json::{parse, JsonValue};
 use lfp_query::wire;
-use lfp_store::{follow_once, repl::b64, ReplClient, ReplSource, Store, REPL_CHUNK};
+use lfp_store::format::Sealed;
+use lfp_store::{
+    follow_once, follow_once_persistent, repl::b64, EpochApply, ReplClient, ReplSource, Store,
+    StoreError, REPL_CHUNK,
+};
+use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -22,12 +27,32 @@ use std::sync::Arc;
 /// Serve `repl_*` lines from a background thread; non-repl lines get a
 /// refusal so a protocol bug fails loudly instead of hanging a read.
 fn spawn_primary(source: Arc<ReplSource>) -> String {
+    spawn_counting_primary(source).0
+}
+
+/// [`spawn_primary`], also counting the request lines it answers.
+fn spawn_counting_primary(source: Arc<ReplSource>) -> (String, Arc<AtomicU64>) {
+    let requests = Arc::new(AtomicU64::new(0));
+    let answered = Arc::clone(&requests);
+    let addr = spawn_answering(move |line| {
+        answered.fetch_add(1, Ordering::Relaxed);
+        source
+            .answer(line)
+            .unwrap_or_else(|| "{\"ok\": false, \"error\": \"not repl\"}".to_string())
+    });
+    (addr, requests)
+}
+
+/// Answer every line of every connection with `reply`, from background
+/// threads.
+fn spawn_answering(reply: impl Fn(&str) -> String + Send + Sync + 'static) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
+    let reply = Arc::new(reply);
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
-            let source = Arc::clone(&source);
+            let reply = Arc::clone(&reply);
             std::thread::spawn(move || {
                 let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
                 let mut stream = stream;
@@ -38,10 +63,7 @@ fn spawn_primary(source: Arc<ReplSource>) -> String {
                         Ok(0) | Err(_) => break,
                         Ok(_) => {}
                     }
-                    let reply = source
-                        .answer(line.trim())
-                        .unwrap_or_else(|| "{\"ok\": false, \"error\": \"not repl\"}".to_string());
-                    if writeln!(stream, "{reply}").is_err() {
+                    if writeln!(stream, "{}", reply(line.trim())).is_err() {
                         break;
                     }
                 }
@@ -140,6 +162,7 @@ fn replication_and_data_grammars_are_disjoint() {
         r#"{"query": "repl_status"}"#,
         r#"{"query": "repl_snapshot", "offset": 0}"#,
         r#"{"query": "repl_delta", "have": 0}"#,
+        r#"{"query": "repl_segment", "have": 0}"#,
         r#"{"query": "repl_ingest"}"#,
         r#"{"query": "repl_bogus"}"#,
     ] {
@@ -157,6 +180,8 @@ fn hostile_chunk_offsets_get_typed_refusals_over_the_wire() {
         .expect("ingest");
     let (_, snapshot) = primary.snapshot_segment();
     let delta_len = primary.delta_segment(1).expect("delta in log").len();
+    let (segment, apply) = primary.shipped_segment(1).expect("epoch 1 ships");
+    let shipped_len = segment.bytes.len() + apply.len();
     let addr = spawn_primary(Arc::new(ReplSource::new(Arc::clone(&primary))));
 
     // A hostile follower can claim any offset it likes: one past the
@@ -198,6 +223,13 @@ fn hostile_chunk_offsets_get_typed_refusals_over_the_wire() {
                 u64::MAX
             ),
             delta_len as u64,
+        ),
+        (
+            format!(
+                r#"{{"query": "repl_segment", "have": 0, "offset": {}}}"#,
+                u64::MAX
+            ),
+            shipped_len as u64,
         ),
     ];
     for (line, total) in hostile_cases {
@@ -289,4 +321,217 @@ fn follower_converges_over_loopback_and_resumes_a_torn_sync() {
     let restarted = client.sync_snapshot(&stale).expect("restarted sync");
     assert_eq!(restarted, full, "stale-epoch partial must be discarded");
     let _ = std::fs::remove_file(&stale);
+}
+
+/// A follower applying `repl_segment` shipments over short delta chains
+/// ends where a store re-ingesting the same deltas does — equal corpus,
+/// byte-identical catalog answers — having sealed the primary's own
+/// segment files, at one request per epoch. Chains vary in where they
+/// start and how long they are, in whether the primary ships from a
+/// segmented log or from RAM, and in whether it ingested one delta at a
+/// time or the whole chain in one batch. The cases are hand-sampled at
+/// a small count because each one stands up a primary and a follower.
+#[test]
+fn followers_applying_segments_equal_reingesting_the_deltas() {
+    let world = util::shared_tiny_world();
+    let pool = util::measure_deltas(&world, 5);
+    let mut rng = proptest::new_test_rng("followers_apply_segments");
+    let (starts, lengths, flags) = (0usize..3, 1usize..4, any::<bool>());
+    for case in 0..4 {
+        let start = starts.sample(&mut rng);
+        let chain = &pool[start..(start + lengths.sample(&mut rng)).min(pool.len())];
+        let (logged, batched) = (flags.sample(&mut rng), flags.sample(&mut rng));
+        let context = format!(
+            "case {case}: {} deltas from {start}, logged {logged}, batched {batched}",
+            chain.len()
+        );
+        let scratch = scratch_path("chain");
+        let (primary_dir, follower_dir) = (scratch.join("primary"), scratch.join("follower"));
+
+        let primary = Arc::new(Store::from_world(Arc::clone(&world)));
+        let follower = Store::from_bytes(&primary.to_bytes()).expect("bootstrap");
+        follower
+            .save_segmented(&follower_dir)
+            .expect("follower base");
+        if logged {
+            primary.save_segmented(&primary_dir).expect("primary base");
+        }
+        if batched {
+            primary.ingest_many(chain.to_vec()).expect("batch ingest");
+        } else {
+            for delta in chain {
+                primary.ingest(delta.clone()).expect("ingest");
+            }
+        }
+        if logged {
+            primary.save_segmented(&primary_dir).expect("primary seal");
+        }
+        let reference = Store::from_world(Arc::clone(&world));
+        for delta in chain {
+            reference.ingest(delta.clone()).expect("re-ingest");
+        }
+
+        let (addr, requests) =
+            spawn_counting_primary(Arc::new(ReplSource::new(Arc::clone(&primary))));
+        let mut client = ReplClient::new(&addr);
+        let epochs = chain.len() as u64;
+        let advanced = follow_once_persistent(&mut client, &follower, &follower_dir);
+        assert_eq!(advanced.expect("follow"), epochs, "{context}");
+        assert_eq!(requests.load(Ordering::Relaxed), epochs, "{context}");
+
+        assert_eq!(
+            follower.engine().corpus(),
+            reference.engine().corpus(),
+            "{context}"
+        );
+        let answers = util::mix_responses(&reference);
+        assert_eq!(util::mix_responses(&follower), answers, "{context}");
+        assert_eq!(util::mix_responses(&primary), answers, "{context}");
+        for epoch in 1..=epochs {
+            let name = lfp_store::segment::segment_file_name(epoch);
+            let sealed = std::fs::read(follower_dir.join(&name)).expect("follower sealed it");
+            let shipped = if logged {
+                std::fs::read(primary_dir.join(&name)).expect("primary sealed it")
+            } else {
+                primary.shipped_segment(epoch).expect("in history").0.bytes
+            };
+            assert!(
+                sealed == shipped,
+                "{context}: epoch {epoch} sealed other bytes"
+            );
+        }
+        // The follower's log reloads (replaying through ingest) to the
+        // same corpus.
+        let (reloaded, _) = Store::load(&follower_dir).expect("follower log loads");
+        assert_eq!(
+            reloaded.engine().corpus(),
+            reference.engine().corpus(),
+            "{context}"
+        );
+        let _ = std::fs::remove_dir_all(&scratch);
+    }
+}
+
+/// An edit of a decoded apply section.
+type ApplyEdit = dyn Fn(&mut EpochApply);
+
+/// Every way a shipment can be torn, corrupted or inconsistent is a
+/// typed error, and the follower stays at its epoch with its corpus
+/// untouched; the intact shipment then applies.
+#[test]
+fn hostile_segments_get_typed_errors_and_leave_the_follower_untouched() {
+    let world = util::shared_tiny_world();
+    let deltas = util::measure_deltas(&world, 2);
+    let primary = Arc::new(Store::from_world(Arc::clone(&world)));
+    primary.ingest_many(deltas.clone()).expect("ingest");
+    let (segment, apply) = primary.shipped_segment(1).expect("epoch 1 ships");
+    let follower = Store::from_world(Arc::clone(&world));
+    let refuse = |segment: Sealed, apply: Vec<u8>, case: &str| -> StoreError {
+        let error = follower
+            .apply_segment(segment, &apply)
+            .expect_err("hostile shipment applied");
+        assert_eq!(follower.epoch(), 0, "{case}");
+        assert_eq!(follower.engine().corpus(), world.path_corpus(), "{case}");
+        error
+    };
+    let edited = |edit: &ApplyEdit| {
+        let mut decoded = EpochApply::from_bytes(&apply).expect("own apply section decodes");
+        edit(&mut decoded);
+        decoded.to_bytes()
+    };
+
+    let mut short = segment.clone();
+    short.bytes.truncate(short.bytes.len() - 10);
+    let error = refuse(short, apply.clone(), "truncated segment");
+    assert!(matches!(error, StoreError::Truncated { .. }), "{error:?}");
+    let error = refuse(
+        segment.clone(),
+        apply[..apply.len() / 2].to_vec(),
+        "truncated apply",
+    );
+    assert!(matches!(error, StoreError::Truncated { .. }), "{error:?}");
+
+    let mut flipped = segment.clone();
+    let middle = flipped.bytes.len() / 2;
+    flipped.bytes[middle] ^= 0x20;
+    let error = refuse(flipped, apply.clone(), "flipped segment byte");
+    assert!(
+        matches!(error, StoreError::ChecksumMismatch { .. }),
+        "{error:?}"
+    );
+    let mut flipped = apply.clone();
+    let middle = flipped.len() / 2;
+    flipped[middle] ^= 0x20;
+    let error = refuse(segment.clone(), flipped, "flipped apply byte");
+    assert!(
+        matches!(error, StoreError::ChecksumMismatch { .. }),
+        "{error:?}"
+    );
+    let mut misnamed = segment.clone();
+    misnamed.checksum ^= 1;
+    let error = refuse(misnamed, apply.clone(), "header FNV");
+    assert!(matches!(error, StoreError::Replication(_)), "{error:?}");
+
+    let cases: [(&str, &ApplyEdit); 4] = [
+        ("row count", &|apply| {
+            apply.rows.pop();
+        }),
+        ("source name", &|apply| {
+            apply.source = "RIPE-elsewhere".to_string()
+        }),
+        ("apply epoch", &|apply| apply.epoch = 2),
+        ("vendor code", &|apply| {
+            let row = apply.rows.iter_mut().find(|row| !row.runs.is_empty());
+            row.expect("a row with hops").runs[0].0 = 200;
+        }),
+    ];
+    for (case, edit) in cases {
+        let error = refuse(segment.clone(), edited(edit), case);
+        let typed = matches!(error, StoreError::Replication(_) | StoreError::Ingest(_));
+        assert!(typed, "{case}: {error:?}");
+    }
+
+    // A segment past the follower's next epoch is refused, not applied.
+    let (later, later_apply) = primary.shipped_segment(2).expect("epoch 2 ships");
+    let error = refuse(later, later_apply, "epoch gap");
+    assert!(matches!(error, StoreError::Replication(_)), "{error:?}");
+
+    // A follower claiming an epoch the primary never reached gets the
+    // typed refusal, over the wire too.
+    let source = Arc::new(ReplSource::new(Arc::clone(&primary)));
+    let reply = source
+        .answer(r#"{"query": "repl_segment", "have": 9, "offset": 0}"#)
+        .expect("answered");
+    assert!(reply.contains("\"error\": \"ahead_of_primary\""), "{reply}");
+    let mut client = ReplClient::new(spawn_primary(Arc::clone(&source)));
+    let error = client.fetch_segment(9).expect_err("ahead of the primary");
+    assert!(matches!(error, StoreError::Replication(_)), "{error:?}");
+
+    // Torn transfers: a primary that stops short of its total, or
+    // overruns it, fails the fetch.
+    for (data, case) in [("", "stalled"), ("AAAAAAAA", "overrun")] {
+        let addr = spawn_answering(move |_| {
+            format!(
+                "{{\"ok\": true, \"result\": {{\"epoch\": 1, \"delta_epoch\": 1, \"total\": 4, \
+                 \"offset\": 0, \"segment\": 2, \"fnv\": \"00\"}}, \"data\": \"{data}\"}}"
+            )
+        });
+        let error = ReplClient::new(addr).fetch_segment(0).expect_err(case);
+        assert!(
+            matches!(error, StoreError::Replication(_)),
+            "{case}: {error:?}"
+        );
+    }
+
+    // The intact shipment applies, to the primary's epoch-1 state.
+    follower
+        .apply_segment(segment, &apply)
+        .expect("intact shipment");
+    let reference = Store::from_world(Arc::clone(&world));
+    reference.ingest(deltas[0].clone()).expect("ingest");
+    assert_eq!(follower.engine().corpus(), reference.engine().corpus());
+    assert_eq!(
+        util::mix_responses(&follower),
+        util::mix_responses(&reference)
+    );
 }
