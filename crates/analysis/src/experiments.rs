@@ -33,6 +33,7 @@ use lfp_core::pipeline::vendor_signature_stats;
 use lfp_core::probe::TargetObservation;
 use lfp_core::signature::SignatureDb;
 use lfp_core::FeatureVector;
+use lfp_net::{cores, fan_out};
 use lfp_stack::vendor::Vendor;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -255,43 +256,19 @@ pub fn run_all(world: &World) -> Vec<Report> {
 }
 
 /// Run every experiment across all cores, returning reports in registry
-/// (paper) order — same output as [`run_all`], ~cores× faster.
+/// (paper) order — same output as [`run_all`].
 ///
 /// Generators are pure functions of the world, and the world's derived
 /// maps are memoised behind `OnceLock`s, so concurrent generators share
-/// classification work instead of repeating it. Work is handed out via an
-/// atomic cursor: experiments vary widely in cost (table7's cohort scans
-/// versus fig4's ECDF), so a work-stealing queue beats static chunking.
+/// classification work instead of repeating it. Experiments go through
+/// the [`fan_out`] queue: their costs vary widely, so workers claim them
+/// one at a time instead of taking static chunks. The costliest one,
+/// table7's three-tool cohort comparison, splits its cohort over the same
+/// queue itself, so it no longer sets the registry's wall clock alone.
 pub fn run_all_parallel(world: &World) -> Vec<Report> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(EXPERIMENTS.len());
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Report>>> = EXPERIMENTS.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(experiment) = EXPERIMENTS.get(index) else {
-                    break;
-                };
-                let report = (experiment.run)(world);
-                *slots[index].lock().expect("report slot poisoned") = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("report slot poisoned")
-                .expect("every experiment produces a report")
-        })
-        .collect()
+    fan_out(cores(), EXPERIMENTS.len(), |index| {
+        (EXPERIMENTS[index].run)(world)
+    })
 }
 
 fn ecdf_series(name: &str, ecdf: &Ecdf, points: usize) -> Series {
@@ -671,11 +648,28 @@ fn table7(world: &World) -> Report {
         hershel_covered: usize,
         hershel_vendor_correct: usize,
     }
-    let mut tallies: BTreeMap<Vendor, Tally> = BTreeMap::new();
+    impl Tally {
+        fn add(&mut self, other: &Tally) {
+            self.total += other.total;
+            self.lfp_responsive += other.lfp_responsive;
+            self.lfp_correct += other.lfp_correct;
+            self.nmap_guessed += other.nmap_guessed;
+            self.nmap_correct += other.nmap_correct;
+            self.hershel_covered += other.hershel_covered;
+            self.hershel_vendor_correct += other.hershel_vendor_correct;
+        }
+    }
 
-    for (index, &(ip, vendor)) in cohort.sample.iter().enumerate() {
-        let tally = tallies.entry(vendor).or_default();
-        tally.total += 1;
+    // Every cohort target is its own device and every probe below is
+    // seeded per target, so targets commute: the cohort fans out one
+    // target per queue slot, and the single-target tallies fold into the
+    // per-vendor ones in cohort order.
+    let outcomes = fan_out(cores(), cohort.sample.len(), |index| {
+        let (ip, vendor) = cohort.sample[index];
+        let mut tally = Tally {
+            total: 1,
+            ..Tally::default()
+        };
         // LFP.
         let observation =
             lfp_core::probe::probe_target(&cohort.network, ip, index as f64 * 2.0, index as u64);
@@ -717,6 +711,11 @@ fn table7(world: &World) -> Report {
                 break;
             }
         }
+        tally
+    });
+    let mut tallies: BTreeMap<Vendor, Tally> = BTreeMap::new();
+    for (&(_, vendor), outcome) in cohort.sample.iter().zip(&outcomes) {
+        tallies.entry(vendor).or_default().add(outcome);
     }
 
     let mut lfp_beats_nmap_coverage = 0usize;

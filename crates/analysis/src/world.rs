@@ -13,10 +13,13 @@
 //! decompose into per-dataset units. Each unit runs against its own
 //! [`lfp_net::Network::fork`] — a private copy of every device's mutable
 //! state — so no unit observes another's IPID-counter history. That makes
-//! the units order-independent: [`World::build`] fans them out across
-//! scoped threads, [`World::build_serial`] runs the same units one at a
-//! time with single-shard scans, and both produce bit-identical worlds
-//! (asserted by `tests/determinism.rs`).
+//! the units order-independent. [`World::build`] runs them on the bounded
+//! [`lfp_net::fan_out`] queue: collection takes the ITDK sweep first as
+//! the longest unit, then the snapshots, with at most one worker per core
+//! and so at most `cores` forks alive. [`World::build_serial`] is the same
+//! queue with one worker and single-shard scans, and both produce
+//! bit-identical worlds (asserted by `tests/determinism.rs`, which also
+//! pins a tiny world's digests).
 //!
 //! ## The campaign cache
 //!
@@ -29,6 +32,7 @@
 use crate::path_corpus::PathCorpus;
 use lfp_core::pipeline::{scan_dataset, DatasetScan};
 use lfp_core::signature::{Classification, SignatureDb, SignatureSet};
+use lfp_net::{cores, fan_out, Network};
 use lfp_stack::vendor::Vendor;
 use lfp_topo::datasets::{
     build_itdk_on, measure_ripe_snapshot, plan_ripe_snapshots, ItdkDataset, RipeSnapshot,
@@ -61,6 +65,12 @@ impl CampaignTimings {
     pub fn total(&self) -> f64 {
         self.generate + self.collect + self.scan + self.finalize + self.classify + self.path_corpus
     }
+}
+
+/// One collection unit's dataset.
+enum Collected {
+    Itdk(ItdkDataset),
+    Snapshot(RipeSnapshot),
 }
 
 /// Per-dataset memoised derived maps (see the module docs).
@@ -115,10 +125,10 @@ impl World {
     }
 
     /// Build with per-phase wall-clock timings (the bench harness's
-    /// entry point). `parallel` selects the fan-out or the serial path;
-    /// `warm` additionally classifies every dataset up front (the
-    /// `classify` phase) — worth it before a full registry run, wasted
-    /// before a single experiment.
+    /// entry point). `parallel` runs the units on every core, otherwise
+    /// on one worker with single-shard scans; `warm` additionally
+    /// classifies every dataset up front (the `classify` phase) — worth
+    /// it before a full registry run, wasted before a single experiment.
     pub fn build_instrumented(
         scale: Scale,
         parallel: bool,
@@ -128,98 +138,69 @@ impl World {
     }
 
     fn build_with(scale: Scale, parallel: bool, warm: bool) -> (World, CampaignTimings) {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
+        let workers = if parallel { cores() } else { 1 };
         let mut timings = CampaignTimings::default();
 
         let phase_start = Instant::now();
         let internet = Internet::generate(scale);
         timings.generate = phase_start.elapsed().as_secs_f64();
 
-        // Collection: each snapshot (and the ITDK sweep) measures its own
-        // network fork, so the units commute and may run concurrently.
+        // Collection: the ITDK sweep (the longest unit) is queued first,
+        // then every snapshot. Each unit forks the network when it starts,
+        // so at most `workers` forks are alive.
         let phase_start = Instant::now();
         let plans = plan_ripe_snapshots(&internet);
-        let (ripe, itdk) = if parallel {
-            std::thread::scope(|scope| {
-                let snapshot_handles: Vec<_> = plans
-                    .iter()
-                    .map(|plan| {
-                        let fork = internet.network().fork();
-                        let internet = &internet;
-                        scope.spawn(move || measure_ripe_snapshot(internet, &fork, plan))
-                    })
-                    .collect();
-                let itdk_handle = {
-                    let fork = internet.network().fork();
-                    let internet = &internet;
-                    scope.spawn(move || build_itdk_on(internet, &fork))
-                };
-                let ripe: Vec<RipeSnapshot> = snapshot_handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("snapshot collection panicked"))
-                    .collect();
-                (ripe, itdk_handle.join().expect("ITDK collection panicked"))
-            })
-        } else {
-            let ripe: Vec<RipeSnapshot> = plans
-                .iter()
-                .map(|plan| measure_ripe_snapshot(&internet, &internet.network().fork(), plan))
-                .collect();
-            let itdk = build_itdk_on(&internet, &internet.network().fork());
-            (ripe, itdk)
-        };
+        let mut itdk = None;
+        let mut ripe = Vec::with_capacity(plans.len());
+        for unit in fan_out(workers, plans.len() + 1, |index| {
+            let fork = internet.network().fork();
+            match index.checked_sub(1) {
+                None => Collected::Itdk(build_itdk_on(&internet, &fork)),
+                Some(plan) => {
+                    Collected::Snapshot(measure_ripe_snapshot(&internet, &fork, &plans[plan]))
+                }
+            }
+        }) {
+            match unit {
+                Collected::Itdk(dataset) => itdk = Some(dataset),
+                Collected::Snapshot(snapshot) => ripe.push(snapshot),
+            }
+        }
+        let itdk = itdk.expect("the ITDK sweep is queued");
         timings.collect = phase_start.elapsed().as_secs_f64();
 
-        // Scanning: one forked network per dataset; each scan is further
-        // sharded internally by the zmap-style scanner. In parallel mode
-        // the shard budget is split across the concurrent scans (with 2×
-        // headroom so the phase tail, when only the largest dataset is
-        // left, still spreads over the cores) instead of spawning
-        // datasets × cores threads.
+        // Scanning: one forked network per dataset, all datasets at once;
+        // each scan is further sharded internally by the zmap-style
+        // scanner. In parallel mode the shard budget is split across the
+        // concurrent scans (with 2× headroom so the phase tail, when only
+        // the largest dataset is left, still spreads over the cores)
+        // instead of spawning datasets × cores threads. The forks are
+        // made here, on the calling thread: the memory they free is then
+        // reused by this thread's next allocations (the corpus build)
+        // instead of idling in worker threads' allocator arenas, which
+        // measured +70 MB of peak RSS at paper scale.
         let dataset_count = ripe.len() + 1;
-        let shards = if parallel {
-            ((cores * 2).div_ceil(dataset_count)).max(1)
+        let (scan_workers, shards) = if parallel {
+            (dataset_count, (workers * 2).div_ceil(dataset_count).max(1))
         } else {
-            1
+            (1, 1)
         };
         let phase_start = Instant::now();
         let scan_jobs: Vec<(&str, Vec<Ipv4Addr>)> = ripe
             .iter()
-            .map(|snapshot| {
-                (
-                    snapshot.name.as_str(),
-                    snapshot.router_ips.iter().copied().collect(),
-                )
-            })
-            .chain([(
-                itdk.name.as_str(),
-                itdk.router_ips.iter().copied().collect(),
-            )])
+            .map(|snapshot| (snapshot.name.as_str(), &snapshot.router_ips))
+            .chain([(itdk.name.as_str(), &itdk.router_ips)])
+            .map(|(name, ips)| (name, ips.iter().copied().collect()))
             .collect();
-        let mut scans: Vec<DatasetScan> = if parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = scan_jobs
-                    .iter()
-                    .map(|(name, targets)| {
-                        let fork = internet.network().fork();
-                        scope.spawn(move || scan_dataset(&fork, name, targets, shards))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("dataset scan panicked"))
-                    .collect()
-            })
-        } else {
-            scan_jobs
-                .iter()
-                .map(|(name, targets)| {
-                    scan_dataset(&internet.network().fork(), name, targets, shards)
-                })
-                .collect()
-        };
+        let forks: Vec<Network> = scan_jobs
+            .iter()
+            .map(|_| internet.network().fork())
+            .collect();
+        let mut scans = fan_out(scan_workers, scan_jobs.len(), |index| {
+            let (name, targets) = &scan_jobs[index];
+            scan_dataset(&forks[index], name, targets, shards)
+        });
+        drop(forks);
         let itdk_scan = scans.pop().expect("ITDK scan present");
         let ripe_scans = scans;
         timings.scan = phase_start.elapsed().as_secs_f64();
@@ -236,7 +217,7 @@ impl World {
         // participates in the serial-vs-parallel speedup comparison.
         if warm {
             let phase_start = Instant::now();
-            world.warm_cache(parallel);
+            world.warm_cache(workers);
             timings.classify = phase_start.elapsed().as_secs_f64();
             let shards = if parallel {
                 lfp_net::ScanConfig::default().shards
@@ -310,25 +291,13 @@ impl World {
     }
 
     /// Populate every per-dataset cache slot (idempotent).
-    fn warm_cache(&self, parallel: bool) {
+    fn warm_cache(&self, workers: usize) {
         let scans: Vec<&DatasetScan> = self.all_scans().collect();
-        if parallel {
-            std::thread::scope(|scope| {
-                for scan in scans {
-                    scope.spawn(move || {
-                        let _ = self.classification_map(scan);
-                        let _ = self.lfp_vendor_map(scan);
-                        let _ = self.snmp_vendor_map(scan);
-                    });
-                }
-            });
-        } else {
-            for scan in scans {
-                let _ = self.classification_map(scan);
-                let _ = self.lfp_vendor_map(scan);
-                let _ = self.snmp_vendor_map(scan);
-            }
-        }
+        fan_out(workers, scans.len(), |index| {
+            let _ = self.classification_map(scans[index]);
+            let _ = self.lfp_vendor_map(scans[index]);
+            let _ = self.snmp_vendor_map(scans[index]);
+        });
     }
 
     /// Every dataset scan, RIPE snapshots first, then ITDK.

@@ -23,6 +23,7 @@ pub mod mix;
 
 use lfp_analysis::World;
 use lfp_core::pipeline::scan_dataset;
+use lfp_net::{cores, fan_out};
 use lfp_store::SnapshotDelta;
 use lfp_topo::datasets::{measure_ripe_snapshot, plan_ripe_snapshots_extended};
 use lfp_topo::Scale;
@@ -44,19 +45,34 @@ pub fn shared_tiny_world() -> Arc<World> {
 /// benchmark's `epochs` workload and the process-level tests ingest
 /// these, so a benched epoch is byte-for-byte the epoch a longer
 /// measurement campaign would have produced next.
+///
+/// Each delta measures and scans its own forks, so the deltas commute:
+/// they fan out over the cores a batch of `cores` at a time, in plan
+/// order. The long-lived copy of each delta is built on the calling
+/// thread, so the workers' allocator arenas hold only measurement garbage
+/// the allocator can return; built on the workers, live deltas pinned it
+/// and raised `epochs` peak RSS by 9 %.
 pub fn measure_deltas(world: &World, count: usize) -> Vec<SnapshotDelta> {
     let internet = &world.internet;
     let base = internet.scale.snapshots;
     let plans = plan_ripe_snapshots_extended(internet, base + count);
-    plans[base..]
-        .iter()
-        .map(|plan| {
-            let snapshot = measure_ripe_snapshot(internet, &internet.network().fork(), plan);
+    let workers = cores();
+    let mut deltas = Vec::with_capacity(count);
+    for batch in plans[base..].chunks(workers) {
+        let measured = fan_out(workers, batch.len(), |index| {
+            let snapshot =
+                measure_ripe_snapshot(internet, &internet.network().fork(), &batch[index]);
             let targets: Vec<Ipv4Addr> = snapshot.router_ips.iter().copied().collect();
-            let scan = scan_dataset(&internet.network().fork(), &snapshot.name, &targets, 4);
-            SnapshotDelta::from_measurement(&snapshot, &scan)
-        })
-        .collect()
+            let scan = scan_dataset(&internet.network().fork(), &snapshot.name, &targets, 1);
+            (snapshot, scan)
+        });
+        deltas.extend(
+            measured
+                .iter()
+                .map(|(snapshot, scan)| SnapshotDelta::from_measurement(snapshot, scan)),
+        );
+    }
+    deltas
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! * [`traceroute`] — the TTL-limited path-discovery primitive that builds
 //!   the RIPE-Atlas-style datasets,
 //! * [`scanner`] — a zmap-style sharded parallel scan harness whose output
-//!   is bit-reproducible regardless of thread scheduling,
+//!   is bit-reproducible regardless of thread scheduling, and the ordered
+//!   [`fan_out`] queue the campaign runs its coarse units on,
 //! * [`link`] — path characters (latency, jitter, loss) and smoltcp-style
 //!   fault injection.
 //!
@@ -30,5 +31,5 @@ pub mod traceroute;
 
 pub use link::{FaultInjector, PathCharacter};
 pub use network::{DeviceId, Hop, Network, Reception, RouteOracle, RoutePath, VantageId};
-pub use scanner::{scan, ScanConfig, TargetContext};
+pub use scanner::{cores, fan_out, scan, ScanConfig, TargetContext};
 pub use traceroute::{traceroute, TracerouteOptions, TracerouteResult};

@@ -6,7 +6,9 @@
 //! MIDAR-style alias resolution exploits). Routing is delegated to a
 //! [`RouteOracle`] provided by the topology layer; the network itself only
 //! knows how to walk a router-level path, decrement TTLs, generate
-//! time-exceeded errors and apply path characteristics.
+//! time-exceeded errors and apply path characteristics. A traceroute asks
+//! for its path once ([`Network::route`]) and sends every TTL along the
+//! borrowed path ([`Network::probe_along`]).
 
 use crate::link::{path_character_for, splitmix64, FaultInjector, PathCharacter};
 use lfp_packet::ipv4::Ipv4Packet;
@@ -244,12 +246,17 @@ impl Network {
         (4 + splitmix64(self.seed ^ 0x4095 ^ u64::from(u32::from(target))) % 14) as u8
     }
 
-    /// Send a TTL-limited probe along the routed path from a vantage point
-    /// (the traceroute primitive). Returns the response — a time-exceeded
-    /// from an intermediate hop or the destination's answer — if any.
-    pub fn probe_routed(
+    /// Send a TTL-limited probe along `route` (the traceroute primitive).
+    /// Returns the response — a time-exceeded from an intermediate hop or
+    /// the destination's answer — if any.
+    ///
+    /// `route` must lead to the datagram's destination: the caller routes
+    /// once ([`Network::route`]) and sends every probe of a trace along the
+    /// borrowed path. Routing is a pure function of (vantage, destination),
+    /// so this equals routing every probe.
+    pub fn probe_along(
         &self,
-        vantage: VantageId,
+        route: &RoutePath,
         datagram: &[u8],
         send_time: f64,
         salt: u64,
@@ -257,7 +264,6 @@ impl Network {
         let packet = Ipv4Packet::new_checked(datagram).ok()?;
         let target = packet.dst_addr();
         let ttl = packet.ttl();
-        let route = self.oracle.route(vantage, target)?;
         let mut rng = self.probe_rng(target, salt.wrapping_add(0x7261_6365));
 
         if self.faults.drops(&mut rng) {
@@ -311,8 +317,10 @@ impl Network {
         None
     }
 
-    /// The routed path for a vantage/destination pair (used by dataset
-    /// builders that need hop lists without sending packets).
+    /// The routed path for a vantage/destination pair, or `None` when
+    /// `dst` is unreachable: what [`Network::probe_along`] walks, and what
+    /// dataset builders read when they need hop lists without sending
+    /// packets.
     pub fn route(&self, vantage: VantageId, dst: Ipv4Addr) -> Option<RoutePath> {
         self.oracle.route(vantage, dst)
     }
@@ -342,6 +350,7 @@ fn decrement_ttl(datagram: &mut [u8], hops: u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traceroute::{traceroute, TracerouteOptions};
     use lfp_packet::icmp::IcmpRepr;
     use lfp_packet::ipv4::{self, Ipv4Repr, Protocol};
     use lfp_stack::catalog;
@@ -436,9 +445,9 @@ mod tests {
         assert!(network.probe(&echo_probe(ip, 64), 0.0, 0).is_none());
     }
 
-    #[test]
-    fn routed_probe_with_expired_ttl_yields_time_exceeded() {
-        // Two-router chain: hop1 (transit) then hop2 (destination).
+    /// Two-router chain: hop 1 (a transit Juniper) then hop 2 (the
+    /// destination MikroTik). Returns the network and both addresses.
+    fn chain_network() -> (Network, Ipv4Addr, Ipv4Addr) {
         let p1 = Arc::new(catalog::default_variant(Vendor::Juniper));
         let p2 = Arc::new(catalog::default_variant(Vendor::MikroTik));
         let transit = (0..200)
@@ -486,19 +495,92 @@ mod tests {
             5,
         );
         network.set_base_loss(0.0);
+        (network, transit_ip, dest_ip)
+    }
+
+    #[test]
+    fn routed_probe_with_expired_ttl_yields_time_exceeded() {
+        let (network, transit_ip, dest_ip) = chain_network();
+        let route = network.route(VantageId(0), dest_ip).unwrap();
 
         // TTL 1 expires at the transit hop.
         let response = network
-            .probe_routed(VantageId(0), &echo_probe(dest_ip, 1), 0.0, 1)
+            .probe_along(&route, &echo_probe(dest_ip, 1), 0.0, 1)
             .unwrap();
         let packet = Ipv4Packet::new_checked(&response.datagram[..]).unwrap();
         assert_eq!(packet.src_addr(), transit_ip);
 
         // TTL 2 reaches the destination, which echoes.
         let response = network
-            .probe_routed(VantageId(0), &echo_probe(dest_ip, 2), 0.0, 2)
+            .probe_along(&route, &echo_probe(dest_ip, 2), 0.0, 2)
             .unwrap();
         let packet = Ipv4Packet::new_checked(&response.datagram[..]).unwrap();
         assert_eq!(packet.src_addr(), dest_ip);
+    }
+
+    #[test]
+    fn traceroute_toward_an_unrouted_destination_is_silent_up_to_the_give_up_cut() {
+        let (network, _, _) = chain_network();
+        let nowhere = Ipv4Addr::new(203, 0, 113, 5);
+        assert_eq!(network.route(VantageId(0), nowhere), None);
+        let trace = |options: TracerouteOptions| {
+            let result = traceroute(&network, VantageId(0), PROBER, nowhere, options, 0.0, 9);
+            assert!(!result.reached);
+            result.hops
+        };
+        let options = TracerouteOptions::default();
+        assert_eq!(trace(options), vec![None; 4], "cut after give_up_after");
+        let never_give_up = TracerouteOptions {
+            give_up_after: 0,
+            ..options
+        };
+        assert_eq!(trace(never_give_up), vec![None; 30], "every TTL tried");
+        let short = TracerouteOptions {
+            max_ttl: 3,
+            ..options
+        };
+        assert_eq!(trace(short), vec![None; 3], "max_ttl before the cut");
+    }
+
+    #[test]
+    fn traceroute_under_base_loss_keeps_its_draws() {
+        // Per-hop forwarding loss and return-path loss both draw from the
+        // probe's own RNG, so the pattern below is fixed by the salts. It
+        // was recorded when every probe still re-ran the routing oracle;
+        // routing once per trace must not move one draw.
+        let (mut network, transit_ip, dest_ip) = chain_network();
+        network.set_base_loss(0.3);
+        let pattern: Vec<String> = (0..24u64)
+            .map(|salt| {
+                let result = traceroute(
+                    &network,
+                    VantageId(0),
+                    PROBER,
+                    dest_ip,
+                    TracerouteOptions::default(),
+                    salt as f64 * 2.0,
+                    salt,
+                );
+                let mut trace: String = result
+                    .hops
+                    .iter()
+                    .map(|hop| match hop {
+                        Some(ip) if *ip == transit_ip => 't',
+                        Some(ip) if *ip == dest_ip => 'd',
+                        Some(_) => '?',
+                        None => '.',
+                    })
+                    .collect();
+                if result.reached {
+                    trace.push('!');
+                }
+                trace
+            })
+            .collect();
+        assert_eq!(
+            pattern.join(" "),
+            "t.... t.d! td! ..d! t..d! .d! td! td! .... ..d! t...d! .d! \
+             .d! .d! t.d! .d! .d! t..d! td! td! td! td! td! td!"
+        );
     }
 }

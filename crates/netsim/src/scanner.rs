@@ -8,8 +8,14 @@
 //! when the device is unknown): equal keys land in the same shard and are
 //! processed in submission order, which makes entire scans deterministic
 //! regardless of thread scheduling.
+//!
+//! Coarse units of unequal cost (a dataset collection, an experiment, a
+//! cohort target) go through [`fan_out`] instead: an ordered queue
+//! claimed through one atomic cursor by at most `workers` threads, each
+//! result landing in its unit's slot.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Scan configuration.
 #[derive(Debug, Clone, Copy)]
@@ -118,10 +124,90 @@ where
         .collect()
 }
 
+/// Worker count for a [`fan_out`] across the machine: one per available
+/// core (4 where the count is unknown).
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(4, NonZeroUsize::get)
+}
+
+/// Run `unit(index)` for every index in `0..count` on at most `workers`
+/// scoped threads and return the results in index order.
+///
+/// Workers claim indices from one atomic cursor, so units start in queue
+/// order: queue the longest unit first, so the phase never waits on it
+/// after starting it last. Only `workers` units are
+/// in flight at once, which bounds whatever each unit holds while it runs
+/// (a network fork, say). With one worker, or one unit, everything runs
+/// inline on the calling thread in index order — the serial reference
+/// path is this function with `workers = 1`. Whenever the units commute
+/// the result does not depend on `workers`.
+pub fn fan_out<R, F>(workers: usize, count: usize, unit: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = workers.min(count);
+    if workers <= 1 {
+        return (0..count).map(unit).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the cursor only hands out indices; the
+                        // results come back through `join`.
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        if index >= count {
+                            break done;
+                        }
+                        done.push((index, unit(index)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (index, result) in handle.join().expect("fan-out worker panicked") {
+                slots[index] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every unit ran"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn fan_out_returns_results_by_slot_for_any_worker_count() {
+        let serial = fan_out(1, 100, |index| index * index);
+        assert_eq!(serial, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        for workers in [2, 3, 8, 200] {
+            assert_eq!(fan_out(workers, 100, |index| index * index), serial);
+        }
+        assert!(fan_out(4, 0, |index| index).is_empty());
+    }
+
+    #[test]
+    fn fan_out_keeps_at_most_workers_units_in_flight() {
+        let live = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        fan_out(3, 40, |_| {
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::yield_now();
+            live.fetch_sub(1, Ordering::SeqCst);
+        });
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=3).contains(&peak), "{peak} units in flight");
+    }
 
     #[test]
     fn results_preserve_submission_order() {

@@ -5,9 +5,13 @@
 //! ICMP time-exceeded answers for intermediate hop interfaces, stopping at
 //! the destination's port-unreachable. Unresponsive hops show up as `None`
 //! exactly as `*` does in real traceroute output.
+//!
+//! A trace asks the routing oracle once and walks every probe along that
+//! path ([`Network::probe_along`]): a probe costs the walk and the
+//! responder's answer, not a route lookup and a datagram build.
 
 use crate::network::{Network, VantageId};
-use lfp_packet::icmp::{IcmpPacket, IcmpRepr};
+use lfp_packet::icmp::{IcmpKind, IcmpPacket};
 use lfp_packet::ipv4::{self, Ipv4Packet, Ipv4Repr, Protocol};
 use lfp_packet::udp::UdpRepr;
 use std::net::Ipv4Addr;
@@ -70,6 +74,14 @@ impl Default for TracerouteOptions {
 }
 
 /// Run one UDP traceroute through the simulated network.
+///
+/// The route is computed once per trace and every probe is sent along it
+/// with [`Network::probe_along`]. An unreachable destination has no route
+/// and answers nothing, so its trace is the all-silent run cut at
+/// `give_up_after`. Each TTL's UDP segment is built once and every attempt
+/// goes out of one reused datagram buffer: only the IPv4 header (TTL and
+/// ident) differs between them. Every probe's draws are seeded by its own
+/// salt, so none of this moves a draw.
 pub fn traceroute(
     network: &Network,
     vantage: VantageId,
@@ -79,24 +91,29 @@ pub fn traceroute(
     base_time: f64,
     salt: u64,
 ) -> TracerouteResult {
+    let route = network.route(vantage, dst);
     let mut hops = Vec::new();
     let mut reached = false;
     let mut silent_streak = 0u8;
+    let mut datagram = Vec::new();
 
     'ttl: for ttl in 1..=options.max_ttl {
         let mut hop = None;
-        for attempt in 0..options.attempts.max(1) {
-            let probe_salt = salt
-                .wrapping_mul(1_000_003)
-                .wrapping_add(u64::from(ttl) * 17 + u64::from(attempt));
+        if let Some(route) = &route {
             let udp = UdpRepr {
                 src_port: 45000 + u16::from(ttl),
                 dst_port: PORT_BASE + u16::from(ttl),
                 payload: vec![0u8; 12],
             }
             .to_bytes(src, dst);
-            let datagram = ipv4::build_datagram(
-                &Ipv4Repr {
+            datagram.clear();
+            datagram.resize(ipv4::HEADER_LEN, 0);
+            datagram.extend_from_slice(&udp);
+            for attempt in 0..options.attempts.max(1) {
+                let probe_salt = salt
+                    .wrapping_mul(1_000_003)
+                    .wrapping_add(u64::from(ttl) * 17 + u64::from(attempt));
+                Ipv4Repr {
                     src,
                     dst,
                     protocol: Protocol::Udp,
@@ -104,31 +121,30 @@ pub fn traceroute(
                     ident: u16::from(ttl) << 8 | u16::from(attempt),
                     dont_frag: false,
                     payload_len: udp.len(),
-                },
-                &udp,
-            );
-            let send_time = base_time + f64::from(ttl) * 0.02 + f64::from(attempt) * 0.5;
-            let Some(reception) = network.probe_routed(vantage, &datagram, send_time, probe_salt)
-            else {
-                continue;
-            };
-            let Ok(packet) = Ipv4Packet::new_checked(&reception.datagram[..]) else {
-                continue;
-            };
-            let responder = packet.src_addr();
-            if responder == dst {
-                hop = Some(responder);
-                hops.push(hop);
-                reached = true;
-                break 'ttl;
-            }
-            // Only accept genuine time-exceeded answers as hops.
-            if packet.protocol() == Protocol::Icmp {
-                if let Ok(icmp) = IcmpPacket::new_checked(packet.payload()) {
-                    if matches!(IcmpRepr::parse(&icmp), Ok(IcmpRepr::TimeExceeded { .. })) {
-                        hop = Some(responder);
-                        break;
-                    }
+                }
+                .emit(&mut Ipv4Packet::new_unchecked(&mut datagram[..]));
+                let send_time = base_time + f64::from(ttl) * 0.02 + f64::from(attempt) * 0.5;
+                let Some(reception) = network.probe_along(route, &datagram, send_time, probe_salt)
+                else {
+                    continue;
+                };
+                let Ok(packet) = Ipv4Packet::new_checked(&reception.datagram[..]) else {
+                    continue;
+                };
+                let responder = packet.src_addr();
+                if responder == dst {
+                    hop = Some(responder);
+                    hops.push(hop);
+                    reached = true;
+                    break 'ttl;
+                }
+                // Only accept genuine time-exceeded answers as hops.
+                if packet.protocol() == Protocol::Icmp
+                    && IcmpPacket::new_checked(packet.payload())
+                        .is_ok_and(|icmp| icmp.kind() == Ok(IcmpKind::TimeExceeded))
+                {
+                    hop = Some(responder);
+                    break;
                 }
             }
         }

@@ -112,7 +112,6 @@ impl TopologyCore {
     /// `dst` itself as the responding interface.
     pub fn expand_path(&self, as_path: &[u32], dst: Ipv4Addr) -> Option<RoutePath> {
         let dst_device = *self.ip_index.get(&dst)?;
-        let dst_router = &self.routers[dst_device.0 as usize];
         let mut hops: Vec<Hop> = Vec::with_capacity(as_path.len() * 2 + 1);
 
         let mut previous_as = u32::MAX;
@@ -150,27 +149,15 @@ impl TopologyCore {
             previous_as = as_id;
         }
 
-        // Terminal hop: the destination interface itself. If the last
-        // expanded hop already sits on the destination router (it was
-        // chosen as an ingress/interior hop), replace it — the path must
-        // end on `dst`, not on a sibling interface of the same device.
-        if hops.last().map(|last| last.device) == Some(dst_device) {
-            hops.pop();
-        }
+        // Terminal hop: the destination interface itself. A hop already
+        // on the destination router (chosen as an ingress or interior hop)
+        // is dropped: the path must end on `dst`, not on a sibling
+        // interface of the same device, and must not visit it twice.
+        hops.retain(|hop| hop.device != dst_device);
         hops.push(Hop {
             device: dst_device,
             ingress: dst,
         });
-        // The destination must not appear twice (e.g. when it was chosen
-        // as its AS's ingress).
-        let terminal = hops.len() - 1;
-        hops = hops
-            .into_iter()
-            .enumerate()
-            .filter(|(index, hop)| *index == terminal || hop.device != dst_device)
-            .map(|(_, hop)| hop)
-            .collect();
-        let _ = dst_router;
         Some(RoutePath { hops })
     }
 
