@@ -188,9 +188,16 @@ impl World {
         let phase_start = Instant::now();
         let scan_jobs: Vec<(&str, Vec<Ipv4Addr>)> = ripe
             .iter()
-            .map(|snapshot| (snapshot.name.as_str(), &snapshot.router_ips))
-            .chain([(itdk.name.as_str(), &itdk.router_ips)])
-            .map(|(name, ips)| (name, ips.iter().copied().collect()))
+            .map(|snapshot| {
+                (
+                    snapshot.name.as_str(),
+                    snapshot.router_ips.iter().copied().collect(),
+                )
+            })
+            .chain([(
+                itdk.name.as_str(),
+                itdk.router_ips.iter().copied().collect(),
+            )])
             .collect();
         let forks: Vec<Network> = scan_jobs
             .iter()
