@@ -39,7 +39,7 @@ pub fn avoidance_study(
         if dst == transit_as {
             continue;
         }
-        let table = core.bgp(dst, None);
+        let table = core.bgp(dst);
         let mut transits = false;
         for &src in sources {
             if src == dst {
@@ -57,8 +57,9 @@ pub fn avoidance_study(
             continue;
         }
         affected.insert(dst);
-        // Is there an alternative with the AS excluded entirely?
-        let excluded = core.bgp(dst, Some(transit_as));
+        // Is there an alternative with the AS excluded entirely? The
+        // table is this destination's alone: computed here, dropped here.
+        let excluded = core.graph.routes_to(dst, Some(transit_as));
         if sources
             .iter()
             .any(|&src| src != dst && excluded.reachable(src))
@@ -130,7 +131,7 @@ mod tests {
             // Spot-check: recomputing with exclusion yields paths without
             // the transit AS.
             for &dst in &destinations {
-                let excluded = core.bgp(dst, Some(transit));
+                let excluded = core.graph.routes_to(dst, Some(transit));
                 for &src in &sources {
                     if src == dst {
                         continue;

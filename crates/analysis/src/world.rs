@@ -12,14 +12,30 @@
 //! Collection and scanning dominate the campaign wall-clock, and both
 //! decompose into per-dataset units. Each unit runs against its own
 //! [`lfp_net::Network::fork`] — a private copy of every device's mutable
-//! state — so no unit observes another's IPID-counter history. That makes
-//! the units order-independent. [`World::build`] runs them on the bounded
-//! [`lfp_net::fan_out`] queue: collection takes the ITDK sweep first as
+//! state (IPID counters and RNG, 88 bytes a device; the fixed device
+//! table is shared, not copied) — so no unit observes another's
+//! IPID-counter history. That makes the units order-independent.
+//! [`World::build`] runs them on the bounded [`lfp_net::fan_out`] queue: collection takes the ITDK sweep first as
 //! the longest unit, then the snapshots, with at most one worker per core
 //! and so at most `cores` forks alive. [`World::build_serial`] is the same
 //! queue with one worker and single-shard scans, and both produce
 //! bit-identical worlds (asserted by `tests/determinism.rs`, which also
 //! pins a tiny world's digests).
+//!
+//! ## Memory
+//!
+//! At paper scale a built world holds about 206 MiB of live heap.
+//!
+//! - Routing state: the topology memoises one route table per
+//!   destination AS, at 3 bytes per AS (34 MiB for the 2,283 tables a
+//!   build leaves). The §6.3 avoidance study's tables, with one AS
+//!   excluded, are computed per call and dropped.
+//! - Forks: one costs 6.4 MiB (76,526 devices × 88 bytes of mutable
+//!   state); at most `cores` collection forks and one scan fork per
+//!   dataset are alive at once.
+//!
+//! The route memo grows with destinations × ASes: doubling the AS count
+//! takes the build's peak RSS 2.2×.
 //!
 //! ## The campaign cache
 //!
@@ -177,8 +193,10 @@ impl World {
         // instead of spawning datasets × cores threads. The forks are
         // made here, on the calling thread: the memory they free is then
         // reused by this thread's next allocations (the corpus build)
-        // instead of idling in worker threads' allocator arenas, which
-        // measured +70 MB of peak RSS at paper scale.
+        // instead of idling in worker threads' allocator arenas. With
+        // forks that copy only device state, making them on the workers
+        // still measured +22 MiB of `campaign-paper` peak RSS (median of
+        // 6 pairs, 288 → 310 MiB; worse in 6 of 6).
         let dataset_count = ripe.len() + 1;
         let (scan_workers, shards) = if parallel {
             (dataset_count, (workers * 2).div_ceil(dataset_count).max(1))

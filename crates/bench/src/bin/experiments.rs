@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--scale tiny|small|paper|path-stress|query-stress|ingest-stress] [--serial] [--json DIR]
-//!             [--markdown FILE] [ids…|all]
+//!             [--markdown FILE] [--list] [--help] [ids…|all]
 //! ```
 //!
 //! Builds one fully measured `World` at the requested scale, runs the
@@ -13,12 +13,17 @@
 //! repo benchmark's `campaign-paper` workload.
 //! `--serial` forces the single-threaded single-shard reference path —
 //! the baseline the parallel campaign's speedup is measured against.
+//! `--help` prints the usage and exits 0; any other unknown `--flag`
+//! exits 2, before a world is built.
 
 use lfp_analysis::experiments::{all_ids, run_all_parallel, run_by_id, EXPERIMENTS};
 use lfp_analysis::{Report, World};
 use lfp_topo::Scale;
 use std::io::Write;
 use std::time::Instant;
+
+const USAGE: &str = "usage: experiments [--scale tiny|small|paper|path-stress|query-stress|ingest-stress] [--serial]
+                   [--json DIR] [--markdown FILE] [--list] [--help] [ids…|all]";
 
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
@@ -49,7 +54,15 @@ fn main() {
                 }
                 return;
             }
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             "all" => run_all_requested = true,
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown flag '{flag}'\n{USAGE}");
+                std::process::exit(2);
+            }
             other => ids.push(other.to_string()),
         }
     }

@@ -12,7 +12,8 @@
 //!   acknowledged, the `slowlog` is bounded and sorted slowest first,
 //!   and `--metrics-dump` prints the exposition after the drain;
 //! * `experiments` prints the same reports serial or parallel and
-//!   writes no file.
+//!   writes no file; `--help` prints the usage and an unknown flag exits
+//!   2, both without building a world.
 
 mod common;
 
@@ -204,4 +205,25 @@ fn experiments_print_identical_reports_serial_or_parallel_and_write_no_file() {
         .map(|entry| entry.expect("dir entry").file_name())
         .collect();
     assert!(left.is_empty(), "experiments wrote {left:?}");
+}
+
+#[test]
+fn experiments_help_prints_usage_and_an_unknown_flag_exits_2_before_any_build() {
+    let scratch = Scratch::new("experiments-flags");
+    let experiments = env!("CARGO_BIN_EXE_experiments");
+    let help = run(experiments, &["--help"], scratch.dir());
+    let usage = String::from_utf8_lossy(&help.stdout);
+    assert!(usage.starts_with("usage: experiments"), "{usage}");
+    assert!(help.stderr.is_empty(), "--help built a world");
+
+    let bogus = Command::new(experiments)
+        .args(["--scale", "tiny", "--bogus"])
+        .current_dir(scratch.dir())
+        .output()
+        .expect("spawn experiments");
+    assert_eq!(bogus.status.code(), Some(2));
+    assert!(bogus.stdout.is_empty(), "an unknown flag printed a report");
+    let stderr = String::from_utf8_lossy(&bogus.stderr);
+    assert!(stderr.contains("unknown flag '--bogus'"), "{stderr}");
+    assert!(!stderr.contains("building world"), "{stderr}");
 }

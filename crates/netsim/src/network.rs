@@ -1,9 +1,12 @@
 //! The simulated network: devices, interface addressing, delivery.
 //!
-//! [`Network`] owns every [`RouterDevice`] behind a mutex (IPID counters
-//! are per-router and interfaces alias onto them, so concurrent probes of
-//! two interfaces of one router must serialise — exactly the property that
-//! MIDAR-style alias resolution exploits). Routing is delegated to a
+//! [`Network`] splits every [`RouterDevice`] in two. The fixed parts
+//! ([`DeviceStatic`]) sit in one table that every fork shares; each
+//! device's mutable state ([`DeviceState`]: IPID counters, RNG) sits
+//! behind its own mutex (IPID counters are per-router and interfaces
+//! alias onto them, so concurrent probes of two interfaces of one router
+//! must serialise — exactly the property that MIDAR-style alias
+//! resolution exploits). Routing is delegated to a
 //! [`RouteOracle`] provided by the topology layer; the network itself only
 //! knows how to walk a router-level path, decrement TTLs, generate
 //! time-exceeded errors and apply path characteristics. A traceroute asks
@@ -12,7 +15,7 @@
 
 use crate::link::{path_character_for, splitmix64, FaultInjector, PathCharacter};
 use lfp_packet::ipv4::Ipv4Packet;
-use lfp_stack::device::RouterDevice;
+use lfp_stack::device::{DeviceState, DeviceStatic, RouterDevice};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -74,7 +77,11 @@ pub struct Reception {
 
 /// The simulated Internet fabric.
 pub struct Network {
-    devices: Vec<Mutex<RouterDevice>>,
+    /// Fixed device descriptions, indexed by device id; shared by forks.
+    statics: Arc<[DeviceStatic]>,
+    /// Mutable device state, index-aligned with `statics`; private to
+    /// each fork.
+    states: Vec<Mutex<DeviceState>>,
     ip_index: Arc<HashMap<Ipv4Addr, DeviceId>>,
     oracle: Arc<dyn RouteOracle>,
     faults: FaultInjector,
@@ -103,8 +110,11 @@ impl Network {
                 "interface maps to unknown device {id:?}"
             );
         }
+        let (statics, states): (Vec<DeviceStatic>, Vec<DeviceState>) =
+            devices.into_iter().map(RouterDevice::into_parts).unzip();
         Network {
-            devices: devices.into_iter().map(Mutex::new).collect(),
+            statics: statics.into(),
+            states: states.into_iter().map(Mutex::new).collect(),
             ip_index: Arc::new(interfaces),
             oracle: Arc::from(oracle),
             faults: FaultInjector::none(),
@@ -115,8 +125,10 @@ impl Network {
     }
 
     /// Fork an independent copy of this network: same topology, routing
-    /// oracle and configuration, but a private clone of every device's
-    /// mutable state (IPID counters, RNG streams).
+    /// oracle, configuration and device table, but a private copy of every
+    /// device's mutable state (IPID counters, RNG streams). That copy is
+    /// one fixed-size [`DeviceState`] per device, with no heap allocation
+    /// per device; the fixed descriptions are shared, not copied.
     ///
     /// Forks make measurement campaigns order-independent: two scans run
     /// against separate forks observe identical counter histories whether
@@ -125,10 +137,11 @@ impl Network {
     /// bit-identical to a serial build.
     pub fn fork(&self) -> Network {
         Network {
-            devices: self
-                .devices
+            statics: Arc::clone(&self.statics),
+            states: self
+                .states
                 .iter()
-                .map(|device| Mutex::new(device.lock().expect("device mutex poisoned").clone()))
+                .map(|state| Mutex::new(state.lock().expect("device mutex poisoned").clone()))
                 .collect(),
             ip_index: Arc::clone(&self.ip_index),
             oracle: Arc::clone(&self.oracle),
@@ -174,7 +187,7 @@ impl Network {
 
     /// Number of devices.
     pub fn device_count(&self) -> usize {
-        self.devices.len()
+        self.statics.len()
     }
 
     /// Addresses known to the network.
@@ -185,14 +198,6 @@ impl Network {
     /// Device owning an interface address.
     pub fn device_of(&self, ip: Ipv4Addr) -> Option<DeviceId> {
         self.ip_index.get(&ip).copied()
-    }
-
-    /// Run `f` with exclusive access to a device (used by analyses that
-    /// need ground truth, e.g. accuracy scoring — never by the classifier).
-    pub fn with_device<T>(&self, id: DeviceId, f: impl FnOnce(&mut RouterDevice) -> T) -> T {
-        f(&mut self.devices[id.0 as usize]
-            .lock()
-            .expect("device mutex poisoned"))
     }
 
     /// Stable path character between the prober and a target address.
@@ -222,10 +227,9 @@ impl Network {
         }
         let forward = path.traverse(&mut rng)?;
         let arrival = send_time + forward;
-        let mut response = self.devices[device.0 as usize]
-            .lock()
-            .expect("device mutex poisoned")
-            .handle_datagram(datagram, arrival)?;
+        let mut response = self.answer(device, |fixed, state| {
+            fixed.handle_datagram(state, datagram, arrival)
+        })?;
         if self.faults.drops(&mut rng) {
             return None;
         }
@@ -286,10 +290,9 @@ impl Network {
             if remaining_ttl == 0 && !(is_last && hop.ingress == target) {
                 // TTL expired in transit: this hop answers (or silently
                 // drops, per its exposure posture).
-                let mut response = self.devices[hop.device.0 as usize]
-                    .lock()
-                    .expect("device mutex poisoned")
-                    .time_exceeded(datagram, hop.ingress, now)?;
+                let mut response = self.answer(hop.device, |fixed, state| {
+                    fixed.time_exceeded(state, datagram, hop.ingress, now)
+                })?;
                 let back = path.traverse(&mut rng)?;
                 decrement_ttl(&mut response, index as u8);
                 return Some(Reception {
@@ -302,10 +305,9 @@ impl Network {
                 if remaining_ttl == 0 && ttl as usize <= index {
                     return None;
                 }
-                let mut response = self.devices[hop.device.0 as usize]
-                    .lock()
-                    .expect("device mutex poisoned")
-                    .handle_datagram(datagram, now)?;
+                let mut response = self.answer(hop.device, |fixed, state| {
+                    fixed.handle_datagram(state, datagram, now)
+                })?;
                 let back = path.traverse(&mut rng)?;
                 decrement_ttl(&mut response, index as u8);
                 return Some(Reception {
@@ -323,6 +325,16 @@ impl Network {
     /// packets.
     pub fn route(&self, vantage: VantageId, dst: Ipv4Addr) -> Option<RoutePath> {
         self.oracle.route(vantage, dst)
+    }
+
+    /// Let device `id` answer with its fixed description and its state,
+    /// the state locked for the call.
+    fn answer<T>(&self, id: DeviceId, f: impl FnOnce(&DeviceStatic, &mut DeviceState) -> T) -> T {
+        let index = id.0 as usize;
+        f(
+            &self.statics[index],
+            &mut self.states[index].lock().expect("device mutex poisoned"),
+        )
     }
 
     fn probe_rng(&self, target: Ipv4Addr, salt: u64) -> SmallRng {

@@ -1,17 +1,20 @@
 //! A stateful simulated router answering raw IPv4 datagrams.
 //!
 //! [`RouterDevice`] is the object the simulator delivers packets to. It
-//! owns per-router state — IPID counters shared across interfaces, the
-//! SNMPv3 engine, sampled exposure decisions — and produces byte-exact
-//! responses: echo replies, TCP RSTs or SYN-ACKs, ICMP port unreachables
-//! with vendor-specific quoting, SNMPv3 discovery reports, and TTL
-//! time-exceeded errors for traceroute.
+//! is two parts: a [`DeviceStatic`] fixed at creation (profile, SNMPv3
+//! engine, sampled exposure decisions, IPID plan) and a small
+//! [`DeviceState`] that answering advances (IPID counters shared across
+//! interfaces, the RNG stream). A network stores the fixed parts once
+//! and copies only the states when it forks. Together they produce
+//! byte-exact responses: echo replies, TCP RSTs or SYN-ACKs, ICMP port
+//! unreachables with vendor-specific quoting, SNMPv3 discovery reports,
+//! and TTL time-exceeded errors for traceroute.
 //!
 //! Everything the classifier later observes is generated here from the
 //! [`StackProfile`] knobs; no vendor label ever crosses the wire except
 //! inside a BER-encoded engine ID, exactly as in the real measurement.
 
-use crate::ipid::IpidEngine;
+use crate::ipid::{IpidCounters, IpidEngine};
 use crate::profile::StackProfile;
 use lfp_packet::icmp::{IcmpPacket, IcmpRepr, UnreachableCode};
 use lfp_packet::ipv4::{self, Ipv4Packet, Ipv4Repr, Protocol};
@@ -47,12 +50,14 @@ pub struct Exposure {
     pub time_exceeded: bool,
 }
 
-/// A simulated router: stack profile plus mutable state.
+/// What a router is, fixed when it is created: its stack profile,
+/// sampled exposure, SNMPv3 engine, boot count, uptime origin,
+/// canonical address and IPID plan. The simulated network keeps one
+/// table of these, shared by every fork of it.
 #[derive(Debug, Clone)]
-pub struct RouterDevice {
+pub struct DeviceStatic {
     profile: Arc<StackProfile>,
     ipid: IpidEngine,
-    rng: SmallRng,
     exposure: Exposure,
     engine_id: EngineId,
     engine_boots: u32,
@@ -62,11 +67,26 @@ pub struct RouterDevice {
     canonical_ip: Option<Ipv4Addr>,
 }
 
+/// What changes as a router answers: its IPID counters and its RNG
+/// stream. Fixed-size and heap-free, so copying it is a memcpy.
+#[derive(Debug, Clone)]
+pub struct DeviceState {
+    counters: IpidCounters,
+    rng: SmallRng,
+}
+
+/// A simulated router: its fixed description plus its mutable state.
+#[derive(Debug, Clone)]
+pub struct RouterDevice {
+    fixed: DeviceStatic,
+    state: DeviceState,
+}
+
 impl RouterDevice {
     /// Instantiate a device with deterministic per-device randomness.
     pub fn new(profile: Arc<StackProfile>, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let ipid = IpidEngine::new(profile.ipid, profile.background_pps, &mut rng);
+        let (ipid, counters) = IpidEngine::new(profile.ipid, profile.background_pps, &mut rng);
         let (icmp, tcp, udp) = profile.exposure.sample_posture(&mut rng);
         let exposure = Exposure {
             icmp,
@@ -87,14 +107,16 @@ impl RouterDevice {
         let engine_boots = rng.gen_range(1..=60);
         let uptime_base = rng.gen_range(3_600..30_000_000);
         RouterDevice {
-            profile,
-            ipid,
-            rng,
-            exposure,
-            engine_id,
-            engine_boots,
-            uptime_base,
-            canonical_ip: None,
+            fixed: DeviceStatic {
+                profile,
+                ipid,
+                exposure,
+                engine_id,
+                engine_boots,
+                uptime_base,
+                canonical_ip: None,
+            },
+            state: DeviceState { counters, rng },
         }
     }
 
@@ -102,9 +124,48 @@ impl RouterDevice {
     /// sourced from it when the profile says so; this is what iffinder-style
     /// alias resolution observes.
     pub fn set_canonical_ip(&mut self, ip: Ipv4Addr) {
-        self.canonical_ip = Some(ip);
+        self.fixed.canonical_ip = Some(ip);
     }
 
+    /// The behavioural profile driving this device.
+    pub fn profile(&self) -> &StackProfile {
+        self.fixed.profile()
+    }
+
+    /// Sampled exposure decisions.
+    pub fn exposure(&self) -> Exposure {
+        self.fixed.exposure()
+    }
+
+    /// The SNMPv3 engine identifier (vendor truth leaks only through this).
+    pub fn engine_id(&self) -> &EngineId {
+        self.fixed.engine_id()
+    }
+
+    /// Split into the fixed description and the mutable state.
+    pub fn into_parts(self) -> (DeviceStatic, DeviceState) {
+        (self.fixed, self.state)
+    }
+
+    /// Handle an IPv4 datagram addressed to one of this router's
+    /// interfaces; see [`DeviceStatic::handle_datagram`].
+    pub fn handle_datagram(&mut self, datagram: &[u8], now: f64) -> Option<Vec<u8>> {
+        self.fixed.handle_datagram(&mut self.state, datagram, now)
+    }
+
+    /// A time-exceeded error; see [`DeviceStatic::time_exceeded`].
+    pub fn time_exceeded(
+        &mut self,
+        original: &[u8],
+        from_ip: Ipv4Addr,
+        now: f64,
+    ) -> Option<Vec<u8>> {
+        self.fixed
+            .time_exceeded(&mut self.state, original, from_ip, now)
+    }
+}
+
+impl DeviceStatic {
     /// The behavioural profile driving this device.
     pub fn profile(&self) -> &StackProfile {
         &self.profile
@@ -126,18 +187,24 @@ impl RouterDevice {
     }
 
     /// Handle an IPv4 datagram addressed to one of this router's
-    /// interfaces; returns the full response datagram, if any.
-    pub fn handle_datagram(&mut self, datagram: &[u8], now: f64) -> Option<Vec<u8>> {
+    /// interfaces, advancing `state`; returns the full response
+    /// datagram, if any.
+    pub fn handle_datagram(
+        &self,
+        state: &mut DeviceState,
+        datagram: &[u8],
+        now: f64,
+    ) -> Option<Vec<u8>> {
         let packet = Ipv4Packet::new_checked(datagram).ok()?;
         let src = packet.src_addr();
         let dst = packet.dst_addr();
         match packet.protocol() {
             Protocol::Icmp => {
                 let request_ipid = packet.ident();
-                self.handle_icmp(packet.payload(), src, dst, request_ipid, now)
+                self.handle_icmp(state, packet.payload(), src, dst, request_ipid, now)
             }
-            Protocol::Tcp => self.handle_tcp(packet.payload(), src, dst, now),
-            Protocol::Udp => self.handle_udp(datagram, src, dst, now),
+            Protocol::Tcp => self.handle_tcp(state, packet.payload(), src, dst, now),
+            Protocol::Udp => self.handle_udp(state, datagram, src, dst, now),
             Protocol::Other(_) => None,
         }
     }
@@ -147,7 +214,8 @@ impl RouterDevice {
     /// forwarding path; shares the UDP-class IPID counter because both are
     /// control-plane ICMP errors.
     pub fn time_exceeded(
-        &mut self,
+        &self,
+        state: &mut DeviceState,
         original: &[u8],
         from_ip: Ipv4Addr,
         now: f64,
@@ -161,11 +229,20 @@ impl RouterDevice {
         let mut quote = original[..original.len().min(quote_len)].to_vec();
         quote.resize(quote_len, 0);
         let icmp = IcmpRepr::TimeExceeded { quote }.to_bytes();
-        Some(self.wrap_ip(from_ip, dst, Protocol::Icmp, Protocol::Udp, &icmp, now))
+        let ipid = self.next_ipid(state, Protocol::Udp, now);
+        Some(self.wrap_ip_with_ipid(
+            from_ip,
+            dst,
+            Protocol::Icmp,
+            self.profile.ttl.udp,
+            ipid,
+            &icmp,
+        ))
     }
 
     fn handle_icmp(
-        &mut self,
+        &self,
+        state: &mut DeviceState,
         payload: &[u8],
         src: Ipv4Addr,
         dst: Ipv4Addr,
@@ -199,7 +276,7 @@ impl RouterDevice {
         let ipid = if self.profile.icmp_echo_reflect_ipid {
             request_ipid
         } else {
-            self.ipid.allocate(Protocol::Icmp, now, &mut self.rng)
+            self.next_ipid(state, Protocol::Icmp, now)
         };
         Some(self.wrap_ip_with_ipid(
             dst,
@@ -212,7 +289,8 @@ impl RouterDevice {
     }
 
     fn handle_tcp(
-        &mut self,
+        &self,
+        state: &mut DeviceState,
         payload: &[u8],
         src: Ipv4Addr,
         dst: Ipv4Addr,
@@ -225,7 +303,7 @@ impl RouterDevice {
             return None;
         }
         if Some(probe.dst_port) == self.exposure.open_port {
-            return self.answer_open_port(&probe, src, dst, now);
+            return self.answer_open_port(state, &probe, src, dst, now);
         }
         if !self.exposure.tcp {
             return None;
@@ -260,12 +338,13 @@ impl RouterDevice {
             options: TcpOptions::default(),
         }
         .to_bytes(dst, src);
-        let ipid = self.ipid.allocate(Protocol::Tcp, now, &mut self.rng);
+        let ipid = self.next_ipid(state, Protocol::Tcp, now);
         Some(self.wrap_ip_with_ipid(dst, src, Protocol::Tcp, self.profile.ttl.tcp, ipid, &rst))
     }
 
     fn answer_open_port(
-        &mut self,
+        &self,
+        state: &mut DeviceState,
         probe: &TcpRepr,
         src: Ipv4Addr,
         dst: Ipv4Addr,
@@ -278,7 +357,7 @@ impl RouterDevice {
         let syn_ack = TcpRepr {
             src_port: probe.dst_port,
             dst_port: probe.src_port,
-            seq: self.rng.gen(),
+            seq: state.rng.gen(),
             ack: probe.seq.wrapping_add(1),
             flags: TcpFlags::SYN | TcpFlags::ACK,
             window: shape.window,
@@ -294,7 +373,7 @@ impl RouterDevice {
             },
         }
         .to_bytes(dst, src);
-        let ipid = self.ipid.allocate(Protocol::Tcp, now, &mut self.rng);
+        let ipid = self.next_ipid(state, Protocol::Tcp, now);
         Some(self.wrap_ip_with_ipid(
             dst,
             src,
@@ -306,7 +385,8 @@ impl RouterDevice {
     }
 
     fn handle_udp(
-        &mut self,
+        &self,
+        state: &mut DeviceState,
         datagram: &[u8],
         src: Ipv4Addr,
         dst: Ipv4Addr,
@@ -318,7 +398,7 @@ impl RouterDevice {
             return None;
         }
         if udp.dst_port() == SNMP_PORT {
-            return self.handle_snmp(&udp, src, dst, now);
+            return self.handle_snmp(state, &udp, src, dst, now);
         }
         if !self.exposure.udp {
             return None;
@@ -332,7 +412,7 @@ impl RouterDevice {
             quote,
         }
         .to_bytes();
-        let ipid = self.ipid.allocate(Protocol::Udp, now, &mut self.rng);
+        let ipid = self.next_ipid(state, Protocol::Udp, now);
         let source = if self.profile.errors_from_loopback {
             self.canonical_ip.unwrap_or(dst)
         } else {
@@ -349,7 +429,8 @@ impl RouterDevice {
     }
 
     fn handle_snmp(
-        &mut self,
+        &self,
+        state: &mut DeviceState,
         udp: &UdpPacket<&[u8]>,
         src: Ipv4Addr,
         dst: Ipv4Addr,
@@ -370,7 +451,7 @@ impl RouterDevice {
             &self.engine_id,
             self.engine_boots,
             engine_time,
-            self.rng.gen_range(1..10_000),
+            state.rng.gen_range(1..10_000),
         );
         let reply = UdpRepr {
             src_port: SNMP_PORT,
@@ -378,26 +459,14 @@ impl RouterDevice {
             payload: report.to_bytes().ok()?,
         }
         .to_bytes(dst, src);
-        let ipid = self.ipid.allocate(Protocol::Udp, now, &mut self.rng);
+        let ipid = self.next_ipid(state, Protocol::Udp, now);
         Some(self.wrap_ip_with_ipid(dst, src, Protocol::Udp, self.profile.ttl.udp, ipid, &reply))
     }
 
-    fn wrap_ip(
-        &mut self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        protocol: Protocol,
-        ipid_class: Protocol,
-        payload: &[u8],
-        now: f64,
-    ) -> Vec<u8> {
-        let ipid = self.ipid.allocate(ipid_class, now, &mut self.rng);
-        let ttl = match ipid_class {
-            Protocol::Icmp => self.profile.ttl.icmp,
-            Protocol::Tcp => self.profile.ttl.tcp,
-            _ => self.profile.ttl.udp,
-        };
-        self.wrap_ip_with_ipid(src, dst, protocol, ttl, ipid, payload)
+    /// The IPID for a response of `protocol`'s class, advancing `state`.
+    fn next_ipid(&self, state: &mut DeviceState, protocol: Protocol, now: f64) -> u16 {
+        self.ipid
+            .allocate(&mut state.counters, protocol, now, &mut state.rng)
     }
 
     fn wrap_ip_with_ipid(

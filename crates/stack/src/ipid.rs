@@ -113,27 +113,31 @@ impl IpidPlan {
 
 const COUNTER_GROUPS: usize = 4;
 
+/// A router's IPID counters: the only IPID state that changes as the
+/// router answers. Plain arrays, no heap, so a network fork copies them
+/// with the rest of the device's mutable state.
 #[derive(Debug, Clone, Copy)]
-struct CounterState {
-    value: u16,
-    last_advance: f64,
+pub struct IpidCounters {
+    value: [u16; COUNTER_GROUPS],
+    last_advance: [f64; COUNTER_GROUPS],
     /// For `DuplicatePair`: parity of allocations since the last advance.
-    pending_dup: bool,
+    pending_dup: [bool; COUNTER_GROUPS],
 }
 
-/// Per-router IPID allocator: owns the shared counters, the device's
-/// static value, and a deterministic RNG stream.
+/// Per-router IPID allocator: the plan, the device's static value and
+/// its background traffic rate. Fixed once the device exists; the
+/// counters it advances live in [`IpidCounters`], and the randomness
+/// comes from the caller's RNG stream.
 #[derive(Debug, Clone)]
 pub struct IpidEngine {
     plan: IpidPlan,
-    counters: [CounterState; COUNTER_GROUPS],
     static_value: u16,
     /// Background packets per second driving counter advancement.
     background_pps: f64,
 }
 
 impl IpidEngine {
-    /// Create an engine with device-specific initial counter values.
+    /// Create an engine and its device-specific initial counter values.
     ///
     /// Counters within one device are *correlated*: they all start from
     /// the same boot and advance with similar traffic volumes, so a
@@ -142,15 +146,15 @@ impl IpidEngine {
     /// basis of the paper's Figure 3 (≈90% of consecutive cross-protocol
     /// IPID differences within ±1300) and of the 1,300 threshold itself.
     /// Different devices remain uncorrelated.
-    pub fn new<R: Rng>(plan: IpidPlan, background_pps: f64, rng: &mut R) -> Self {
-        let mut counters = [CounterState {
-            value: 0,
-            last_advance: 0.0,
-            pending_dup: false,
-        }; COUNTER_GROUPS];
+    pub fn new<R: Rng>(plan: IpidPlan, background_pps: f64, rng: &mut R) -> (Self, IpidCounters) {
+        let mut counters = IpidCounters {
+            value: [0; COUNTER_GROUPS],
+            last_advance: [0.0; COUNTER_GROUPS],
+            pending_dup: [false; COUNTER_GROUPS],
+        };
         let device_base: u16 = rng.gen();
-        for counter in &mut counters {
-            counter.value = device_base.wrapping_add(rng.gen_range(0..1200));
+        for value in &mut counters.value {
+            *value = device_base.wrapping_add(rng.gen_range(0..1200));
         }
         // Per-device traffic volume: two routers with the same OS still
         // see different loads, so their counters drift apart over time —
@@ -163,12 +167,12 @@ impl IpidEngine {
                 break v;
             }
         };
-        IpidEngine {
+        let engine = IpidEngine {
             plan,
-            counters,
             static_value,
             background_pps,
-        }
+        };
+        (engine, counters)
     }
 
     /// The plan this engine allocates by.
@@ -177,32 +181,44 @@ impl IpidEngine {
     }
 
     /// Allocate the IPID for a response to a probe of `protocol` sent at
-    /// virtual time `now` (seconds).
-    pub fn allocate<R: Rng>(&mut self, protocol: Protocol, now: f64, rng: &mut R) -> u16 {
+    /// virtual time `now` (seconds), advancing `counters`.
+    pub fn allocate<R: Rng>(
+        &self,
+        counters: &mut IpidCounters,
+        protocol: Protocol,
+        now: f64,
+        rng: &mut R,
+    ) -> u16 {
         match self.plan.mode(protocol) {
-            IpidMode::Counter { group } => self.advance(group as usize, now, 1, rng),
+            IpidMode::Counter { group } => self.advance(counters, group as usize, now, 1, rng),
             IpidMode::Random => rng.gen(),
             IpidMode::Static => self.static_value,
             IpidMode::Zero => 0,
             IpidMode::DuplicatePair { group } => {
                 let slot = group as usize % COUNTER_GROUPS;
-                if self.counters[slot].pending_dup {
-                    self.counters[slot].pending_dup = false;
-                    self.counters[slot].value
+                if counters.pending_dup[slot] {
+                    counters.pending_dup[slot] = false;
+                    counters.value[slot]
                 } else {
-                    let value = self.advance(slot, now, 1, rng);
-                    self.counters[slot].pending_dup = true;
+                    let value = self.advance(counters, slot, now, 1, rng);
+                    counters.pending_dup[slot] = true;
                     value
                 }
             }
         }
     }
 
-    fn advance<R: Rng>(&mut self, group: usize, now: f64, own: u16, rng: &mut R) -> u16 {
+    fn advance<R: Rng>(
+        &self,
+        counters: &mut IpidCounters,
+        group: usize,
+        now: f64,
+        own: u16,
+        rng: &mut R,
+    ) -> u16 {
         let slot = group % COUNTER_GROUPS;
-        let counter = &mut self.counters[slot];
-        let dt = (now - counter.last_advance).max(0.0);
-        counter.last_advance = now;
+        let dt = (now - counters.last_advance[slot]).max(0.0);
+        counters.last_advance[slot] = now;
         // Background traffic drives every counter of a device with the
         // *same* realised volume (they count the same box's packets), so
         // the advance is deterministic in `dt` plus bounded per-counter
@@ -213,11 +229,11 @@ impl IpidEngine {
         let expected = self.background_pps * dt;
         let deterministic = expected.floor() as u64;
         let noise = poisson(rng, expected.min(32.0));
-        counter.value = counter
-            .value
+        let value = &mut counters.value[slot];
+        *value = value
             .wrapping_add((deterministic + noise) as u16)
             .wrapping_add(own);
-        counter.value
+        *value
     }
 }
 
@@ -258,7 +274,7 @@ mod tests {
     #[test]
     fn shared_counter_is_globally_monotonic() {
         let mut rng = rng();
-        let mut engine = IpidEngine::new(IpidPlan::shared_all(), 10.0, &mut rng);
+        let (engine, mut counters) = IpidEngine::new(IpidPlan::shared_all(), 10.0, &mut rng);
         let mut previous = None;
         let mut time = 0.0;
         for protocol in [
@@ -270,7 +286,7 @@ mod tests {
             Protocol::Udp,
         ] {
             time += 0.05;
-            let id = engine.allocate(protocol, time, &mut rng);
+            let id = engine.allocate(&mut counters, protocol, time, &mut rng);
             if let Some(prev) = previous {
                 let step = id.wrapping_sub(prev);
                 assert!((1..1000).contains(&step), "step {step} out of band");
@@ -282,14 +298,14 @@ mod tests {
     #[test]
     fn per_protocol_counters_do_not_interfere() {
         let mut rng = rng();
-        let mut engine = IpidEngine::new(IpidPlan::per_protocol(), 0.0, &mut rng);
-        let icmp1 = engine.allocate(Protocol::Icmp, 0.1, &mut rng);
-        let tcp1 = engine.allocate(Protocol::Tcp, 0.2, &mut rng);
-        let icmp2 = engine.allocate(Protocol::Icmp, 0.3, &mut rng);
+        let (engine, mut counters) = IpidEngine::new(IpidPlan::per_protocol(), 0.0, &mut rng);
+        let icmp1 = engine.allocate(&mut counters, Protocol::Icmp, 0.1, &mut rng);
+        let tcp1 = engine.allocate(&mut counters, Protocol::Tcp, 0.2, &mut rng);
+        let icmp2 = engine.allocate(&mut counters, Protocol::Icmp, 0.3, &mut rng);
         // With zero background traffic, each counter steps by exactly one
         // per own packet, regardless of other protocols' activity.
         assert_eq!(icmp2.wrapping_sub(icmp1), 1);
-        let tcp2 = engine.allocate(Protocol::Tcp, 0.4, &mut rng);
+        let tcp2 = engine.allocate(&mut counters, Protocol::Tcp, 0.4, &mut rng);
         assert_eq!(tcp2.wrapping_sub(tcp1), 1);
     }
 
@@ -301,12 +317,12 @@ mod tests {
             tcp: IpidMode::Static,
             udp: IpidMode::Static,
         };
-        let mut engine = IpidEngine::new(plan, 100.0, &mut rng);
-        let first = engine.allocate(Protocol::Icmp, 1.0, &mut rng);
+        let (engine, mut counters) = IpidEngine::new(plan, 100.0, &mut rng);
+        let first = engine.allocate(&mut counters, Protocol::Icmp, 1.0, &mut rng);
         assert_ne!(first, 0);
         for i in 0..5 {
             assert_eq!(
-                engine.allocate(Protocol::Tcp, 2.0 + i as f64, &mut rng),
+                engine.allocate(&mut counters, Protocol::Tcp, 2.0 + i as f64, &mut rng),
                 first
             );
         }
@@ -320,8 +336,11 @@ mod tests {
             tcp: IpidMode::Zero,
             udp: IpidMode::Zero,
         };
-        let mut engine = IpidEngine::new(plan, 100.0, &mut rng);
-        assert_eq!(engine.allocate(Protocol::Udp, 5.0, &mut rng), 0);
+        let (engine, mut counters) = IpidEngine::new(plan, 100.0, &mut rng);
+        assert_eq!(
+            engine.allocate(&mut counters, Protocol::Udp, 5.0, &mut rng),
+            0
+        );
     }
 
     #[test]
@@ -332,10 +351,10 @@ mod tests {
             tcp: IpidMode::DuplicatePair { group: 3 },
             udp: IpidMode::DuplicatePair { group: 3 },
         };
-        let mut engine = IpidEngine::new(plan, 0.0, &mut rng);
-        let a = engine.allocate(Protocol::Icmp, 0.1, &mut rng);
-        let b = engine.allocate(Protocol::Icmp, 0.2, &mut rng);
-        let c = engine.allocate(Protocol::Icmp, 0.3, &mut rng);
+        let (engine, mut counters) = IpidEngine::new(plan, 0.0, &mut rng);
+        let a = engine.allocate(&mut counters, Protocol::Icmp, 0.1, &mut rng);
+        let b = engine.allocate(&mut counters, Protocol::Icmp, 0.2, &mut rng);
+        let c = engine.allocate(&mut counters, Protocol::Icmp, 0.3, &mut rng);
         assert_eq!(a, b);
         assert_ne!(b, c);
     }
@@ -343,9 +362,9 @@ mod tests {
     #[test]
     fn random_mode_spreads_over_range() {
         let mut rng = rng();
-        let mut engine = IpidEngine::new(IpidPlan::random_all(), 0.0, &mut rng);
+        let (engine, mut counters) = IpidEngine::new(IpidPlan::random_all(), 0.0, &mut rng);
         let values: Vec<u16> = (0..64)
-            .map(|i| engine.allocate(Protocol::Icmp, i as f64, &mut rng))
+            .map(|i| engine.allocate(&mut counters, Protocol::Icmp, i as f64, &mut rng))
             .collect();
         let max_step = values
             .windows(2)
@@ -360,10 +379,10 @@ mod tests {
     #[test]
     fn background_traffic_advances_counters_with_time() {
         let mut rng = rng();
-        let mut engine = IpidEngine::new(IpidPlan::shared_all(), 200.0, &mut rng);
-        let first = engine.allocate(Protocol::Icmp, 0.0, &mut rng);
+        let (engine, mut counters) = IpidEngine::new(IpidPlan::shared_all(), 200.0, &mut rng);
+        let first = engine.allocate(&mut counters, Protocol::Icmp, 0.0, &mut rng);
         // One second at 200 pps: expect a jump of roughly 200.
-        let second = engine.allocate(Protocol::Icmp, 1.0, &mut rng);
+        let second = engine.allocate(&mut counters, Protocol::Icmp, 1.0, &mut rng);
         let step = second.wrapping_sub(first);
         assert!((100..400).contains(&step), "step {step} not near 200");
     }

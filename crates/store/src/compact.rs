@@ -18,6 +18,7 @@
 //! `metrics` renders can read them without touching the store's locks.
 
 use crate::epoch::Store;
+use crate::segment::DurableLog;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -177,12 +178,16 @@ fn run_if_due(store: &Store, policy: CompactionPolicy, shared: &Shared) -> bool 
     if !policy.due(&status) {
         return false;
     }
-    match store.compact_log() {
+    // The counters move inside the publish, not after the fold returns:
+    // a reader that sees the folded manifest sees them moved too.
+    let counted = |folded: usize| {
+        shared.runs.fetch_add(1, Ordering::Relaxed);
+        shared
+            .segments_folded
+            .fetch_add(folded as u64, Ordering::Relaxed);
+    };
+    match store.fold_log(&mut DurableLog, counted) {
         Ok(Some(report)) => {
-            shared.runs.fetch_add(1, Ordering::Relaxed);
-            shared
-                .segments_folded
-                .fetch_add(report.folded as u64, Ordering::Relaxed);
             shared
                 .last_run_us
                 .store((report.seconds * 1_000_000.0) as u64, Ordering::Relaxed);

@@ -772,6 +772,19 @@ impl Store {
         &self,
         faults: &mut dyn LogFaults,
     ) -> Result<Option<CompactReport>, StoreError> {
+        self.fold_log(faults, |_| {})
+    }
+
+    /// The fold behind [`compact_log_with`](Store::compact_log_with).
+    /// `published` gets the number of folded segments right after the new
+    /// manifest is published, with the log lock still held: whoever sees
+    /// the folded manifest through [`Store::log_status`] (which takes that
+    /// lock) also sees what `published` recorded.
+    pub(crate) fn fold_log(
+        &self,
+        faults: &mut dyn LogFaults,
+        published: impl FnOnce(usize),
+    ) -> Result<Option<CompactReport>, StoreError> {
         let start = Instant::now();
         let (snapshot, dir, name) = {
             let history = self.history.lock().expect("epoch lock poisoned");
@@ -829,6 +842,7 @@ impl Store {
             },
             faults,
         )?;
+        published(folded.len());
         drop(log_guard);
         // What the fold superseded can go without the lock: epochs only
         // grow, so no later save or fold writes these names again. Any

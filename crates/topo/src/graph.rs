@@ -168,7 +168,8 @@ impl AsGraph {
     }
 
     /// Compute valley-free routes from every AS toward `dst`, optionally
-    /// excluding one AS (for the §6.3 avoidance analysis).
+    /// excluding one AS (for the §6.3 avoidance analysis). The lengths are
+    /// computed as `u32` and narrowed, checked, into the compact table.
     pub fn routes_to(&self, dst: u32, exclude: Option<u32>) -> BgpTable {
         let n = self.len();
         let skip = |x: u32| Some(x) == exclude;
@@ -231,9 +232,7 @@ impl AsGraph {
         BgpTable {
             dst,
             exclude,
-            cust,
-            peer,
-            prov,
+            lengths: narrow(&cust, &peer, &prov),
         }
     }
 }
@@ -260,16 +259,49 @@ fn sample_budget(scale: &Scale, tier: Tier, index: usize, rng: &mut SmallRng) ->
     budget.max(1)
 }
 
-/// Per-destination route table (one entry per route class).
+/// Per-destination route table: for every AS, the AS-path length of its
+/// best customer, peer and provider route toward `dst`.
+///
+/// Stored compactly, as three `u8` lengths per AS (3 bytes; the `u32`
+/// columns the route computation works in take 12), with `u8::MAX`
+/// meaning "no route of this class". The narrowing is checked: a route of
+/// 255 AS hops or more makes [`AsGraph::routes_to`] panic rather than
+/// saturate into a wrong length.
 #[derive(Debug, Clone)]
 pub struct BgpTable {
     /// Destination AS id.
     pub dst: u32,
     /// AS excluded from routing, if any.
     pub exclude: Option<u32>,
-    cust: Vec<u32>,
-    peer: Vec<u32>,
-    prov: Vec<u32>,
+    /// Per AS: customer, peer and provider route lengths, in preference
+    /// order; [`NO_ROUTE`] where the class has none.
+    lengths: Box<[[u8; 3]]>,
+}
+
+/// A [`BgpTable`] length slot holding no route.
+const NO_ROUTE: u8 = u8::MAX;
+
+/// Narrow the computed `u32` route-length columns into [`BgpTable`]
+/// slots, checked. The check runs once, over all three columns: `INF`
+/// (`u32::MAX`) plus one wraps to 0, so the fold is the longest finite
+/// length plus one. With every finite length below [`NO_ROUTE`], the
+/// truncating cast is exact and maps `INF` to `NO_ROUTE`.
+fn narrow(cust: &[u32], peer: &[u32], prov: &[u32]) -> Box<[[u8; 3]]> {
+    let longest_plus_one = [cust, peer, prov]
+        .into_iter()
+        .flatten()
+        .fold(0, |longest, &len| longest.max(len.wrapping_add(1)));
+    assert!(
+        longest_plus_one <= u32::from(NO_ROUTE),
+        "AS-path length {} does not fit a compact route table (at most {})",
+        longest_plus_one - 1,
+        NO_ROUTE - 1
+    );
+    cust.iter()
+        .zip(peer)
+        .zip(prov)
+        .map(|((&cust, &peer), &prov)| [cust as u8, peer as u8, prov as u8])
+        .collect()
 }
 
 impl BgpTable {
@@ -284,16 +316,19 @@ impl BgpTable {
     }
 
     fn best_class(&self, src: u32) -> Option<(u8, u32)> {
-        let s = src as usize;
         // Preference: customer (0) > peer (1) > provider (2); within a
         // class, shorter is better. A route class only wins on length if
         // no more-preferred class exists — standard local-pref semantics.
-        for (class, table) in [(0u8, &self.cust), (1, &self.peer), (2, &self.prov)] {
-            if table[s] != INF {
-                return Some((class, table[s]));
-            }
-        }
-        None
+        let lengths = self.lengths[src as usize];
+        (0u8..)
+            .zip(lengths)
+            .find(|&(_, len)| len != NO_ROUTE)
+            .map(|(class, len)| (class, u32::from(len)))
+    }
+
+    /// Customer-route length at `x` (`NO_ROUTE` as 255).
+    fn customer_len(&self, x: u32) -> u32 {
+        u32::from(self.lengths[x as usize][0])
     }
 
     /// Reconstruct the best AS path `src … dst` (inclusive), deterministic
@@ -311,7 +346,7 @@ impl BgpTable {
                     graph.customers[current as usize]
                         .iter()
                         .copied()
-                        .filter(|&c| self.cust[c as usize] == len - 1)
+                        .filter(|&c| self.customer_len(c) == len - 1)
                         .min()?
                 }
                 1 => {
@@ -319,7 +354,7 @@ impl BgpTable {
                     graph.peers[current as usize]
                         .iter()
                         .copied()
-                        .filter(|&y| self.cust[y as usize] == len - 1)
+                        .filter(|&y| self.customer_len(y) == len - 1)
                         .min()?
                 }
                 _ => {
@@ -328,8 +363,8 @@ impl BgpTable {
                         .iter()
                         .copied()
                         .filter(|&p| {
-                            let p = p as usize;
-                            self.cust[p].min(self.peer[p]).min(self.prov[p]) == len - 1
+                            let shortest = self.lengths[p as usize].into_iter().min();
+                            shortest.map(u32::from) == Some(len - 1)
                         })
                         .min()?
                 }

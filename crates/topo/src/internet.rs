@@ -69,32 +69,40 @@ pub struct TopologyCore {
     route_cache: RouteCache,
 }
 
-/// Memoised BGP tables, keyed by (destination AS, excluded AS).
-type RouteCache = RwLock<HashMap<(u32, Option<u32>), Arc<BgpTable>>>;
+/// Memoised BGP tables, keyed by destination AS.
+type RouteCache = RwLock<HashMap<u32, Arc<BgpTable>>>;
 
 impl TopologyCore {
-    /// BGP routes toward the AS, memoised.
-    pub fn bgp(&self, dst_as: u32, exclude: Option<u32>) -> Arc<BgpTable> {
+    /// BGP routes toward the AS, memoised. Only the unfiltered tables
+    /// that routing reads again and again are memoised; a table with an
+    /// AS excluded (the §6.3 avoidance study) is read once, so its caller
+    /// computes it with [`AsGraph::routes_to`] and drops it.
+    pub fn bgp(&self, dst_as: u32) -> Arc<BgpTable> {
         if let Some(table) = self
             .route_cache
             .read()
             .expect("route cache poisoned")
-            .get(&(dst_as, exclude))
+            .get(&dst_as)
         {
             return Arc::clone(table);
         }
-        let table = Arc::new(self.graph.routes_to(dst_as, exclude));
+        let table = Arc::new(self.graph.routes_to(dst_as, None));
         self.route_cache
             .write()
             .expect("route cache poisoned")
-            .entry((dst_as, exclude))
+            .entry(dst_as)
             .or_insert(table)
             .clone()
     }
 
+    /// How many route tables [`TopologyCore::bgp`] holds memoised.
+    pub fn memoised_routes(&self) -> usize {
+        self.route_cache.read().expect("route cache poisoned").len()
+    }
+
     /// Best valley-free AS path between two ASes.
     pub fn as_path(&self, src_as: u32, dst_as: u32) -> Option<Vec<u32>> {
-        self.bgp(dst_as, None).path_from(src_as, &self.graph)
+        self.bgp(dst_as).path_from(src_as, &self.graph)
     }
 
     /// The AS owning an interface address.

@@ -78,8 +78,8 @@ fn excluding_an_as_never_creates_new_reachability() {
     let world = world();
     let core = world.internet.core();
     for dst in [5u32, 17, 33] {
-        let base = core.bgp(dst, None);
-        let excluded = core.bgp(dst, Some(1));
+        let base = core.bgp(dst);
+        let excluded = core.graph.routes_to(dst, Some(1));
         for src in 0..world.internet.graph().len() as u32 {
             if excluded.reachable(src) {
                 assert!(
